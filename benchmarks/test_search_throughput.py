@@ -4,7 +4,7 @@ Times the dense hypothesis search alone (frame preparation excluded) on
 the Hurricane Luis vortex dataset in two subprocesses, one per search
 schedule, so neither run warms caches for the other:
 
-* ``exhaustive`` -- the default batched engine: every pixel solves all
+* ``exhaustive`` -- the default schedule: every pixel solves all
   ``(2 N_zs + 1)^2`` hypotheses.
 * ``pruned`` -- the certificate-grid schedule: per-hypothesis lower
   bounds on the eq. (3) template error skip the Gaussian elimination

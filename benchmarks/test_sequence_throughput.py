@@ -4,8 +4,8 @@ Times an 8-frame monocular tracking sequence end to end in two
 subprocesses:
 
 * ``legacy`` -- the pre-optimization path: per-pair ``prepare_frames``
-  with no preparation cache, the one-hypothesis-at-a-time ``serial``
-  solver engine, and the NumPy Gaussian elimination
+  with no preparation cache, one hypothesis per chunk
+  (``batch_bytes=1``), and the NumPy Gaussian elimination
   (``REPRO_NATIVE=0``).
 * ``new`` -- the default ``SMAnalyzer.track_sequence`` path: the
   frame-preparation cache (each interior frame fitted once, not twice),
@@ -62,7 +62,7 @@ DRIVER = textwrap.dedent(
             prep = prepare_frames(
                 ds.frames[m].surface, ds.frames[m + 1].surface, config
             )
-            fields.append(track_dense(prep, engine="serial"))
+            fields.append(track_dense(prep, batch_bytes=1))
     else:
         from repro import SMAnalyzer
 

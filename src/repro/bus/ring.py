@@ -196,30 +196,33 @@ class ShmRing:
     def attach(cls, name: str, timeout: float = 0.0, poll: float = 0.02) -> "ShmRing":
         """Attach to an existing ring, optionally waiting for it to appear.
 
-        A segment that exists but fails header validation is retried
-        within the timeout too: the creator stamps the magic word last,
-        so an attacher racing :meth:`create` can map the segment a beat
-        before the header is ready.
+        A segment that exists but is still shorter than a header, or
+        fails header validation, is retried within the timeout too: the
+        creator sizes the segment after opening it and stamps the magic
+        word last, so an attacher racing :meth:`create` can open the
+        segment a beat before the header is ready.
         """
         deadline = time.monotonic() + timeout
         t0 = time.perf_counter()
         while True:
             try:
-                shm = shared_memory.SharedMemory(name=SEGMENT_PREFIX + name)
+                shm = _open_segment(SEGMENT_PREFIX + name)
             except FileNotFoundError:
                 if time.monotonic() >= deadline:
                     raise RingNotFound(f"no ring named {name!r}") from None
                 time.sleep(poll)
                 continue
-            _unregister(shm)
-            try:
-                ring = cls(shm, name=name, owner=False)
-                break
-            except RingError:
-                shm.close()
-                if time.monotonic() >= deadline:
-                    raise
-                time.sleep(poll)
+            error = RingError(f"segment {name!r} is shorter than a ring header")
+            if shm is not None:
+                try:
+                    ring = cls(shm, name=name, owner=False)
+                    break
+                except RingError as exc:
+                    shm.close()
+                    error = exc
+            if time.monotonic() >= deadline:
+                raise error
+            time.sleep(poll)
         METRICS.observe("bus.attach.seconds", time.perf_counter() - t0)
         METRICS.inc("bus.attaches")
         return ring
@@ -665,6 +668,25 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+def _open_segment(name: str) -> shared_memory.SharedMemory | None:
+    """Map an existing segment, or None while it is shorter than a header.
+
+    The creator opens the segment and sizes it in two steps, so an
+    opener racing it can find the segment zero-length (``mmap`` refuses
+    an empty file with ValueError) or short.  Raises FileNotFoundError
+    when no segment has the name.
+    """
+    try:
+        shm = shared_memory.SharedMemory(name=name)
+    except ValueError:
+        return None
+    _unregister(shm)
+    if shm.size >= HEADER_WORDS * 8:
+        return shm
+    shm.close()
+    return None
+
+
 def list_segments(prefix: str = SEGMENT_PREFIX) -> list[str]:
     """Ring names currently resident in ``/dev/shm``."""
     try:
@@ -684,28 +706,26 @@ def gc_stale_segments(prefix: str = SEGMENT_PREFIX) -> list[str]:
     removed: list[str] = []
     for name in list_segments(prefix):
         try:
-            shm = shared_memory.SharedMemory(name=prefix + name)
+            shm = _open_segment(prefix + name)
         except FileNotFoundError:
             continue
-        _unregister(shm)
-        try:
-            header = np.ndarray((HEADER_WORDS,), dtype=np.int64, buffer=shm.buf)
-            magic_ok = int(header[H_MAGIC]) == MAGIC
-            pid = int(header[H_OWNER_PID])
-            del header
-        finally:
-            shm.close()
-        if not magic_ok:
-            # Half-initialized segment: creator died before stamping the
-            # magic.  No owner recorded -> reclaim it.
-            pid = -1
+        # Half-initialized segment (too short for a header, or the
+        # creator died before stamping the magic): no owner recorded,
+        # so reclaim it.
+        pid = -1
+        if shm is not None:
+            try:
+                header = np.ndarray((HEADER_WORDS,), dtype=np.int64, buffer=shm.buf)
+                if int(header[H_MAGIC]) == MAGIC:
+                    pid = int(header[H_OWNER_PID])
+                del header
+            finally:
+                shm.close()
         if not _pid_alive(pid):
             try:
-                # The attach registers with the tracker and unlink()
-                # deregisters -- balanced, no explicit bookkeeping.
-                stale = shared_memory.SharedMemory(name=prefix + name)
-                stale.unlink()
-                stale.close()
+                # Unlink by path: a zero-length segment cannot be mapped,
+                # and nothing here is registered with the resource tracker.
+                os.unlink(os.path.join(_SHM_DIR, prefix + name))
             except FileNotFoundError:
                 continue
             removed.append(name)

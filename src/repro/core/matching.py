@@ -21,60 +21,51 @@ for comparing the correctness of the parallel algorithm results"):
   semi-fluid mapping uses the Section 4.1 precompute
   (:func:`repro.core.semifluid.compute_score_volume`).
 
-:func:`track_dense` offers two engines producing **bit-identical**
-results (tested):
+Every :func:`track_dense` schedule runs through one hypothesis driver,
+:func:`_search`, which repeats three steps per chunk of
+:func:`hypothesis_order`:
 
-* ``engine="batched"`` (default) -- the hypothesis axis is stacked too:
-  the per-hypothesis normal-equation fields of a whole chunk of the
-  ``(2N_zs+1)^2`` search window are built with one broadcast
-  :func:`~repro.core.continuous.pointwise_fields` call, box-summed with
-  one separable uniform filter sweep over the stack (internally a
-  shared cumulative sliding sum per axis) and solved with ONE batched
-  :func:`~repro.core.linalg.gaussian_eliminate` call -- the whole-search
-  SIMD rendering, minus per-hypothesis Python dispatch.
-* ``engine="serial"`` -- one hypothesis at a time, kept as the
-  validation baseline and the pre-optimization benchmark reference.
+1. an *evaluator* builds the chunk's pointwise normal-equation fields
+   (one broadcast :func:`~repro.core.continuous.pointwise_fields`
+   call), computes certificate bounds when asked, and solves the
+   template systems (one box-sum sweep, ONE batched Gaussian
+   elimination) -- on host kernels, or on the array-API
+   :class:`repro.kernels.device.DeviceBackend`;
+2. a *schedule* picks the chunks and, per chunk, the pixels to solve;
+3. one flat-index strict-less *merge* updates the best state.  Merging
+   in hypothesis order keeps tie-breaks deterministic however the
+   search is chunked: among equal error minima the smaller
+   displacement wins (Chebyshev magnitude, then raster order).
 
-Both paths produce identical integer displacements and identical motion
-parameters (tested), and tie-breaks are deterministic: among equal
-error minima the smaller displacement wins (Chebyshev magnitude, then
-raster order).
+``search`` selects the schedule:
 
-On top of the engines, ``search`` selects the *hypothesis schedule*:
-
-* ``search="exhaustive"`` (default) -- every pixel evaluates every
-  hypothesis, as above.
-* ``search="pruned"`` -- exact certificate-grid pruning, bit-identical
-  to exhaustive.  Because the template error of eq. (3) is a sum of
-  non-negative per-sample terms, the minimized error over any
-  *sub-window* of the template is a lower bound on the minimized error
-  over the full template (the bound survives the ridge term -- the
-  computed value is exactly ``min_theta E(theta) + ridge |theta|^2``,
-  which is monotone under adding non-negative sample terms -- and the
-  ``max(.., 0)`` clamp).  The engine solves these cheap certificate
-  systems on a sparse grid (one per ``stride x stride`` block of
-  pixels, window half-width ``n_zt - 1`` so every pixel's nearest
-  certificate window nests inside its own template) and skips the full
-  6x6 solve wherever the certificate bound already exceeds the pixel's
-  current best error by more than a small fp-safety slack.  Singular
-  certificate systems fall back to a bound of zero (never prune), so
-  soundness never depends on the rank of a certificate patch.
-* ``search="pyramid"`` -- opt-in coarse-to-fine guidance (continuous
-  model only): the raw surfaces are decimated through
-  :mod:`repro.stereo.pyramid`, tracked exhaustively at the coarse
-  level, and the upsampled coarse displacement restricts each pixel's
-  fine-level z-search to a ``(2*refine+1)^2`` window around its coarse
-  hypothesis.  Approximate by design; endpoint error vs. exhaustive is
-  bounded by tests on the synthetic vortex dataset.
+* ``"exhaustive"`` (default) -- every pixel solves every hypothesis,
+  ``batch_bytes`` of stacked fields per chunk (a 1-byte cap gives the
+  one-hypothesis-at-a-time loop, bit-identically).
+* ``"pruned"`` -- exact certificate-grid pruning, bit-identical to
+  exhaustive.  The template error of eq. (3) is a sum of non-negative
+  per-sample terms, so the minimized error over a *sub-window* of the
+  template bounds the full minimized error from below (the bound
+  survives the ridge term and the ``max(.., 0)`` clamp).  These cheap
+  certificate systems are solved on a sparse grid, and the full 6x6
+  solve is skipped wherever the bound exceeds the pixel's current best
+  by more than an fp-safety slack (:class:`_CertificateGrid`).
+* ``"pyramid"`` -- opt-in coarse-to-fine guidance (continuous model
+  only): the raw surfaces are decimated through
+  :mod:`repro.stereo.pyramid` and searched exhaustively (one more
+  driver run); the upsampled coarse displacement restricts each
+  pixel's fine-level search to a ``(2*refine+1)^2`` window.
+  Approximate by design; endpoint error vs. exhaustive is bounded by
+  tests on the synthetic vortex dataset.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..kernels import KERNEL_BACKENDS, ResolvedBackend, resolve_backend
+from ..kernels import resolve_backend
 from ..kernels.reference import box_sum_stack as _kernel_box_sum_stack
 from ..kernels.reference import strided_window_sums
 from ..obs.metrics import METRICS
@@ -97,23 +88,19 @@ from .semifluid import (
 )
 from .surface import SurfaceGeometry
 
-#: Soft cap on the stacked per-hypothesis field bytes held live by the
-#: batched engine; chunks the ``(2N_zs+1)^2`` search when exceeded.
-#: Small on purpose: the per-hypothesis working set (28 packed fields,
-#: their box sums, the unpacked 6x6 systems) must stay cache-resident --
-#: profiling shows monolithic stacks run several times SLOWER than
-#: one-or-two-hypothesis chunks because every stage becomes a strided
-#: sweep over main memory.
+#: Soft cap on the stacked field bytes of one exhaustive chunk.  Small
+#: on purpose: the per-hypothesis working set (28 packed fields, their
+#: box sums, the 6x6 systems) must stay cache-resident -- monolithic
+#: stacks profile several times SLOWER than one-hypothesis chunks.
 DEFAULT_BATCH_BYTES = 2**20
 
 #: Hypothesis-schedule modes accepted by :func:`track_dense`.
 SEARCH_MODES = ("exhaustive", "pruned", "pyramid")
 
-#: Certificate-grid spacing of the pruned engine.  With certificate
-#: half-width ``m = n_zt - 1`` a stride of 3 keeps every pixel within
-#: Chebyshev distance ``n_zt - m = 1`` of a grid center, so the
-#: displaced certificate window still nests inside the pixel's own
-#: template and the bound stays exact.
+#: Certificate-grid spacing of the pruned schedule: with half-width
+#: ``m = n_zt - 1`` a stride of 3 keeps every pixel within Chebyshev
+#: distance 1 of a grid center, so its certificate window nests inside
+#: the pixel's own template and the bound stays exact.
 CERT_STRIDE = 3
 
 #: FP-safety slack for the prune test: a hypothesis is skipped only when
@@ -172,11 +159,7 @@ def hypothesis_order(n_zs: int) -> list[tuple[int, int]]:
     tie-breaking favor the smallest motion, deterministically, in both
     the dense and reference paths.
     """
-    offsets = [
-        (dy, dx)
-        for dy in range(-n_zs, n_zs + 1)
-        for dx in range(-n_zs, n_zs + 1)
-    ]
+    offsets = [(dy, dx) for dy in range(-n_zs, n_zs + 1) for dx in range(-n_zs, n_zs + 1)]
     return sorted(offsets, key=lambda o: (max(abs(o[0]), abs(o[1])), o[0], o[1]))
 
 
@@ -219,16 +202,10 @@ def prepare_frames(
     """Fit surfaces and (for the semi-fluid model) precompute scores.
 
     In the monocular case the intensity image *is* the digital surface
-    (Section 2: "treating the intensity data as a digital surface") --
-    pass it as ``z_before``/``z_after`` and omit the intensity pair.
-
-    ``cache`` optionally reuses the per-frame half of the work (surface
-    fit + discriminant field) across pairs of a sequence: frame ``m``
-    is both the ``after`` frame of pair ``m-1`` and the ``before``
-    frame of pair ``m``, so a sequence driver that passes the same
-    cache fits each frame exactly once.  Cached and uncached results
-    are bit-identical.  The semi-fluid score volume couples both
-    frames of the pair and is always computed here, per pair.
+    (Section 2) -- pass it as ``z_before``/``z_after`` and omit the
+    intensity pair.  ``cache`` reuses the per-frame surface fit and
+    discriminant field across the pairs of a sequence, bit-identically;
+    the score volume couples both frames and is always computed here.
     """
     z_before = np.asarray(z_before, dtype=np.float64)
     z_after = np.asarray(z_after, dtype=np.float64)
@@ -286,38 +263,12 @@ def _shifted_geometry_stack(geo: SurfaceGeometry, volume: ScoreVolume) -> np.nda
     return out
 
 
-def _hypothesis_pointwise(
-    prepared: PreparedFrames,
-    hyp_dy: int,
-    hyp_dx: int,
-    shifted_after: np.ndarray | None = None,
-    deltas: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Per-sample (un-accumulated) normal-equation fields for one hypothesis.
-
-    The ``(H, W, 28)`` pointwise contributions of
-    :func:`repro.core.continuous.pointwise_fields`, with the semi-fluid
-    ``F_semi`` gather applied when active.  Both the template box sum
-    and the pruned engine's certificate sub-window sums accumulate
-    these same fields, which is what makes the certificate bound exact.
-    """
-    geo_b, geo_a = prepared.geo_before, prepared.geo_after
-    config = prepared.config
-    if prepared.volume is not None and config.n_ss > 0:
-        if deltas is None:
-            deltas = semifluid_displacements(prepared.volume, hyp_dy, hyp_dx, config.n_ss)
-        delta_y, delta_x = deltas
-        if shifted_after is None:
-            shifted_after = _shifted_geometry_stack(geo_a, prepared.volume)
-        reach = prepared.volume.reach
-        side = prepared.volume.side
-        flat = (delta_y + reach) * side + (delta_x + reach)
-        p_a = np.take_along_axis(shifted_after[:, 0], flat[None], axis=0)[0]
-        q_a = np.take_along_axis(shifted_after[:, 1], flat[None], axis=0)[0]
-    else:
-        p_a = shift2d(geo_a.p, hyp_dy, hyp_dx)
-        q_a = shift2d(geo_a.q, hyp_dy, hyp_dx)
-    return pointwise_fields(geo_b.p, geo_b.q, p_a, q_a, geo_b.e, geo_b.g)
+def _gather_after(shifted_after: np.ndarray, volume: ScoreVolume, delta_y, delta_x):
+    """``(p', q')`` at each pixel's semi-fluid correspondence (any leading shape)."""
+    flat = (delta_y + volume.reach) * volume.side + (delta_x + volume.reach)
+    p_a = np.take_along_axis(shifted_after[:, 0], flat, axis=0)
+    q_a = np.take_along_axis(shifted_after[:, 1], flat, axis=0)
+    return p_a, q_a
 
 
 def hypothesis_fields(
@@ -327,233 +278,128 @@ def hypothesis_fields(
     shifted_after: np.ndarray | None = None,
     deltas: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Template-accumulated normal-equation fields for one hypothesis.
+    """Template-accumulated ``(H, W, 28)`` normal-equation fields of one hypothesis.
 
-    Returns packed fields of shape ``(H, W, 28)``: the per-pixel
-    contributions of :func:`repro.core.continuous.pointwise_fields`
-    box-summed over the z-template window.  For the semi-fluid model the
-    after-motion gradients are gathered through ``F_semi`` first;
-    ``deltas`` may carry the precomputed per-pixel semi-fluid
-    displacements ``(delta_y, delta_x)`` for this hypothesis.
+    Semi-fluid gradients are gathered through ``F_semi`` first;
+    ``deltas`` may carry this hypothesis' precomputed per-pixel
+    semi-fluid displacements ``(delta_y, delta_x)``.
     """
-    fields = _hypothesis_pointwise(prepared, hyp_dy, hyp_dx, shifted_after, deltas)
+    geo_b, geo_a = prepared.geo_before, prepared.geo_after
     config = prepared.config
+    if prepared.volume is not None and config.n_ss > 0:
+        if deltas is None:
+            deltas = semifluid_displacements(prepared.volume, hyp_dy, hyp_dx, config.n_ss)
+        if shifted_after is None:
+            shifted_after = _shifted_geometry_stack(geo_a, prepared.volume)
+        p_a, q_a = _gather_after(
+            shifted_after, prepared.volume, deltas[0][None], deltas[1][None]
+        )
+        p_a, q_a = p_a[0], q_a[0]
+    else:
+        p_a = shift2d(geo_a.p, hyp_dy, hyp_dx)
+        q_a = shift2d(geo_a.q, hyp_dy, hyp_dx)
+    fields = pointwise_fields(geo_b.p, geo_b.q, p_a, q_a, geo_b.e, geo_b.g)
     accumulated = np.empty_like(fields)
     for k in range(N_FIELDS):
         accumulated[..., k] = box_sum(fields[..., k], config.n_zt)
     return accumulated
 
 
-def track_dense(
-    prepared: PreparedFrames,
-    ridge: float = 1e-9,
-    engine: str = "batched",
-    batch_bytes: int = DEFAULT_BATCH_BYTES,
-    search: str = "exhaustive",
-    ledger=None,
-    pyramid_levels: int = 1,
-    pyramid_refine: int = 1,
-    backend: str = "auto",
-) -> DenseMatchResult:
-    """Estimate the dense motion field: all pixels, all hypotheses.
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """``np.stack``, without the copy for a one-hypothesis chunk."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
-    This is the "track all pixels ... in parallel" computation of the
-    paper, executed as NumPy whole-array operations (the sequential
-    *optimized* rendering; :class:`repro.parallel.parallel_sma.ParallelSMA`
-    runs the same math through the SIMD simulator).
 
-    ``engine`` selects ``"batched"`` (default: hypotheses stacked and
-    solved together, see the module docstring) or ``"serial"`` (one
-    hypothesis per iteration, the validation baseline).  The two are
-    bit-identical in ``u``, ``v``, ``params`` and ``error``.
-    ``batch_bytes`` caps the live hypothesis-stack memory of the
-    batched engine; the search window is chunked when it would exceed
-    the cap, which changes speed, never results.
+class _HostEvaluator:
+    """The driver's evaluation stage on host kernels.
 
-    ``search`` selects the hypothesis schedule (module docstring):
-    ``"exhaustive"``, ``"pruned"`` (bit-identical, fewer GE solves) or
-    ``"pyramid"`` (approximate coarse-to-fine, continuous model only,
-    with ``pyramid_levels`` decimations and a ``pyramid_refine``
-    half-width fine window).  ``ledger`` optionally receives the GE
-    solves actually performed, charged under ``"Hypothesis matching"``
-    -- the observable proof of the pruned schedule's saving.
-
-    ``backend`` selects the kernel execution path
-    (:data:`repro.kernels.KERNEL_BACKENDS`): ``"auto"`` (historical
-    native-when-available dispatch), ``"numpy"`` (pin the reference),
-    ``"native"`` (require the C kernel) -- all three bit-identical --
-    or the opt-in ``"device"`` array-API path, which evaluates whole
-    hypothesis chunks (including certificate grids) on device within
-    the documented tolerance of :mod:`repro.kernels.digest`.
+    ``pointwise_fields`` -> ``_kernel_box_sum_stack`` ->
+    ``solve_accumulated``.  Certificates and template sums accumulate
+    the same pointwise fields, which is what makes the bound exact.
     """
-    if search not in SEARCH_MODES:
-        raise ValueError(
-            f"unknown search mode {search!r} (choose from {', '.join(SEARCH_MODES)})"
-        )
-    if engine not in ("batched", "serial"):
-        raise ValueError(f"unknown engine {engine!r} (choose 'batched' or 'serial')")
-    if backend not in KERNEL_BACKENDS:
-        raise ValueError(
-            f"unknown kernel backend {backend!r} "
-            f"(choose from {', '.join(KERNEL_BACKENDS)})"
-        )
-    if backend == "device" and search == "pyramid":
-        raise ValueError(
-            "backend='device' supports search='exhaustive' and 'pruned'; "
-            "stacking two approximate paths (device + pyramid) is not supported"
-        )
-    resolved = resolve_backend(backend)
-    with TRACER.span(
-        "hypothesis_search", engine=engine, search=search, backend=resolved.resolved
-    ):
-        if resolved.is_device:
-            result = _track_dense_device(prepared, ridge, batch_bytes, search, resolved)
-        elif search == "pruned":
-            result = _track_dense_pruned(prepared, ridge, resolved.prefer_native)
-        elif search == "pyramid":
-            result = _track_dense_pyramid(
-                prepared, ridge, batch_bytes, pyramid_levels, pyramid_refine,
-                resolved.prefer_native,
-            )
-        elif engine == "serial":
-            result = _track_dense_serial(prepared, ridge, resolved.prefer_native)
+
+    def __init__(self, prepared: PreparedFrames, ridge: float, prefer_native: bool = True):
+        self.prepared = prepared
+        self.ridge = ridge
+        self.prefer_native = prefer_native
+        self._last_acc = None
+        self.shifted_after = None
+        if prepared.volume is not None and prepared.config.n_ss > 0:
+            self.shifted_after = _shifted_geometry_stack(prepared.geo_after, prepared.volume)
+
+    def stage(self, chunk: list[tuple[int, int]]):
+        """``(pointwise fields, delta_y, delta_x)`` of a hypothesis chunk.
+
+        The fields stack to ``(n, H, W, 28)``; the ``(n, H, W)`` semi-fluid
+        deltas are None for the continuous model.
+        """
+        prepared = self.prepared
+        delta_y = delta_x = None
+        if self.shifted_after is None:
+            geo_a = prepared.geo_after
+            p_a = _stack([shift2d(geo_a.p, dy, dx) for dy, dx in chunk])
+            q_a = _stack([shift2d(geo_a.q, dy, dx) for dy, dx in chunk])
         else:
-            result = _track_dense_batched(prepared, ridge, batch_bytes, resolved.prefer_native)
-    if ledger is not None:
-        with ledger.phase(PHASE_MATCHING):
-            ledger.charge_gaussian_elimination(result.ge_solves, order=6)
-    return result
+            volume, n_ss = prepared.volume, prepared.config.n_ss
+            deltas = [semifluid_displacements(volume, dy, dx, n_ss) for dy, dx in chunk]
+            delta_y = _stack([d[0] for d in deltas])
+            delta_x = _stack([d[1] for d in deltas])
+            p_a, q_a = _gather_after(self.shifted_after, volume, delta_y, delta_x)
+        return self._pointwise(prepared.geo_before, p_a, q_a), delta_y, delta_x
+
+    def _pointwise(self, geo_b: SurfaceGeometry, p_a, q_a):
+        return pointwise_fields(
+            geo_b.p[None], geo_b.q[None], p_a, q_a, geo_b.e[None], geo_b.g[None]
+        )
+
+    def certificate_bounds(self, pw, grid: "_CertificateGrid"):
+        """Grid-shaped ``(lb, |c|)`` of one staged hypothesis.  ``lb`` is
+        zero where singular: E(0) = c is NOT a lower bound on the minimum."""
+        tmp = strided_window_sums(pw[0], 1, grid.gx.size, CERT_STRIDE, grid.m)
+        acc = strided_window_sums(tmp, 0, grid.gy.size, CERT_STRIDE, grid.m)
+        solution = solve_accumulated(acc, ridge=self.ridge, prefer_native=self.prefer_native)
+        return np.where(solution.singular, 0.0, solution.error), np.abs(acc[..., N_FIELDS - 1])
+
+    def solve(self, pw, pixels: np.ndarray | None = None):
+        """Template ``(error, params)``: ``(n, H, W[, 6])``, or ``(s[, 6])`` at ``pixels``.
+
+        The box sum covers the full image on purpose: its running-sum
+        rounding depends on the distance from the array origin, so
+        cropping to the selected pixels would change bits.  The last box
+        sum is kept alive until the next one: freeing it lets the
+        allocator hand its pages back to the OS and fault them in again
+        per hypothesis (2-3x the minor page faults, measured at 96 px).
+        """
+        acc = self._last_acc = _kernel_box_sum_stack(pw, self.prepared.config.n_zt)
+        solution = solve_accumulated(
+            acc if pixels is None else acc.reshape(-1, N_FIELDS)[pixels],
+            ridge=self.ridge, prefer_native=self.prefer_native,
+        )
+        return solution.error, solution.params
 
 
-def _track_dense_serial(
-    prepared: PreparedFrames, ridge: float, prefer_native: bool = True
-) -> DenseMatchResult:
-    """One hypothesis at a time (the pre-batching reference loop)."""
-    config = prepared.config
-    shape = prepared.geo_before.shape
-    semifluid = prepared.volume is not None and config.n_ss > 0
-    shifted_after = None
-    if semifluid:
-        shifted_after = _shifted_geometry_stack(prepared.geo_after, prepared.volume)
+class _DeviceEvaluator(_HostEvaluator):
+    """The same stages on :class:`~repro.kernels.device.DeviceBackend`.
 
-    best_error = np.full(shape, np.inf)
-    best_u = np.zeros(shape, dtype=np.float64)
-    best_v = np.zeros(shape, dtype=np.float64)
-    best_params = np.zeros(shape + (6,), dtype=np.float64)
-
-    order = hypothesis_order(config.n_zs)
-    for hyp_dy, hyp_dx in order:
-        deltas = None
-        if semifluid:
-            deltas = semifluid_displacements(prepared.volume, hyp_dy, hyp_dx, config.n_ss)
-        fields = hypothesis_fields(prepared, hyp_dy, hyp_dx, shifted_after, deltas)
-        solution = solve_accumulated(fields, ridge=ridge, prefer_native=prefer_native)
-        better = solution.error < best_error
-        best_error = np.where(better, solution.error, best_error)
-        if semifluid:
-            # The non-rigid correspondence of the *tracked* pixel is its
-            # own semi-fluid mapping under this hypothesis (eq. 8): the
-            # hypothesis displacement refined by the pixel's F_semi
-            # drift, which restores sub-window accuracy that the relaxed
-            # template mapping would otherwise absorb.
-            best_u = np.where(better, deltas[1].astype(np.float64), best_u)
-            best_v = np.where(better, deltas[0].astype(np.float64), best_v)
-        else:
-            best_u = np.where(better, float(hyp_dx), best_u)
-            best_v = np.where(better, float(hyp_dy), best_v)
-        best_params = np.where(better[..., None], solution.params, best_params)
-
-    return DenseMatchResult(
-        u=best_u,
-        v=best_v,
-        params=best_params,
-        error=best_error,
-        valid=valid_mask(shape, config),
-        hypotheses_evaluated=len(order),
-        ge_solves=shape[0] * shape[1] * len(order),
-    )
-
-
-def _box_sum_stack(fields: np.ndarray, half_width: int) -> np.ndarray:
-    """Box sum over the image axes of a ``(n, H, W, 28)`` stack.
-
-    Delegates to the consolidated kernels-module implementation
-    (arithmetic per (n, k) slice identical to
-    :func:`repro.core.semifluid.box_sum` on that slice, hence
-    bit-identical to the serial engine).
+    Only the semi-fluid gather, the schedule and the merge stay on host.
+    Approximate by contract: within the tolerance of
+    :mod:`repro.kernels.digest`; near-ties may pick another hypothesis.
     """
-    return _kernel_box_sum_stack(fields, half_width)
 
+    def __init__(self, prepared: PreparedFrames, ridge: float, device) -> None:
+        super().__init__(prepared, ridge, prefer_native=False)
+        self.device = device
 
-def _track_dense_batched(
-    prepared: PreparedFrames, ridge: float, batch_bytes: int,
-    prefer_native: bool = True,
-) -> DenseMatchResult:
-    """All hypotheses stacked: one field build, one box-sum sweep, one
-    batched Gaussian elimination per chunk of the search window."""
-    config = prepared.config
-    geo_b, geo_a = prepared.geo_before, prepared.geo_after
-    shape = geo_b.shape
-    semifluid = prepared.volume is not None and config.n_ss > 0
-    shifted_after = None
-    if semifluid:
-        shifted_after = _shifted_geometry_stack(geo_a, prepared.volume)
+    def _pointwise(self, geo_b, p_a, q_a):
+        return self.device.stage_chunk(geo_b.p, geo_b.q, geo_b.e, geo_b.g, p_a, q_a)
 
-    best_error = np.full(shape, np.inf)
-    best_u = np.zeros(shape, dtype=np.float64)
-    best_v = np.zeros(shape, dtype=np.float64)
-    best_params = np.zeros(shape + (6,), dtype=np.float64)
+    def certificate_bounds(self, pw, grid):
+        return self.device.certificate_bounds(pw, grid.m, grid.gy, grid.gx, self.ridge)
 
-    order = hypothesis_order(config.n_zs)
-    bytes_per_hypothesis = shape[0] * shape[1] * N_FIELDS * 8
-    chunk_size = max(1, int(batch_bytes) // max(bytes_per_hypothesis, 1))
-    METRICS.inc("hypotheses.evaluated", len(order))
-
-    for start in range(0, len(order), chunk_size):
-        chunk = order[start : start + chunk_size]
-        n = len(chunk)
-        METRICS.inc("batched_engine.chunks")
-        chunk_span = TRACER.span("hypothesis_chunk", start=start, size=n)
-        chunk_span.__enter__()
-        try:
-            p_a, q_a, delta_y, delta_x = _chunk_after_gradients(
-                prepared, chunk, shifted_after
-            )
-            fields = pointwise_fields(
-                geo_b.p[None], geo_b.q[None], p_a, q_a, geo_b.e[None], geo_b.g[None]
-            )
-            accumulated = _box_sum_stack(fields, config.n_zt)
-            del fields
-            solution = solve_accumulated(
-                accumulated, ridge=ridge, prefer_native=prefer_native
-            )
-            del accumulated
-
-            # Merge in hypothesis order with a strict-less update: identical
-            # tie-breaking (Chebyshev magnitude, then raster) to the serial
-            # engine, regardless of chunking.
-            for k, (hyp_dy, hyp_dx) in enumerate(chunk):
-                better = solution.error[k] < best_error
-                best_error = np.where(better, solution.error[k], best_error)
-                if semifluid:
-                    best_u = np.where(better, delta_x[k].astype(np.float64), best_u)
-                    best_v = np.where(better, delta_y[k].astype(np.float64), best_v)
-                else:
-                    best_u = np.where(better, float(hyp_dx), best_u)
-                    best_v = np.where(better, float(hyp_dy), best_v)
-                best_params = np.where(better[..., None], solution.params[k], best_params)
-        finally:
-            chunk_span.__exit__(None, None, None)
-
-    return DenseMatchResult(
-        u=best_u,
-        v=best_v,
-        params=best_params,
-        error=best_error,
-        valid=valid_mask(shape, config),
-        hypotheses_evaluated=len(order),
-        ge_solves=shape[0] * shape[1] * len(order),
-    )
+    def solve(self, pw, pixels=None):
+        return self.device.solve_template(
+            pw, self.prepared.config.n_zt, self.ridge, survivors=pixels
+        )
 
 
 class _CertificateGrid:
@@ -573,14 +419,11 @@ class _CertificateGrid:
         self.m = m
         self.gy = np.arange(m, h - m, CERT_STRIDE)
         self.gx = np.arange(m, w - m, CERT_STRIDE)
-        iy = np.clip(
-            np.round((np.arange(h) - m) / CERT_STRIDE).astype(np.intp),
-            0, self.gy.size - 1,
-        )
-        ix = np.clip(
-            np.round((np.arange(w) - m) / CERT_STRIDE).astype(np.intp),
-            0, self.gx.size - 1,
-        )
+
+        def nearest(n: int, count: int) -> np.ndarray:
+            return np.clip(np.round((np.arange(n) - m) / CERT_STRIDE).astype(np.intp), 0, count - 1)
+
+        iy, ix = nearest(h, self.gy.size), nearest(w, self.gx.size)
         self.pixel_to_grid = np.ix_(iy, ix)
         tol = n_zt - m
         cy = m + CERT_STRIDE * iy
@@ -597,7 +440,7 @@ class _CertificateGrid:
         ``m = n_zt - 1`` needs at least two template rows to leave a
         certificate window that overdetermines the six parameters; a
         ``m < 2`` window (<= 18 residuals) prunes next to nothing, so
-        tiny templates simply fall back to the exhaustive engine.
+        tiny templates simply fall back to the exhaustive schedule.
         """
         m = n_zt - 1
         if m < 2:
@@ -612,309 +455,210 @@ class _CertificateGrid:
         """Certificate solves per hypothesis (one per grid point)."""
         return self.gy.size * self.gx.size
 
-    def _window_sums(self, arr: np.ndarray, axis: int, grid_size: int) -> np.ndarray:
-        """Sum ``arr`` over every certificate window along ``axis``.
+    def survivors(self, evaluator: _HostEvaluator, pw, best_error: np.ndarray):
+        """Flat indices of the pixels a staged hypothesis may still win.
 
-        Delegates to the consolidated kernels-module implementation; the
-        bin-grouped summation order only perturbs the *bound* within the
-        certificate slack -- the field itself never flows through this
-        path.
+        A pixel is pruned only when ``lb - slack > best_error`` strictly:
+        the hypothesis could then neither win the strict-less merge nor
+        tie, so pruning never changes a bit.  None (solve all, skip the
+        certificates) while ``best_error`` is all inf.
         """
-        return strided_window_sums(arr, axis, grid_size, CERT_STRIDE, self.m)
-
-    def lower_bounds(self, pw: np.ndarray, ridge: float, prefer_native: bool = True):
-        """Per-pixel error lower bound + fp slack for one hypothesis.
-
-        ``pw`` is the ``(H, W, 28)`` pointwise field of the hypothesis.
-        Returns ``(lb, slack)`` with shapes ``(H, W)``.
-        """
-        tmp = self._window_sums(pw, 1, self.gx.size)
-        acc = self._window_sums(tmp, 0, self.gy.size)
-        solution = solve_accumulated(acc, ridge=ridge, prefer_native=prefer_native)
-        # A singular certificate system reports E(0) = c, which is NOT a
-        # lower bound on the minimum; bound zero keeps the pixel honest.
-        lb_grid = np.where(solution.singular, 0.0, solution.error)
+        if not np.isfinite(best_error).any():
+            return None
+        lb_grid, c_grid = evaluator.certificate_bounds(pw, self)
         lb = np.where(self.in_range, lb_grid[self.pixel_to_grid], 0.0)
-        slack = (
-            CERT_SLACK_REL * np.abs(acc[..., N_FIELDS - 1][self.pixel_to_grid])
-            + CERT_SLACK_ABS
-        )
-        return lb, slack
+        slack = CERT_SLACK_REL * c_grid[self.pixel_to_grid] + CERT_SLACK_ABS
+        return np.flatnonzero(~((lb - slack) > best_error).ravel())
 
 
-def _track_dense_pruned(
-    prepared: PreparedFrames, ridge: float, prefer_native: bool = True
-) -> DenseMatchResult:
-    """Certificate-grid pruning: bit-identical to exhaustive, fewer solves.
+class _Exhaustive:
+    """Schedule: every pixel solves every hypothesis, ``size`` per chunk."""
 
-    Soundness of the skip: a hypothesis is pruned for a pixel only when
-    ``lb - slack > best_error`` strictly, where ``lb`` underestimates
-    the hypothesis' true (ridge-regularized, clamped) template error.
-    A pruned hypothesis therefore could neither have won the strict
-    ``error < best`` update nor produced an exact tie, so the merged
-    ``u``, ``v``, ``params`` and ``error`` match the exhaustive
-    schedule byte for byte.  The first hypothesis never prunes
-    (``best = inf``), so every pixel always receives a finite best.
-    """
-    config = prepared.config
-    geo_b = prepared.geo_before
-    shape = geo_b.shape
-    semifluid = prepared.volume is not None and config.n_ss > 0
-    shifted_after = None
-    if semifluid:
-        shifted_after = _shifted_geometry_stack(prepared.geo_after, prepared.volume)
+    def __init__(self, order: list[tuple[int, int]], size: int = 1) -> None:
+        self.order = order
+        self.size = size
+        self.certificate_solves = 0
+        self.pruned = 0
 
-    grid = _CertificateGrid.build(shape, config.n_zt)
-    if grid is None:
-        # Template too small for useful certificates: exhaustive IS the
-        # pruned result (the contract is bit-identity either way).
-        return _track_dense_batched(prepared, ridge, DEFAULT_BATCH_BYTES, prefer_native)
+    def chunks(self):
+        """``(start, hypotheses)`` per chunk, in hypothesis order."""
+        for start in range(0, len(self.order), self.size):
+            yield start, self.order[start : start + self.size]
 
-    best_error = np.full(shape, np.inf)
-    best_u = np.zeros(shape, dtype=np.float64)
-    best_v = np.zeros(shape, dtype=np.float64)
-    best_params = np.zeros(shape + (6,), dtype=np.float64)
-    flat_error = best_error.ravel()
-    flat_u = best_u.ravel()
-    flat_v = best_v.ravel()
-    flat_params = best_params.reshape(-1, 6)
+    def pixels(self, evaluator, pw, best_error) -> np.ndarray | None:
+        """Flat pixels to solve for a staged chunk (None: all of them)."""
+        return None
 
-    order = hypothesis_order(config.n_zs)
-    pixels = shape[0] * shape[1]
-    cert_solves = 0
-    survivor_solves = 0
-    pruned = 0
-    have_best = False
-    METRICS.inc("hypotheses.evaluated", len(order))
-
-    for hyp_dy, hyp_dx in order:
-        deltas = None
-        if semifluid:
-            deltas = semifluid_displacements(prepared.volume, hyp_dy, hyp_dx, config.n_ss)
-        pw = _hypothesis_pointwise(prepared, hyp_dy, hyp_dx, shifted_after, deltas)
-        if have_best:
-            lb, slack = grid.lower_bounds(pw, ridge, prefer_native)
-            cert_solves += grid.systems
-            survivors = np.flatnonzero(~((lb - slack) > best_error).ravel())
-            pruned += pixels - survivors.size
-        else:
-            # Nothing can prune against best = inf, so the first
-            # hypothesis skips the certificate pass entirely.
-            survivors = np.arange(pixels)
-        if survivors.size == 0:
-            continue
-        # Full-image box sum on purpose: scipy's separable uniform
-        # filter is a running sum whose rounding depends on the distance
-        # from the array origin, so cropping to the survivor bounding
-        # box would change bits relative to the exhaustive engine.
-        accumulated = _box_sum_stack(pw[None], config.n_zt)[0]
-        solution = solve_accumulated(
-            accumulated.reshape(-1, N_FIELDS)[survivors], ridge=ridge,
-            prefer_native=prefer_native,
-        )
-        survivor_solves += survivors.size
-        have_best = True
-        better = solution.error < flat_error[survivors]
-        winners = survivors[better]
-        if winners.size:
-            flat_error[winners] = solution.error[better]
-            flat_params[winners] = solution.params[better]
-            if semifluid:
-                flat_u[winners] = deltas[1].ravel()[winners].astype(np.float64)
-                flat_v[winners] = deltas[0].ravel()[winners].astype(np.float64)
-            else:
-                flat_u[winners] = float(hyp_dx)
-                flat_v[winners] = float(hyp_dy)
-
-    METRICS.inc("search.hypotheses.pruned", pruned)
-    METRICS.inc("search.ge_solves.performed", cert_solves + survivor_solves)
-    METRICS.inc("search.ge_solves.saved", pixels * len(order) - survivor_solves)
-    METRICS.inc("search.certificate_solves", cert_solves)
-    return DenseMatchResult(
-        u=best_u,
-        v=best_v,
-        params=best_params,
-        error=best_error,
-        valid=valid_mask(shape, config),
-        hypotheses_evaluated=len(order),
-        ge_solves=cert_solves + survivor_solves,
-        hypotheses_pruned=pruned,
-    )
+    def record(self, result: DenseMatchResult) -> None:
+        METRICS.inc("hypotheses.evaluated", len(self.order))
 
 
-def _chunk_after_gradients(
-    prepared: PreparedFrames,
-    chunk: list[tuple[int, int]],
-    shifted_after: np.ndarray | None,
-):
-    """Host-side gather of after-motion gradients for a hypothesis chunk.
+def _exhaustive(prepared: PreparedFrames, batch_bytes: int) -> _Exhaustive:
+    """Exhaustive schedule whose chunks stack at most ``batch_bytes`` of fields."""
+    h, w = prepared.geo_before.shape
+    size = max(1, int(batch_bytes) // max(h * w * N_FIELDS * 8, 1))
+    return _Exhaustive(hypothesis_order(prepared.config.n_zs), size)
 
-    Returns ``(p_a, q_a, delta_y, delta_x)`` with the gradient stacks of
-    shape ``(n, H, W)``; the deltas are the per-pixel semi-fluid
-    correspondences (None for the continuous model).  Shared by the
-    batched host engine and the device engine -- the semi-fluid argmin
-    gather stays on host either way, only the field chain moves.
-    """
-    config = prepared.config
+
+class _Pruned(_Exhaustive):
+    """Schedule: one hypothesis per chunk, solved at its certificate survivors."""
+
+    def __init__(self, order: list[tuple[int, int]], grid: _CertificateGrid) -> None:
+        super().__init__(order)
+        self.grid = grid
+
+    def pixels(self, evaluator, pw, best_error):
+        survivors = self.grid.survivors(evaluator, pw, best_error)
+        if survivors is not None:
+            self.certificate_solves += self.grid.systems
+            self.pruned += best_error.size - survivors.size
+        return survivors
+
+    def record(self, result):
+        super().record(result)
+        survivor_solves = result.ge_solves - self.certificate_solves
+        METRICS.inc("search.hypotheses.pruned", self.pruned)
+        METRICS.inc("search.ge_solves.performed", result.ge_solves)
+        METRICS.inc("search.ge_solves.saved", result.error.size * len(self.order) - survivor_solves)
+        METRICS.inc("search.certificate_solves", self.certificate_solves)
+
+
+class _Window(_Exhaustive):
+    """Schedule of the pyramid's fine level: each pixel solves the
+    hypotheses within ``refine`` of its coarse center."""
+
+    def __init__(self, order, center_y: np.ndarray, center_x: np.ndarray, refine: int):
+        super().__init__(order)
+        self.center_y = center_y
+        self.center_x = center_x
+        self.refine = refine
+        self.mask = None
+
+    def chunks(self):
+        for start, (hyp_dy, hyp_dx) in enumerate(self.order):
+            self.mask = (np.abs(hyp_dy - self.center_y) <= self.refine) & (
+                np.abs(hyp_dx - self.center_x) <= self.refine
+            )
+            if self.mask.any():
+                yield start, [(hyp_dy, hyp_dx)]
+
+    def pixels(self, evaluator, pw, best_error):
+        return np.flatnonzero(self.mask.ravel())
+
+    def record(self, result):
+        METRICS.inc("pyramid.fine_offsets.visited", result.hypotheses_evaluated)
+        METRICS.inc("pyramid.fine_solves", result.ge_solves)
+
+
+def _search(evaluator: _HostEvaluator, schedule: _Exhaustive) -> DenseMatchResult:
+    """The hypothesis driver: evaluate, select and merge, chunk by chunk."""
+    prepared = evaluator.prepared
     shape = prepared.geo_before.shape
-    geo_a = prepared.geo_after
-    semifluid = prepared.volume is not None and config.n_ss > 0
-    n = len(chunk)
-    p_a = np.empty((n,) + shape, dtype=np.float64)
-    q_a = np.empty((n,) + shape, dtype=np.float64)
-    delta_y = delta_x = None
-    if semifluid:
-        delta_y = np.empty((n,) + shape, dtype=np.int64)
-        delta_x = np.empty((n,) + shape, dtype=np.int64)
-        reach = prepared.volume.reach
-        side = prepared.volume.side
-        for k, (hyp_dy, hyp_dx) in enumerate(chunk):
-            dy_k, dx_k = semifluid_displacements(
-                prepared.volume, hyp_dy, hyp_dx, config.n_ss
-            )
-            delta_y[k], delta_x[k] = dy_k, dx_k
-            flat = (dy_k + reach) * side + (dx_k + reach)
-            p_a[k] = np.take_along_axis(shifted_after[:, 0], flat[None], axis=0)[0]
-            q_a[k] = np.take_along_axis(shifted_after[:, 1], flat[None], axis=0)[0]
-    else:
-        for k, (hyp_dy, hyp_dx) in enumerate(chunk):
-            p_a[k] = shift2d(geo_a.p, hyp_dy, hyp_dx)
-            q_a[k] = shift2d(geo_a.q, hyp_dy, hyp_dx)
-    return p_a, q_a, delta_y, delta_x
-
-
-def _track_dense_device(
-    prepared: PreparedFrames,
-    ridge: float,
-    batch_bytes: int,
-    search: str,
-    resolved: ResolvedBackend,
-) -> DenseMatchResult:
-    """Whole hypothesis chunks on the array-API device backend.
-
-    The field build, template box sums, certificate-grid sums and the
-    batched 6x6 eliminate all execute on device
-    (:class:`repro.kernels.device.DeviceBackend`); the host keeps only
-    the semi-fluid gather, the hypothesis schedule and the strict-less
-    merge.  Approximate by contract: results match the host engines
-    within the documented tolerance of :mod:`repro.kernels.digest`, and
-    near-tie pixels may pick a different (equally minimal) hypothesis.
-    """
-    dev = resolved.device
-    config = prepared.config
-    geo_b = prepared.geo_before
-    shape = geo_b.shape
-    semifluid = prepared.volume is not None and config.n_ss > 0
-    shifted_after = None
-    if semifluid:
-        shifted_after = _shifted_geometry_stack(prepared.geo_after, prepared.volume)
-
     best_error = np.full(shape, np.inf)
-    best_u = np.zeros(shape, dtype=np.float64)
-    best_v = np.zeros(shape, dtype=np.float64)
-    best_params = np.zeros(shape + (6,), dtype=np.float64)
+    flat_error = best_error.reshape(-1)
+    flat_u, flat_v = np.zeros_like(flat_error), np.zeros_like(flat_error)
+    flat_params = np.zeros((flat_error.size, 6), dtype=np.float64)
 
-    order = hypothesis_order(config.n_zs)
-    pixels = shape[0] * shape[1]
-    METRICS.inc("hypotheses.evaluated", len(order))
-
-    grid = _CertificateGrid.build(shape, config.n_zt) if search == "pruned" else None
-    if grid is not None:
-        # Certificate-grid pruning with every sum and solve on device;
-        # only the per-pixel survivor bookkeeping stays on host.
-        flat_error = best_error.ravel()
-        flat_u = best_u.ravel()
-        flat_v = best_v.ravel()
-        flat_params = best_params.reshape(-1, 6)
-        cert_solves = 0
-        survivor_solves = 0
-        pruned = 0
-        have_best = False
-        for hyp_dy, hyp_dx in order:
-            chunk = [(hyp_dy, hyp_dx)]
-            p_a, q_a, delta_y, delta_x = _chunk_after_gradients(
-                prepared, chunk, shifted_after
-            )
-            pw = dev.stage_chunk(geo_b.p, geo_b.q, geo_b.e, geo_b.g, p_a, q_a)
-            if have_best:
-                lb_grid, c_grid = dev.certificate_bounds(
-                    pw, grid.m, grid.gy, grid.gx, ridge
-                )
-                cert_solves += grid.systems
-                lb = np.where(grid.in_range, lb_grid[grid.pixel_to_grid], 0.0)
-                slack = CERT_SLACK_REL * c_grid[grid.pixel_to_grid] + CERT_SLACK_ABS
-                survivors = np.flatnonzero(~((lb - slack) > best_error).ravel())
-                pruned += pixels - survivors.size
-            else:
-                survivors = np.arange(pixels)
-            if survivors.size == 0:
+    evaluated = solves = 0
+    for start, chunk in schedule.chunks():
+        METRICS.inc("batched_engine.chunks")
+        with TRACER.span("hypothesis_chunk", start=start, size=len(chunk)):
+            pw, delta_y, delta_x = evaluator.stage(chunk)
+            evaluated += len(chunk)
+            pixels = schedule.pixels(evaluator, pw, best_error)
+            if pixels is not None and pixels.size == 0:
                 continue
-            error_s, params_s = dev.solve_template(
-                pw, config.n_zt, ridge, survivors=survivors
-            )
-            survivor_solves += survivors.size
-            have_best = True
-            better = error_s < flat_error[survivors]
-            winners = survivors[better]
-            if winners.size:
-                flat_error[winners] = error_s[better]
-                flat_params[winners] = params_s[better]
-                if semifluid:
-                    flat_u[winners] = delta_x[0].ravel()[winners].astype(np.float64)
-                    flat_v[winners] = delta_y[0].ravel()[winners].astype(np.float64)
-                else:
+            error, params = evaluator.solve(pw, pixels)
+            solves += error.size
+            if pixels is not None:
+                error, params = error[None], params[None]
+            # Strict-less merge in hypothesis order at flat pixel indices.
+            for k, (hyp_dy, hyp_dx) in enumerate(chunk):
+                error_k = error[k].reshape(-1)
+                better = error_k < (flat_error if pixels is None else flat_error[pixels])
+                winners = np.flatnonzero(better) if pixels is None else pixels[better]
+                flat_error[winners] = error_k[better]
+                flat_params[winners] = params[k].reshape(-1, 6)[better]
+                if delta_y is None:
                     flat_u[winners] = float(hyp_dx)
                     flat_v[winners] = float(hyp_dy)
-        METRICS.inc("search.hypotheses.pruned", pruned)
-        METRICS.inc("search.ge_solves.performed", cert_solves + survivor_solves)
-        METRICS.inc("search.ge_solves.saved", pixels * len(order) - survivor_solves)
-        METRICS.inc("search.certificate_solves", cert_solves)
-        return DenseMatchResult(
-            u=best_u,
-            v=best_v,
-            params=best_params,
-            error=best_error,
-            valid=valid_mask(shape, config),
-            hypotheses_evaluated=len(order),
-            ge_solves=cert_solves + survivor_solves,
-            hypotheses_pruned=pruned,
-        )
-
-    # Exhaustive schedule (also pruned when the template is too small
-    # for certificates): chunked exactly like the host batched engine.
-    bytes_per_hypothesis = shape[0] * shape[1] * N_FIELDS * 8
-    chunk_size = max(1, int(batch_bytes) // max(bytes_per_hypothesis, 1))
-    for start in range(0, len(order), chunk_size):
-        chunk = order[start : start + chunk_size]
-        with TRACER.span("hypothesis_chunk", start=start, size=len(chunk)):
-            p_a, q_a, delta_y, delta_x = _chunk_after_gradients(
-                prepared, chunk, shifted_after
-            )
-            pw = dev.stage_chunk(geo_b.p, geo_b.q, geo_b.e, geo_b.g, p_a, q_a)
-            error, params = dev.solve_template(pw, config.n_zt, ridge)
-            for k, (hyp_dy, hyp_dx) in enumerate(chunk):
-                better = error[k] < best_error
-                best_error = np.where(better, error[k], best_error)
-                if semifluid:
-                    best_u = np.where(better, delta_x[k].astype(np.float64), best_u)
-                    best_v = np.where(better, delta_y[k].astype(np.float64), best_v)
                 else:
-                    best_u = np.where(better, float(hyp_dx), best_u)
-                    best_v = np.where(better, float(hyp_dy), best_v)
-                best_params = np.where(better[..., None], params[k], best_params)
+                    # The tracked pixel's own semi-fluid mapping (eq. 8):
+                    # the hypothesis refined by the pixel's F_semi drift.
+                    flat_u[winners] = delta_x[k].reshape(-1)[winners]
+                    flat_v[winners] = delta_y[k].reshape(-1)[winners]
 
-    return DenseMatchResult(
-        u=best_u,
-        v=best_v,
-        params=best_params,
-        error=best_error,
-        valid=valid_mask(shape, config),
-        hypotheses_evaluated=len(order),
-        ge_solves=pixels * len(order),
+    result = DenseMatchResult(
+        u=flat_u.reshape(shape), v=flat_v.reshape(shape),
+        params=flat_params.reshape(shape + (6,)), error=best_error,
+        valid=valid_mask(shape, prepared.config), hypotheses_evaluated=evaluated,
+        ge_solves=solves + schedule.certificate_solves, hypotheses_pruned=schedule.pruned,
     )
+    schedule.record(result)
+    return result
 
 
-def _track_dense_pyramid(
+def track_dense(
+    prepared: PreparedFrames,
+    ridge: float = 1e-9,
+    batch_bytes: int = DEFAULT_BATCH_BYTES,
+    search: str = "exhaustive",
+    ledger=None,
+    pyramid_levels: int = 1,
+    pyramid_refine: int = 1,
+    backend: str = "auto",
+) -> DenseMatchResult:
+    """Estimate the dense motion field: all pixels, all hypotheses.
+
+    The paper's "track all pixels ... in parallel" as NumPy whole-array
+    operations (:class:`repro.parallel.parallel_sma.ParallelSMA` runs
+    the same math through the SIMD simulator).  ``batch_bytes`` caps
+    the stacked fields of one exhaustive chunk (speed, never results).
+    ``search`` selects the schedule (module docstring), with
+    ``pyramid_levels`` decimations and a ``pyramid_refine`` half-width
+    fine window for ``"pyramid"``.  ``ledger`` receives the GE solves
+    actually performed, under ``"Hypothesis matching"``.  ``backend``
+    is one of :data:`repro.kernels.KERNEL_BACKENDS`: ``"auto"``,
+    ``"numpy"`` and ``"native"`` are bit-identical; the opt-in
+    ``"device"`` path is within the tolerance of :mod:`repro.kernels.digest`.
+    """
+    if search not in SEARCH_MODES:
+        raise ValueError(
+            f"unknown search mode {search!r} (choose from {', '.join(SEARCH_MODES)})"
+        )
+    if backend == "device" and search == "pyramid":
+        raise ValueError(
+            "backend='device' supports search='exhaustive' and 'pruned'; "
+            "stacking two approximate paths (device + pyramid) is not supported"
+        )
+    resolved = resolve_backend(backend)
+    with TRACER.span("hypothesis_search", search=search, backend=resolved.resolved):
+        if search == "pyramid":
+            result = _pyramid_search(
+                prepared, ridge, batch_bytes, pyramid_levels, pyramid_refine,
+                resolved.prefer_native,
+            )
+        else:
+            if resolved.is_device:
+                evaluator = _DeviceEvaluator(prepared, ridge, resolved.device)
+            else:
+                evaluator = _HostEvaluator(prepared, ridge, resolved.prefer_native)
+            grid = None
+            if search == "pruned":
+                grid = _CertificateGrid.build(prepared.geo_before.shape, prepared.config.n_zt)
+            # A template too small for certificates: exhaustive IS the pruned result.
+            schedule = (
+                _exhaustive(prepared, batch_bytes) if grid is None
+                else _Pruned(hypothesis_order(prepared.config.n_zs), grid)
+            )
+            result = _search(evaluator, schedule)
+    if ledger is not None:
+        with ledger.phase(PHASE_MATCHING):
+            ledger.charge_gaussian_elimination(result.ge_solves, order=6)
+    return result
+
+
+def _pyramid_search(
     prepared: PreparedFrames,
     ridge: float,
     batch_bytes: int,
@@ -937,10 +681,10 @@ def _track_dense_pyramid(
             "search='pyramid' needs PreparedFrames built by prepare_frames "
             "(the raw surfaces are required to build the coarse levels)"
         )
-    if levels < 1:
-        raise ValueError("pyramid_levels must be >= 1")
-    if refine < 0:
-        raise ValueError("pyramid_refine must be >= 0")
+    if levels < 1 or refine < 0:
+        raise ValueError(
+            f"need pyramid_levels >= 1 and pyramid_refine >= 0, got {levels}, {refine}"
+        )
     shape = prepared.geo_before.shape
 
     # Decimate while the coarse level can still track anything: each
@@ -958,78 +702,30 @@ def _track_dense_pyramid(
         z_b, z_a = next_b, downsample(z_a)
         coarse_zs = next_zs
         used_levels += 1
-    if used_levels == 0:
-        # Image too small for any coarse level: the guided search IS the
-        # exhaustive search.
-        return _track_dense_batched(prepared, ridge, batch_bytes, prefer_native)
+    evaluator = _HostEvaluator(prepared, ridge, prefer_native)
+    if used_levels == 0:  # too small for a coarse level: exhaustive it is
+        return _search(evaluator, _exhaustive(prepared, batch_bytes))
 
-    coarse_config = config.replace(n_zs=coarse_zs)
     with TRACER.span(
-        "pyramid_level",
-        level=used_levels,
-        height=z_b.shape[0],
-        width=z_b.shape[1],
+        "pyramid_level", level=used_levels, height=z_b.shape[0], width=z_b.shape[1],
         n_zs=coarse_zs,
     ):
-        coarse_prep = prepare_frames(z_b, z_a, coarse_config)
-        coarse = _track_dense_batched(coarse_prep, ridge, batch_bytes, prefer_native)
+        coarse_prep = prepare_frames(z_b, z_a, config.replace(n_zs=coarse_zs))
+        coarse = _search(
+            _HostEvaluator(coarse_prep, ridge, prefer_native),
+            _exhaustive(coarse_prep, batch_bytes),
+        )
     u_up, v_up = upsample_flow(coarse.u, coarse.v, shape)
     center_x = np.clip(np.rint(u_up), -config.n_zs, config.n_zs).astype(np.int64)
     center_y = np.clip(np.rint(v_up), -config.n_zs, config.n_zs).astype(np.int64)
-
-    best_error = np.full(shape, np.inf)
-    best_u = np.zeros(shape, dtype=np.float64)
-    best_v = np.zeros(shape, dtype=np.float64)
-    best_params = np.zeros(shape + (6,), dtype=np.float64)
-    flat_error = best_error.ravel()
-    flat_u = best_u.ravel()
-    flat_v = best_v.ravel()
-    flat_params = best_params.reshape(-1, 6)
-
-    offsets_visited = 0
-    fine_solves = 0
-    fine_span = TRACER.span(
+    with TRACER.span(
         "pyramid_level", level=0, height=shape[0], width=shape[1], refine=refine
-    )
-    fine_span.__enter__()
-    try:
-        for hyp_dy, hyp_dx in hypothesis_order(config.n_zs):
-            mask = (np.abs(hyp_dy - center_y) <= refine) & (
-                np.abs(hyp_dx - center_x) <= refine
-            )
-            if not mask.any():
-                continue
-            offsets_visited += 1
-            pw = _hypothesis_pointwise(prepared, hyp_dy, hyp_dx)
-            accumulated = _box_sum_stack(pw[None], config.n_zt)[0]
-            wanted = np.flatnonzero(mask.ravel())
-            solution = solve_accumulated(
-                accumulated.reshape(-1, N_FIELDS)[wanted], ridge=ridge,
-                prefer_native=prefer_native,
-            )
-            fine_solves += wanted.size
-            better = solution.error < flat_error[wanted]
-            winners = wanted[better]
-            if winners.size:
-                flat_error[winners] = solution.error[better]
-                flat_params[winners] = solution.params[better]
-                flat_u[winners] = float(hyp_dx)
-                flat_v[winners] = float(hyp_dy)
-    finally:
-        fine_span.__exit__(None, None, None)
-
+    ):
+        fine = _search(
+            evaluator, _Window(hypothesis_order(config.n_zs), center_y, center_x, refine)
+        )
     METRICS.inc("pyramid.levels", used_levels)
-    METRICS.inc("pyramid.fine_offsets.visited", offsets_visited)
-    METRICS.inc("pyramid.fine_solves", fine_solves)
-    return DenseMatchResult(
-        u=best_u,
-        v=best_v,
-        params=best_params,
-        error=best_error,
-        valid=valid_mask(shape, config),
-        hypotheses_evaluated=offsets_visited,
-        ge_solves=coarse.ge_solves + fine_solves,
-    )
+    return replace(fine, ge_solves=coarse.ge_solves + fine.ge_solves)
 
 
 def track_pixel(

@@ -1,7 +1,7 @@
 """Process-wide metrics registry: counters, gauges, histograms.
 
 Aggregate "how often / how much" companions to the per-interval spans
-of :mod:`repro.obs.tracing`: cache hit rates, batched-engine chunk
+of :mod:`repro.obs.tracing`: cache hit rates, hypothesis-driver chunk
 counts, degradation-ladder steps, retry backoffs.  Metrics are always
 on -- an increment is a dict update under a lock, cheap enough for
 every hot path in this codebase (events fire per frame / per chunk,

@@ -32,14 +32,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.continuous import N_FIELDS, solve_accumulated
+from ..core.continuous import solve_accumulated
 from ..core.field import MotionField
 from ..core.matching import (
     PreparedFrames,
-    _box_sum_stack,
     _CertificateGrid,
-    _hypothesis_pointwise,
-    _shifted_geometry_stack,
+    _HostEvaluator,
     hypothesis_fields,
     prepare_frames,
     valid_mask,
@@ -337,10 +335,10 @@ class ParallelSMA:
         )
 
         # Phase 3: semi-fluid template-mapping precompute.
-        shifted_after = None
-        if prepared.volume is not None and self.config.n_ss > 0:
+        semifluid = prepared.volume is not None and self.config.n_ss > 0
+        if semifluid:
             self._charge_semifluid(ledger, mapping)
-            shifted_after = _shifted_geometry_stack(prepared.geo_after, prepared.volume)
+        evaluator = _HostEvaluator(prepared, self.ridge, resolved.prefer_native)
 
         # Phase 4: segmented hypothesis matching.  The pruned schedule
         # keeps its own running best (the elementwise minimum of every
@@ -351,50 +349,35 @@ class ParallelSMA:
         # field stays bit-identical while the ledger records only the
         # certificate + survivor eliminations actually performed.
         cert_grid = None
-        running_best = None
         if self.search == "pruned":
             cert_grid = _CertificateGrid.build(shape, self.config.n_zt)
             running_best = np.full(shape, np.inf)
 
         def evaluate(dy: int, dx: int):
-            deltas = None
-            if prepared.volume is not None and self.config.n_ss > 0:
-                deltas = semifluid_displacements(
-                    prepared.volume, dy, dx, self.config.n_ss
-                )
             if cert_grid is not None:
-                pw = _hypothesis_pointwise(prepared, dy, dx, shifted_after, deltas)
-                if np.isfinite(running_best).any():
-                    lb, slack = cert_grid.lower_bounds(
-                        pw, self.ridge, prefer_native=resolved.prefer_native
-                    )
-                    cert_solves = cert_grid.systems
-                    survivors = np.flatnonzero(
-                        ~((lb - slack) > running_best).ravel()
-                    )
-                else:
-                    # nothing can prune against best = inf: skip the
-                    # certificate pass for the first hypothesis
-                    cert_solves = 0
-                    survivors = np.arange(shape[0] * shape[1])
-                error = np.full(shape, np.inf)
-                params = np.zeros(shape + (6,), dtype=np.float64)
+                pw, delta_y, delta_x = evaluator.stage([(dy, dx)])
+                deltas = None if delta_y is None else (delta_y[0], delta_x[0])
+                survivors = cert_grid.survivors(evaluator, pw, running_best)
+                solves = cert_grid.systems
+                if survivors is None:  # no certificate pass against best = inf
+                    survivors, solves = np.arange(running_best.size), 0
+                error = np.full(running_best.size, np.inf)
+                params = np.zeros((running_best.size, 6), dtype=np.float64)
                 if survivors.size:
-                    accumulated = _box_sum_stack(pw[None], self.config.n_zt)[0]
-                    solution = solve_accumulated(
-                        accumulated.reshape(-1, N_FIELDS)[survivors],
-                        ridge=self.ridge,
-                        prefer_native=resolved.prefer_native,
-                    )
-                    error.ravel()[survivors] = solution.error
-                    params.reshape(-1, 6)[survivors] = solution.params
+                    error[survivors], params[survivors] = evaluator.solve(pw, survivors)
+                error, params = error.reshape(shape), params.reshape(shape + (6,))
                 np.minimum(running_best, error, out=running_best)
-                self._charge_hypothesis(
-                    ledger, mapping, solves=cert_solves + int(survivors.size)
-                )
+                self._charge_hypothesis(ledger, mapping, solves=solves + survivors.size)
             else:
+                deltas = None
+                if semifluid:
+                    deltas = semifluid_displacements(
+                        prepared.volume, dy, dx, self.config.n_ss
+                    )
                 self._charge_hypothesis(ledger, mapping)
-                fields = hypothesis_fields(prepared, dy, dx, shifted_after, deltas)
+                fields = hypothesis_fields(
+                    prepared, dy, dx, evaluator.shifted_after, deltas
+                )
                 solution = solve_accumulated(
                     fields, ridge=self.ridge, prefer_native=resolved.prefer_native
                 )

@@ -92,6 +92,16 @@ def test_gc_reclaims_half_initialized_segment(ring_name):
     assert ring_name not in list_segments()
 
 
+def test_gc_reclaims_zero_length_segment(ring_name):
+    """A creator that died between shm_open and ftruncate leaves a
+    zero-length segment; GC applies the no-magic rule instead of raising."""
+    path = os.path.join("/dev/shm", SEGMENT_PREFIX + ring_name)
+    open(path, "wb").close()
+    assert ring_name in list_segments()
+    assert ring_name in gc_stale_segments()
+    assert ring_name not in list_segments()
+
+
 def test_sigkilled_consumer_leaves_publisher_segment_alone(ring_name):
     """A dying reader must never unlink the publisher's ring (tracker
     deregistration at attach time)."""

@@ -155,6 +155,55 @@ def test_attach_waits_for_creation(ring_name, tiny_frames):
         FrameRing.attach(ring_name, timeout=0.0)
 
 
+def _sized_segment(name: str, size: int) -> str:
+    """A raw ``/dev/shm`` segment of ``size`` bytes: a creator caught
+    between ``shm_open`` and ``ftruncate`` (size 0) or mid-resize."""
+    import os
+
+    from repro.bus.layout import SEGMENT_PREFIX
+
+    path = os.path.join("/dev/shm", SEGMENT_PREFIX + name)
+    with open(path, "wb") as fh:
+        fh.truncate(size)
+    return path
+
+
+@pytest.mark.parametrize("size", [0, 16])
+def test_attach_short_segment_is_not_ready_yet(ring_name, size):
+    """A zero-length or short segment is a header that is not valid yet:
+    attach(timeout=0) reports a RingError instead of crashing in mmap."""
+    _sized_segment(ring_name, size)
+    with pytest.raises(RingError, match="shorter than a ring header"):
+        FrameRing.attach(ring_name, timeout=0.0)
+
+
+def test_attach_retries_zero_length_segment_until_created(ring_name, monkeypatch):
+    """The retry loop keeps polling a zero-length segment; once the
+    creator finishes, the attach succeeds.  The poll's sleep stands in
+    for the creator's progress, so the race replays deterministically."""
+    import os
+
+    import repro.bus.ring as ring_module
+
+    path = _sized_segment(ring_name, 0)
+    created = []
+
+    def creator_finishes(_seconds):
+        if not created:
+            os.unlink(path)
+            created.append(FrameRing.create_frames(ring_name, capacity=2, height=8, width=8))
+
+    monkeypatch.setattr(ring_module.time, "sleep", creator_finishes)
+    reader = FrameRing.attach(ring_name, timeout=60.0)
+    try:
+        assert created, "attach never retried the zero-length segment"
+        assert (reader.capacity, reader.height, reader.width) == (2, 8, 8)
+    finally:
+        reader.close()
+        created[0].unlink()
+        created[0].close()
+
+
 def test_create_refuses_duplicate_name(ring_name):
     ring = FrameRing.create_frames(ring_name, capacity=1, height=8, width=8)
     try:

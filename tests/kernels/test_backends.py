@@ -88,13 +88,6 @@ class TestResolveBackend:
 class TestBitwiseFamily:
     """auto / numpy / native are one product, three spellings."""
 
-    def test_auto_and_numpy_bit_identical(self, prepared_continuous):
-        digests = {
-            backend: result_digest(track_dense(prepared_continuous, backend=backend))
-            for backend in ("auto", "numpy")
-        }
-        assert digests["auto"] == digests["numpy"]
-
     @pytest.mark.skipif(not native_available(), reason="native kernel unavailable")
     def test_native_bit_identical(self, prepared_continuous):
         assert result_digest(

@@ -64,26 +64,6 @@ class TestLadderAndStreamPlumbing:
         with pytest.raises(ValueError, match="exhaustive"):
             DegradationLadder(small_continuous_config, search="pyramid")
 
-    def test_ladder_pruned_matches_exhaustive(
-        self, translation_frames, small_continuous_config, machine
-    ):
-        f0, f1 = translation_frames
-        planned = 5  # full search window: 2 * n_zs + 1
-        base, _ = DegradationLadder(small_continuous_config).track_pair(
-            f0, f1, machine, planned, dt_seconds=60.0
-        )
-        pruned, _ = DegradationLadder(
-            small_continuous_config, search="pruned"
-        ).track_pair(f0, f1, machine, planned, dt_seconds=60.0)
-        np.testing.assert_array_equal(base.u, pruned.u)
-        np.testing.assert_array_equal(base.v, pruned.v)
-        np.testing.assert_array_equal(base.error, pruned.error)
-        assert base.rung == pruned.rung == 0
-        assert (
-            pruned.ledger.gaussian_eliminations()
-            < base.ledger.gaussian_eliminations()
-        )
-
     def test_stream_fingerprint_default_is_unchanged(self, small_continuous_config):
         """Old checkpoints (written before search modes existed) must
         still resume under the default schedule."""
