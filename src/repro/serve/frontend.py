@@ -31,6 +31,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import functools
+import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from http.client import responses as _status_reasons
@@ -60,8 +61,6 @@ class AsyncFrontend:
         port: int = 0,
         dispatch_threads: int = 8,
     ) -> None:
-        import socket
-
         self.app = app
         self._sock = socket.create_server((host, port), backlog=512)
         self._sock.setblocking(False)
@@ -119,13 +118,20 @@ class AsyncFrontend:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         METRICS.inc("serve.frontend.connections")
+        # asyncio sets TCP_NODELAY only on sockets whose proto is
+        # IPPROTO_TCP, and socket.create_server's listener has proto 0,
+        # so its accepted connections would otherwise keep Nagle on.
+        sock = writer.get_extra_info("socket")
+        if sock is not None:
+            with contextlib.suppress(OSError):
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         loop = asyncio.get_running_loop()
         try:
             while True:
                 request = await self._read_request(reader)
                 if request is None:
                     return
-                method, target, headers, body = request
+                method, target, version, headers, body = request
                 status, payload, content_type, extra = await loop.run_in_executor(
                     self._executor,
                     functools.partial(
@@ -138,11 +144,14 @@ class AsyncFrontend:
                     ),
                 )
                 METRICS.inc("serve.frontend.requests")
-                keep_alive = headers.get("connection", "").lower() != "close"
+                keep_alive = _keep_alive(version, headers.get("connection", ""))
+                # One write per response: a head written apart from its
+                # payload would leave the payload behind the client's
+                # delayed ACK of the head.
                 writer.write(
                     _response_head(status, content_type, len(payload), extra, keep_alive)
+                    + payload
                 )
-                writer.write(payload)
                 await writer.drain()
                 if not keep_alive:
                     return
@@ -160,8 +169,9 @@ class AsyncFrontend:
 
     async def _read_request(
         self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict, bytes] | None:
-        """One parsed request, or None at a clean end-of-stream."""
+    ) -> tuple[str, str, str, dict, bytes] | None:
+        """One parsed request ``(method, target, version, headers, body)``,
+        or None at a clean end-of-stream."""
         request_line = await reader.readline()
         if not request_line:
             return None
@@ -169,6 +179,7 @@ class AsyncFrontend:
         if len(parts) < 2:
             return None
         method, target = parts[0].upper(), parts[1]
+        version = parts[2].upper() if len(parts) > 2 else "HTTP/1.0"
         headers: dict[str, str] = {}
         total = len(request_line)
         while True:
@@ -187,7 +198,17 @@ class AsyncFrontend:
         if not 0 <= length <= MAX_BODY_BYTES:
             return None
         body = await reader.readexactly(length) if length else b""
-        return method, target, headers, body
+        return method, target, version, headers, body
+
+
+def _keep_alive(version: str, connection: str) -> bool:
+    """RFC 9112 persistence: HTTP/1.1 keeps the connection open unless
+    the client sends ``Connection: close``; HTTP/1.0 closes it unless
+    the client sends ``Connection: keep-alive``."""
+    tokens = {token.strip().lower() for token in connection.split(",")}
+    if version == "HTTP/1.0":
+        return "keep-alive" in tokens
+    return "close" not in tokens
 
 
 def _response_head(

@@ -6,7 +6,8 @@ reimplementing it:
 
 * frames resolve deterministically from the dataset factories (the
   request is a pure description of content, so the result cache can be
-  content-addressed),
+  content-addressed, and a bounded per-process memo maps a repeated
+  request straight to its key -- a cache hit regenerates no frames),
 * per-frame surface fits go through the shared, thread-safe
   :class:`~repro.core.prep.FramePreparationCache` -- concurrent jobs
   over the same sequence fit each frame once,
@@ -44,6 +45,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from collections import OrderedDict
 
 import numpy as np
 
@@ -59,7 +61,7 @@ from ..parallel.parallel_sma import machine_for_image
 from ..reliability.degrade import DegradationLadder
 from ..reliability.injection import ChaosWorkerCrash, ServeChaosPlan
 from .cache import result_key
-from .jobs import Job
+from .jobs import Job, JobRequest
 
 _LOG = get_logger("serve")
 
@@ -76,6 +78,44 @@ def _dataset_for(job: Job) -> Dataset:
     return factories[request.dataset](
         size=request.size, n_frames=request.frames, seed=request.seed
     )
+
+
+#: Bound on the per-process ``JobRequest -> result_key`` memo; an
+#: entry is a small frozen request and a 40-character key.
+KEY_MEMO_ENTRIES = 4096
+
+
+class _KeyMemo:
+    """Bounded, thread-safe LRU map from a request to its result key.
+
+    A :class:`~repro.serve.jobs.JobRequest` is a pure description of
+    content -- the dataset factories are deterministic in it -- so its
+    content address never changes and a cache hit need not regenerate
+    the frames to find it.
+    """
+
+    def __init__(self, max_entries: int) -> None:
+        self.max_entries = max_entries
+        self._keys: OrderedDict[JobRequest, str] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, request: JobRequest) -> str | None:
+        with self._lock:
+            key = self._keys.get(request)
+            if key is not None:
+                self._keys.move_to_end(request)
+            return key
+
+    def put(self, request: JobRequest, key: str) -> None:
+        with self._lock:
+            self._keys[request] = key
+            self._keys.move_to_end(request)
+            while len(self._keys) > self.max_entries:
+                self._keys.popitem(last=False)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._keys)
 
 
 class WorkerPool:
@@ -115,6 +155,7 @@ class WorkerPool:
         self._exec_lock = threading.Lock()
         #: Worker thread names asked to exit for a rolling restart.
         self._rolling: set[str] = set()
+        self._key_memo = _KeyMemo(KEY_MEMO_ENTRIES)
 
     # -- lifecycle --------------------------------------------------------------------
 
@@ -277,23 +318,33 @@ class WorkerPool:
             if applied == "stall":
                 METRICS.inc("serve.chaos.stalls")
         with TRACER.span("serve.job", job=job.id, kind=job.request.kind):
-            dataset = _dataset_for(job)
             request = job.request
-            config = dataset.config.replace(n_zs=request.search, n_zt=request.template)
-            if request.kind == "pair":
-                frames = dataset.frames[request.pair : request.pair + 2]
-            else:
-                frames = list(dataset.frames)
-            key = result_key(
-                frames,
-                config,
-                dataset.pixel_km,
-                kind=request.kind,
-                search=request.search_mode,
-                backend=request.backend,
-            )
-
-            cached = self.app.cache.get(key)
+            # A remembered key goes straight to the cache; the frames are
+            # regenerated only when the key is unknown or its artifact is
+            # gone.  Either way the cache is consulted exactly once.
+            key = self._key_memo.get(request)
+            cached = self.app.cache.get(key) if key is not None else None
+            if cached is None:
+                dataset = _dataset_for(job)
+                config = dataset.config.replace(
+                    n_zs=request.search, n_zt=request.template
+                )
+                if request.kind == "pair":
+                    frames = dataset.frames[request.pair : request.pair + 2]
+                else:
+                    frames = list(dataset.frames)
+                remembered = key
+                key = result_key(
+                    frames,
+                    config,
+                    dataset.pixel_km,
+                    kind=request.kind,
+                    search=request.search_mode,
+                    backend=request.backend,
+                )
+                self._key_memo.put(request, key)
+                if remembered is None:
+                    cached = self.app.cache.get(key)
             if cached is not None:
                 self._flight("cache_hit", job, key=key)
                 done = self.app.queue.complete(

@@ -9,6 +9,7 @@ clients on one loop.
 
 import http.client
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -206,8 +207,6 @@ class TestConcurrency:
 
     def test_garbage_request_line_does_not_kill_server(self, server):
         _, httpd = server
-        import socket
-
         with socket.create_connection(
             ("127.0.0.1", httpd.server_address[1]), timeout=5
         ) as sock:
@@ -230,6 +229,114 @@ class TestConcurrency:
                 conn.getresponse()
         finally:
             conn.close()
+
+
+def _read_raw_response(stream):
+    """(status line, headers, body) of one response off a socket file."""
+    status_line = stream.readline().decode("latin-1").strip()
+    headers = {}
+    while True:
+        line = stream.readline()
+        if line in (b"\r\n", b""):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = stream.read(int(headers["content-length"]))
+    return status_line, headers, body
+
+
+@pytest.fixture
+def spied_server(tmp_path):
+    """A frontend whose connection handler records each accepted
+    socket and every ``writer.write`` payload."""
+    app = ServeApp(str(tmp_path / "state"), workers=0, queue_depth=4).start()
+    httpd = make_async_server(app, "127.0.0.1", 0)
+    sockets, writes = [], []
+    handle = httpd._handle_client
+
+    async def spying(reader, writer):
+        sockets.append(writer.get_extra_info("socket"))
+        write = writer.write
+
+        def recording_write(data):
+            writes.append(bytes(data))
+            write(data)
+
+        writer.write = recording_write
+        await handle(reader, writer)
+
+    httpd._handle_client = spying
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield httpd, sockets, writes
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=10)
+        app.drain(timeout=DEADLINE)
+
+
+class TestWarmPath:
+    def test_accepted_socket_has_nodelay(self, spied_server):
+        httpd, sockets, _ = spied_server
+        conn = _conn(httpd)
+        try:
+            conn.request("GET", "/healthz")
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.getheader("Connection") == "keep-alive"
+            # Still open: read the option off the live server-side socket.
+            (server_sock,) = sockets
+            nodelay = server_sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            assert nodelay != 0
+        finally:
+            conn.close()
+
+    def test_each_response_is_one_write(self, spied_server):
+        httpd, _, writes = spied_server
+        conn = _conn(httpd)
+        bodies = []
+        try:
+            for path in ("/healthz", "/v1/jobs/job-999999", "/metrics"):
+                conn.request("GET", path)
+                resp = conn.getresponse()
+                bodies.append(resp.read())
+        finally:
+            conn.close()
+        assert len(writes) == len(bodies)
+        for data, body in zip(writes, bodies):
+            assert data.startswith(b"HTTP/1.1 ")
+            assert data.endswith(b"\r\n\r\n" + body)
+
+
+class TestHttp10:
+    def test_http10_without_keep_alive_closes(self, server):
+        _, httpd = server
+        with socket.create_connection(
+            ("127.0.0.1", httpd.server_address[1]), timeout=30
+        ) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.0\r\nHost: x\r\n\r\n")
+            stream = sock.makefile("rb")
+            status_line, headers, body = _read_raw_response(stream)
+            assert status_line.startswith("HTTP/1.1 200")
+            assert headers["connection"] == "close"
+            assert json.loads(body)["status"] == "ok"
+            assert stream.read() == b""  # the server closed the socket
+
+    def test_http10_keep_alive_is_honored(self, server):
+        _, httpd = server
+        with socket.create_connection(
+            ("127.0.0.1", httpd.server_address[1]), timeout=30
+        ) as sock:
+            stream = sock.makefile("rb")
+            for _ in range(2):
+                sock.sendall(
+                    b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+                )
+                _, headers, body = _read_raw_response(stream)
+                assert headers["connection"] == "keep-alive"
+                assert json.loads(body)["status"] == "ok"
 
 
 class TestLifecycle:

@@ -1,5 +1,7 @@
 """Worker pool execution: compute, cache-serve, failure isolation."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,88 @@ class TestCacheHit:
         b = _run_one(app, JobRequest(dataset="florida", size=48, search=3))
         assert b.cache_hit is False
         assert a.result_key != b.result_key
+
+
+def _count_dataset_calls(monkeypatch):
+    calls = []
+    real = workers_module._dataset_for
+
+    def counting(job):
+        calls.append(job.id)
+        return real(job)
+
+    monkeypatch.setattr(workers_module, "_dataset_for", counting)
+    return calls
+
+
+class TestHitPath:
+    def test_repeat_hit_regenerates_no_frames(self, app, monkeypatch):
+        calls = _count_dataset_calls(monkeypatch)
+        request = JobRequest(dataset="florida", size=48)
+        first = _run_one(app, request)
+        assert len(calls) == 1
+
+        second = _run_one(app, request)
+        assert second.cache_hit is True
+        assert second.result_key == first.result_key
+        assert len(calls) == 1  # the memo answered; no frames rebuilt
+
+    def test_hit_still_counts_one_cache_lookup(self, app):
+        from repro.obs.metrics import METRICS
+
+        request = JobRequest(dataset="florida", size=48)
+        _run_one(app, request)
+        hits = METRICS.counter("serve.cache.hit")
+        misses = METRICS.counter("serve.cache.miss")
+        _run_one(app, request)
+        assert METRICS.counter("serve.cache.hit") == hits + 1
+        assert METRICS.counter("serve.cache.miss") == misses
+
+    def test_evicted_artifact_recomputes_byte_identically(self, app, monkeypatch):
+        calls = _count_dataset_calls(monkeypatch)
+        request = JobRequest(dataset="florida", size=48)
+        first = _run_one(app, request)
+        original = app.cache.get(first.result_key, record=False)
+        os.remove(app.cache._artifact_path(first.result_key))
+
+        again = _run_one(app, request)  # memo hit, cache miss
+        assert again.state == "done"
+        assert again.cache_hit is False
+        assert again.result_key == first.result_key
+        assert len(calls) == 2
+        recomputed = app.cache.get(again.result_key, record=False)
+        for name in ("u", "v", "error", "valid"):
+            assert getattr(recomputed, name).tobytes() == getattr(original, name).tobytes()
+
+    def test_memo_never_exceeds_its_bound(self, app, monkeypatch):
+        monkeypatch.setattr(app.pool, "_key_memo", workers_module._KeyMemo(2))
+        keys = {}
+        for seed in range(4):
+            request = JobRequest(dataset="florida", size=32, seed=seed)
+            keys[seed] = _run_one(app, request).result_key
+            assert len(app.pool._key_memo) <= 2
+        assert len(app.pool._key_memo) == 2
+        # The oldest request fell out; its repeat recomputes the same key.
+        calls = _count_dataset_calls(monkeypatch)
+        repeat = _run_one(
+            app, JobRequest(dataset="florida", size=32, seed=0)
+        )
+        assert len(calls) == 1
+        assert repeat.cache_hit is True
+        assert repeat.result_key == keys[0]
+
+    def test_different_requests_never_share_a_key(self, app):
+        requests = [
+            JobRequest(dataset="florida", size=48),
+            JobRequest(dataset="florida", size=48, seed=1),
+            JobRequest(dataset="florida", size=48, search_mode="pruned"),
+            JobRequest(dataset="luis", size=48),
+        ]
+        keys = [_run_one(app, request).result_key for request in requests]
+        assert len(set(keys)) == len(requests)
+        again = [_run_one(app, request) for request in requests]
+        assert [job.result_key for job in again] == keys
+        assert all(job.cache_hit for job in again)
 
 
 class TestSequenceExecution:
