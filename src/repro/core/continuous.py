@@ -131,13 +131,21 @@ def solve_accumulated(
     ``fields`` are template-summed packed fields.  A tiny ridge term
     stabilizes near-degenerate patches without perturbing
     well-conditioned solutions; set ``ridge=0`` for the strict paper
-    formulation.  ``prefer_native`` feeds the eliminate dispatch
-    (bit-identical either way; ``backend="numpy"`` pins it False).
+    formulation.  With ``prefer_native`` (``backend="numpy"`` pins it
+    False) and the compiled library loaded, the whole solve runs in the
+    fused native kernel, bit-identical to the NumPy steps below and
+    reading ``fields`` through its strides without a copy.
     """
+    if prefer_native:
+        from ..native import native_available, native_solve_packed
+
+        if native_available():
+            theta, error, singular = native_solve_packed(fields, ridge)
+            return MotionSolution(params=theta, error=error, singular=singular)
     h, grad, c = unpack_fields(fields)
     if ridge:
         h = h + ridge * np.eye(N_PARAMS)
-    theta, singular = gaussian_eliminate(h, -grad, prefer_native=prefer_native)
+    theta, singular = gaussian_eliminate(h, -grad, prefer_native=False)
     theta = np.where(singular[..., None], 0.0, theta)
     # E* = c + theta . grad at the optimum (and = c exactly when theta = 0).
     error = c + np.einsum("...k,...k->...", theta, grad)

@@ -80,12 +80,12 @@ from .continuous import (
 from .prep import FramePreparationCache, prepare_frame
 from .semifluid import (
     ScoreVolume,
-    box_sum,
     compute_score_volume,
     semifluid_displacements,
     semifluid_map_pixel,
     shift2d,
 )
+from .semifluid import box_sum  # noqa: F401  (unused; bench/layers.py wraps this name)
 from .surface import SurfaceGeometry
 
 #: Soft cap on the stacked field bytes of one exhaustive chunk.  Small
@@ -269,40 +269,6 @@ def _gather_after(shifted_after: np.ndarray, volume: ScoreVolume, delta_y, delta
     p_a = np.take_along_axis(shifted_after[:, 0], flat, axis=0)
     q_a = np.take_along_axis(shifted_after[:, 1], flat, axis=0)
     return p_a, q_a
-
-
-def hypothesis_fields(
-    prepared: PreparedFrames,
-    hyp_dy: int,
-    hyp_dx: int,
-    shifted_after: np.ndarray | None = None,
-    deltas: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """Template-accumulated ``(H, W, 28)`` normal-equation fields of one hypothesis.
-
-    Semi-fluid gradients are gathered through ``F_semi`` first;
-    ``deltas`` may carry this hypothesis' precomputed per-pixel
-    semi-fluid displacements ``(delta_y, delta_x)``.
-    """
-    geo_b, geo_a = prepared.geo_before, prepared.geo_after
-    config = prepared.config
-    if prepared.volume is not None and config.n_ss > 0:
-        if deltas is None:
-            deltas = semifluid_displacements(prepared.volume, hyp_dy, hyp_dx, config.n_ss)
-        if shifted_after is None:
-            shifted_after = _shifted_geometry_stack(geo_a, prepared.volume)
-        p_a, q_a = _gather_after(
-            shifted_after, prepared.volume, deltas[0][None], deltas[1][None]
-        )
-        p_a, q_a = p_a[0], q_a[0]
-    else:
-        p_a = shift2d(geo_a.p, hyp_dy, hyp_dx)
-        q_a = shift2d(geo_a.q, hyp_dy, hyp_dx)
-    fields = pointwise_fields(geo_b.p, geo_b.q, p_a, q_a, geo_b.e, geo_b.g)
-    accumulated = np.empty_like(fields)
-    for k in range(N_FIELDS):
-        accumulated[..., k] = box_sum(fields[..., k], config.n_zt)
-    return accumulated
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:

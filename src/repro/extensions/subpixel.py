@@ -26,17 +26,17 @@ motion field" future-work direction (Section 6).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from ..core.continuous import solve_accumulated
 from ..core.matching import (
     DenseMatchResult,
     PreparedFrames,
-    _shifted_geometry_stack,
-    hypothesis_fields,
+    _HostEvaluator,
     hypothesis_order,
+    valid_mask,
 )
-from ..core.semifluid import semifluid_displacements
 
 #: Curvature floor below which a parabola is considered degenerate.
 CURVATURE_EPS = 1e-12
@@ -66,41 +66,35 @@ def track_dense_with_volume(
 
     The volume has shape ``(2N_zs+1, 2N_zs+1, H, W)`` indexed by
     ``[dy + N_zs, dx + N_zs]``; identical winners to
-    :func:`repro.core.matching.track_dense` (same evaluation order and
-    tie-breaks).
+    :func:`repro.core.matching.track_dense` (same evaluator, evaluation
+    order and tie-breaks).  Every pixel solves every hypothesis, and
+    ``ge_solves`` says so.
     """
     config = prepared.config
     shape = prepared.geo_before.shape
     n = config.n_zs
     side = 2 * n + 1
     volume = np.empty((side, side) + shape, dtype=np.float64)
-    semifluid = prepared.volume is not None and config.n_ss > 0
-    shifted_after = None
-    if semifluid:
-        shifted_after = _shifted_geometry_stack(prepared.geo_after, prepared.volume)
+    evaluator = _HostEvaluator(prepared, ridge)
 
     best_error = np.full(shape, np.inf)
     best_u = np.zeros(shape)
     best_v = np.zeros(shape)
     best_params = np.zeros(shape + (6,))
     for hyp_dy, hyp_dx in hypothesis_order(n):
-        deltas = None
-        if semifluid:
-            deltas = semifluid_displacements(prepared.volume, hyp_dy, hyp_dx, config.n_ss)
-        fields = hypothesis_fields(prepared, hyp_dy, hyp_dx, shifted_after, deltas)
-        solution = solve_accumulated(fields, ridge=ridge)
-        volume[hyp_dy + n, hyp_dx + n] = solution.error
-        better = solution.error < best_error
-        best_error = np.where(better, solution.error, best_error)
-        if semifluid:
-            best_u = np.where(better, deltas[1].astype(np.float64), best_u)
-            best_v = np.where(better, deltas[0].astype(np.float64), best_v)
+        pw, delta_y, delta_x = evaluator.stage([(hyp_dy, hyp_dx)])
+        error, params = evaluator.solve(pw)
+        error = error[0]
+        volume[hyp_dy + n, hyp_dx + n] = error
+        better = error < best_error
+        best_error[better] = error[better]
+        best_params[better] = params[0][better]
+        if delta_y is None:
+            best_u[better] = float(hyp_dx)
+            best_v[better] = float(hyp_dy)
         else:
-            best_u = np.where(better, float(hyp_dx), best_u)
-            best_v = np.where(better, float(hyp_dy), best_v)
-        best_params = np.where(better[..., None], solution.params, best_params)
-
-    from ..core.matching import valid_mask
+            best_u[better] = delta_x[0][better]
+            best_v[better] = delta_y[0][better]
 
     result = DenseMatchResult(
         u=best_u,
@@ -109,6 +103,7 @@ def track_dense_with_volume(
         error=best_error,
         valid=valid_mask(shape, config),
         hypotheses_evaluated=side * side,
+        ge_solves=side * side * best_error.size,
     )
     return result, volume
 
@@ -146,14 +141,7 @@ def refine_continuous(result: DenseMatchResult, volume: np.ndarray, n_zs: int) -
         e_p = _gather_volume(volume, np.minimum(iy + 1, side - 1), ix)
         dv = np.where(interior_y, parabolic_offset(e_m, e0, e_p), 0.0)
 
-    return DenseMatchResult(
-        u=result.u + du,
-        v=result.v + dv,
-        params=result.params,
-        error=result.error,
-        valid=result.valid,
-        hypotheses_evaluated=result.hypotheses_evaluated,
-    )
+    return replace(result, u=result.u + du, v=result.v + dv)
 
 
 def refine_semifluid(prepared: PreparedFrames, result: DenseMatchResult) -> DenseMatchResult:
@@ -191,14 +179,7 @@ def refine_semifluid(prepared: PreparedFrames, result: DenseMatchResult) -> Dens
         parabolic_offset(grab(np.maximum(iy - 1, 0), ix), e0, grab(np.minimum(iy + 1, side - 1), ix)),
         0.0,
     )
-    return DenseMatchResult(
-        u=result.u + du,
-        v=result.v + dv,
-        params=result.params,
-        error=result.error,
-        valid=result.valid,
-        hypotheses_evaluated=result.hypotheses_evaluated,
-    )
+    return replace(result, u=result.u + du, v=result.v + dv)
 
 
 def refine(prepared: PreparedFrames, result: DenseMatchResult, ridge: float = 1e-9) -> DenseMatchResult:

@@ -187,6 +187,9 @@ def box_sum_stack(fields: np.ndarray, half_width: int) -> np.ndarray:
     every packed field -- arithmetic per (n, k) slice identical to
     :func:`box_sum` on that slice, hence bit-identical to summing the
     slices one at a time.
+
+    The result is a channels-last *view* of channels-first sums (not
+    contiguous); the fused native solve reads it through its strides.
     """
     if half_width == 0:
         return fields.astype(np.float64, copy=True)
@@ -195,11 +198,12 @@ def box_sum_stack(fields: np.ndarray, half_width: int) -> np.ndarray:
     # line with the identical running-sum arithmetic regardless of
     # memory layout (same axis order: rows then columns), so the result
     # is bit-for-bit the same while the inner loop becomes contiguous.
-    stacked = np.ascontiguousarray(np.moveaxis(fields.astype(np.float64), 3, 1))
+    stacked = np.ascontiguousarray(np.moveaxis(np.asarray(fields, dtype=np.float64), 3, 1))
     summed = ndimage.uniform_filter(
         stacked, size=(1, 1, side, side), mode="constant", cval=0.0
-    ) * float(side * side)
-    return np.ascontiguousarray(np.moveaxis(summed, 1, 3))
+    )
+    summed *= float(side * side)
+    return np.moveaxis(summed, 1, 3)
 
 
 def strided_window_sums(

@@ -8,17 +8,25 @@ SAME IEEE-754 arithmetic an order of magnitude faster.
 
 This package compiles :mod:`gauss.c` on demand with the system C compiler
 (no new dependencies, no NumPy headers -- the boundary is plain ``ctypes``)
-and exposes :func:`native_gauss_eliminate`.  The contract is strict
-bit-identity with :func:`repro.core.linalg.gaussian_eliminate`'s NumPy
-path:
+and exposes two entry points, each strictly bit-identical to the NumPy
+path it shadows:
+
+* :func:`native_gauss_eliminate` -- :func:`repro.core.linalg.gaussian_eliminate`;
+* :func:`native_solve_packed` -- :func:`repro.core.continuous.solve_accumulated`,
+  fused: it reads the 28 packed box sums through their strides, builds
+  each 6x6 system, solves it and evaluates the minimized error in one
+  pass, with none of the reference's full-array temporaries.
+
+The contract holds because
 
 * the C kernel replicates the reference arithmetic element for element
   (see the comment block in ``gauss.c``),
 * it is compiled with ``-ffp-contract=off`` so the compiler cannot fuse
   multiply-adds into differently-rounded FMAs, and
-* :func:`_self_check` verifies bitwise agreement on a batch of adversarial
-  systems (random, singular, NaN, infinity) before the kernel is ever
-  trusted; any mismatch or build failure quietly disables the kernel.
+* :func:`_self_check` verifies bitwise agreement of both entry points on
+  batches of adversarial systems (random, singular, NaN, infinity, signed
+  zeros) before the library is ever trusted; any mismatch or build
+  failure quietly disables it.
 
 Control knobs:
 
@@ -60,6 +68,7 @@ from ..obs.tracing import TRACER
 __all__ = [
     "native_available",
     "native_gauss_eliminate",
+    "native_solve_packed",
     "native_status",
     "reset",
 ]
@@ -155,6 +164,65 @@ def _self_check(lib: ctypes.CDLL) -> None:
     ):
         raise AssertionError("native gauss kernel disagrees with NumPy reference")
 
+    from ..core.continuous import solve_accumulated
+
+    # Channels-last view of a channels-first buffer: the layout the box
+    # sum hands over, read through its strides.
+    packed = np.moveaxis(np.ascontiguousarray(adversarial_packed().T), 0, -1)
+    for ridge in (1e-9, 0.0):
+        with np.errstate(all="ignore"):
+            ref = solve_accumulated(packed, ridge=ridge, prefer_native=False)
+            nat = _call_solve_packed(lib, packed, ridge)
+        if not (
+            same_bits(ref.params, nat[0]) and same_bits(ref.error, nat[1])
+            and np.array_equal(ref.singular, nat[2])
+        ):
+            raise AssertionError("native template solve disagrees with NumPy reference")
+
+
+def same_bits(a, b) -> bool:
+    """Equal shapes, NaN at the same places and identical bytes elsewhere
+    (signed zeros included; NaN payloads are not compared)."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (
+        a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+        and a[~nan].tobytes() == b[~nan].tobytes()
+    )
+
+
+def adversarial_packed(m: int = 128, seed: int = 20261017) -> np.ndarray:
+    """``(m, 28)`` packed template sums that probe every fused-solve branch.
+
+    Well-posed systems summed from random residual samples, then
+    all-zero, rank-deficient, NaN, +-inf, signed-zero, negative and
+    denormal ``c`` rows.
+    """
+    from ..kernels.reference import TRIU_INDICES, pointwise_fields
+
+    rng = np.random.default_rng(seed)
+    samples = rng.normal(size=(4, m, 9)) * np.exp(rng.normal(scale=2.0, size=(4, m, 1)))
+    e, g = 1.0 + samples[0] ** 2, 1.0 + samples[1] ** 2
+    fields = pointwise_fields(samples[0], samples[1], samples[2], samples[3], e, g).sum(axis=1)
+    fields[0] = 0.0
+    fields[1] = pointwise_fields(0.5, -0.25, 0.75, 0.125, 1.25, 1.0625) * 9.0  # rank 2
+    fields[2, 3] = np.nan
+    fields[3, 0] = np.inf
+    fields[4, 22] = -np.inf
+    fields[5] = -0.0
+    # -0.0 off the diagonal and a zero gradient: the ridge's +0.0 adds
+    # decide the signs of the zero factors and so of theta's zeros.
+    fields[6, :27] = -0.0
+    fields[6, [k for k, (i, j) in enumerate(TRIU_INDICES) if i == j]] = np.arange(1.0, 7.0)
+    fields[6, 21:24] = 0.0
+    fields[7, 27] = -fields[7, 27]  # negative c
+    fields[8, 21:] = 0.0
+    fields[8, 27] = 5e-324  # denormal c, zero gradient
+    fields[9] *= 1e-300
+    fields[10] *= 1e300
+    fields[11, 27] = np.nan
+    return fields
+
 
 def _call_kernel(
     lib: ctypes.CDLL, matrices: np.ndarray, rhs: np.ndarray
@@ -180,6 +248,61 @@ def _call_kernel(
     return (
         x.reshape(batch_shape + (n,)),
         singular.astype(bool).reshape(batch_shape),
+    )
+
+
+def _packed_layout(fields: np.ndarray) -> tuple[int, int, int, int, int] | None:
+    """``(outer, outer_stride, inner, pixel_stride, field_stride)`` in doubles.
+
+    Axis 0 is the outer level; the axes between it and the 28 fields
+    must walk one strided run -- true of any contiguous array, a box
+    sum's channels-last view and a gathered survivor subset.  None means
+    a copy is needed.
+    """
+    step = fields.itemsize
+    if any(s % step for s in fields.strides):
+        return None
+    axes = [(n, s) for n, s in zip(fields.shape[1:-1], fields.strides[1:-1]) if n != 1]
+    if any(outer != n * inner for (_, outer), (n, inner) in zip(axes, axes[1:])):
+        return None
+    inner = int(np.prod(fields.shape[1:-1], dtype=np.int64))
+    pixel_stride = axes[-1][1] if axes else 0
+    return (
+        fields.shape[0], fields.strides[0] // step, inner, pixel_stride // step,
+        fields.strides[-1] // step,
+    )
+
+
+def _call_solve_packed(
+    lib: ctypes.CDLL, fields: np.ndarray, ridge: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    fields = np.asarray(fields, dtype=np.float64)
+    if fields.ndim == 0 or fields.shape[-1] != 28:
+        raise ValueError(f"expected 28 packed fields, got shape {fields.shape}")
+    batch_shape = fields.shape[:-1]
+    m = int(np.prod(batch_shape, dtype=np.int64))
+    theta = np.empty((m, 6), dtype=np.float64)
+    error = np.empty(m, dtype=np.float64)
+    singular = np.empty(m, dtype=np.uint8)
+    if m:
+        if fields.ndim == 1:
+            fields = fields[None]
+        layout = _packed_layout(fields)
+        if layout is None:
+            fields = np.ascontiguousarray(fields)
+            layout = _packed_layout(fields)
+        lib.solve_packed(
+            fields.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+            *(ctypes.c_ssize_t(v) for v in layout),
+            ctypes.c_double(ridge),
+            theta.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+            error.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+            singular.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
+        )
+    return (
+        theta.reshape(batch_shape + (6,)),
+        error.reshape(batch_shape)[()],
+        singular.view(np.bool_).reshape(batch_shape),
     )
 
 
@@ -210,6 +333,15 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
             ctypes.POINTER(ctypes.c_ubyte),
             ctypes.c_ssize_t,
             ctypes.c_ssize_t,
+        ]
+        lib.solve_packed.restype = ctypes.c_int
+        lib.solve_packed.argtypes = [
+            ctypes.POINTER(ctypes.c_double),
+            *[ctypes.c_ssize_t] * 5,
+            ctypes.c_double,
+            ctypes.POINTER(ctypes.c_double),
+            ctypes.POINTER(ctypes.c_double),
+            ctypes.POINTER(ctypes.c_ubyte),
         ]
         with TRACER.span("native.self_check"):
             _self_check(lib)
@@ -282,3 +414,18 @@ def native_gauss_eliminate(
     if lib is None:
         raise RuntimeError(f"native kernel unavailable: {reason}")
     return _call_kernel(lib, matrices, rhs)
+
+
+def native_solve_packed(
+    fields: np.ndarray, ridge: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(params, error, singular)`` of ``(..., 28)`` packed template sums.
+
+    Bit-identical to ``solve_accumulated(fields, ridge, prefer_native=False)``.
+    Any strided float64 layout is read in place.  Caller must check
+    availability first.
+    """
+    lib, reason = _load()
+    if lib is None:
+        raise RuntimeError(f"native kernel unavailable: {reason}")
+    return _call_solve_packed(lib, fields, ridge)

@@ -32,18 +32,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.continuous import solve_accumulated
+from ..core.continuous import solve_accumulated  # noqa: F401  (unused; bench/layers.py wraps this name)
 from ..core.field import MotionField
 from ..core.matching import (
     PreparedFrames,
     _CertificateGrid,
     _HostEvaluator,
-    hypothesis_fields,
     prepare_frames,
     valid_mask,
 )
 from ..core.prep import FramePreparationCache
-from ..core.semifluid import semifluid_displacements
 from ..core.sma import Frame
 from ..kernels import BITWISE_BACKENDS, resolve_backend
 from ..maspar.cost import CostLedger
@@ -340,23 +338,24 @@ class ParallelSMA:
             self._charge_semifluid(ledger, mapping)
         evaluator = _HostEvaluator(prepared, self.ridge, resolved.prefer_native)
 
-        # Phase 4: segmented hypothesis matching.  The pruned schedule
-        # keeps its own running best (the elementwise minimum of every
-        # error surface handed to the segmented merge, i.e. exactly the
-        # evolution of the merge state): a hypothesis whose certificate
-        # bound provably exceeds it returns +inf for that pixel, which
-        # the strict-less/tie merge can never select -- so the produced
-        # field stays bit-identical while the ledger records only the
-        # certificate + survivor eliminations actually performed.
+        # Phase 4: segmented hypothesis matching, one hypothesis staged,
+        # box-summed and solved at a time on the driver's evaluator.  The
+        # pruned schedule keeps its own running best (the elementwise
+        # minimum of every error surface handed to the segmented merge,
+        # i.e. exactly the evolution of the merge state): a hypothesis
+        # whose certificate bound provably exceeds it returns +inf for
+        # that pixel, which the strict-less/tie merge can never select --
+        # so the produced field stays bit-identical while the ledger
+        # records only the certificate + survivor eliminations actually
+        # performed.
         cert_grid = None
         if self.search == "pruned":
             cert_grid = _CertificateGrid.build(shape, self.config.n_zt)
             running_best = np.full(shape, np.inf)
 
         def evaluate(dy: int, dx: int):
+            pw, delta_y, delta_x = evaluator.stage([(dy, dx)])
             if cert_grid is not None:
-                pw, delta_y, delta_x = evaluator.stage([(dy, dx)])
-                deltas = None if delta_y is None else (delta_y[0], delta_x[0])
                 survivors = cert_grid.survivors(evaluator, pw, running_best)
                 solves = cert_grid.systems
                 if survivors is None:  # no certificate pass against best = inf
@@ -369,26 +368,12 @@ class ParallelSMA:
                 np.minimum(running_best, error, out=running_best)
                 self._charge_hypothesis(ledger, mapping, solves=solves + survivors.size)
             else:
-                deltas = None
-                if semifluid:
-                    deltas = semifluid_displacements(
-                        prepared.volume, dy, dx, self.config.n_ss
-                    )
                 self._charge_hypothesis(ledger, mapping)
-                fields = hypothesis_fields(
-                    prepared, dy, dx, evaluator.shifted_after, deltas
-                )
-                solution = solve_accumulated(
-                    fields, ridge=self.ridge, prefer_native=resolved.prefer_native
-                )
-                error, params = solution.error, solution.params
-            if deltas is not None:
-                u_field = deltas[1].astype(np.float64)
-                v_field = deltas[0].astype(np.float64)
-            else:
-                u_field = np.full(shape, float(dx))
-                v_field = np.full(shape, float(dy))
-            return error, params, u_field, v_field
+                error, params = evaluator.solve(pw)
+                error, params = error[0], params[0]
+            if delta_y is None:
+                return error, params, float(dx), float(dy)
+            return error, params, delta_x[0], delta_y[0]
 
         search = SegmentedSearch(
             self.config, evaluate, memory=memory, layers=mapping.layers

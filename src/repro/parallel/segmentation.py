@@ -28,6 +28,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from ..core.matching import hypothesis_order
 from ..maspar.memory import PEMemoryTracker
 from ..params import NeighborhoodConfig
 from .memory_plan import FLOAT_BYTES, FLOATS_PER_MAPPING
@@ -80,7 +81,8 @@ class SegmentedSearch:
         for one hypothesis displacement, dense per-pixel arrays: the
         template error, the motion parameters ``(H, W, 6)`` and the
         per-pixel correspondence displacement fields (which differ from
-        the constant hypothesis under the semi-fluid mapping).
+        the constant hypothesis under the semi-fluid mapping; a scalar
+        stands for a constant field).
     memory:
         Optional PE-memory ledger; each segment's template-mapping
         store is allocated for the duration of the segment and freed
@@ -112,19 +114,24 @@ class SegmentedSearch:
     def run(self, shape: tuple[int, int], segment_rows: int) -> SegmentResult:
         """Process all segments; returns the global best state.
 
-        The update rule matches :func:`repro.core.matching.track_dense`'s
-        ordering semantics only when segments are processed with the
-        same tie-break; to keep segmentation *provably* order
-        independent, ties here are broken by (Chebyshev magnitude,
-        dy, dx) of the hypothesis regardless of chunk order.
+        Segments run in the paper's row order, not in
+        :func:`~repro.core.matching.hypothesis_order`, so exact ties are
+        broken by each hypothesis's index in that order -- its
+        (Chebyshev magnitude, dy, dx) rank.  The state is then the
+        lexicographic minimum of (error, rank) per pixel however the
+        search is segmented: the winner of ``track_dense``'s strict-less
+        merge in hypothesis order.
         """
+        rank_of = {hyp: k for k, hyp in enumerate(hypothesis_order(self.config.n_zs))}
         state = SegmentResult(
             error=np.full(shape, np.inf),
             u=np.zeros(shape, dtype=np.float64),
             v=np.zeros(shape, dtype=np.float64),
             params=np.zeros(shape + (6,), dtype=np.float64),
         )
-        rank = np.full(shape + (3,), np.inf)
+        best_error, best_u, best_v = (a.reshape(-1) for a in (state.error, state.u, state.v))
+        best_params = state.params.reshape(-1, 6)
+        best_rank = np.full(best_error.size, len(rank_of))
         for chunk in iter_segments(self.config, segment_rows):
             rows_in_chunk = len({dy for dy, _ in chunk})
             handle = None
@@ -134,30 +141,17 @@ class SegmentedSearch:
                 )
             try:
                 for dy, dx in chunk:
-                    error, params, u_field, v_field = self.evaluate(dy, dx)
-                    hyp_rank = np.array(
-                        [max(abs(dy), abs(dx)), dy, dx], dtype=np.float64
+                    error, params, u, v = self.evaluate(dy, dx)
+                    error = np.reshape(error, -1)
+                    rank = rank_of[(dy, dx)]
+                    winners = np.flatnonzero(
+                        (error < best_error) | ((error == best_error) & (rank < best_rank))
                     )
-                    better = error < state.error
-                    tie = error == state.error
-                    if tie.any():
-                        # lexicographic rank comparison on exact ties
-                        r = rank
-                        lex = (
-                            (hyp_rank[0] < r[..., 0])
-                            | ((hyp_rank[0] == r[..., 0]) & (hyp_rank[1] < r[..., 1]))
-                            | (
-                                (hyp_rank[0] == r[..., 0])
-                                & (hyp_rank[1] == r[..., 1])
-                                & (hyp_rank[2] < r[..., 2])
-                            )
-                        )
-                        better = better | (tie & lex)
-                    state.error = np.where(better, error, state.error)
-                    state.u = np.where(better, u_field, state.u)
-                    state.v = np.where(better, v_field, state.v)
-                    state.params = np.where(better[..., None], params, state.params)
-                    rank = np.where(better[..., None], hyp_rank, rank)
+                    best_error[winners] = error[winners]
+                    best_params[winners] = np.reshape(params, (-1, 6))[winners]
+                    best_u[winners] = u if np.ndim(u) == 0 else np.reshape(u, -1)[winners]
+                    best_v[winners] = v if np.ndim(v) == 0 else np.reshape(v, -1)[winners]
+                    best_rank[winners] = rank
                     state.mappings_computed += 1
             finally:
                 if handle is not None:

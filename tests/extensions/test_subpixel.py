@@ -70,6 +70,42 @@ class TestTrackDenseWithVolume:
         result, volume = track_dense_with_volume(prepared_continuous)
         np.testing.assert_allclose(volume.min(axis=(0, 1)), result.error, atol=1e-12)
 
+    @pytest.mark.parametrize("model", ["continuous", "semifluid"])
+    def test_bit_identical_to_track_dense_with_solve_count(
+        self, model, prepared_continuous, prepared_semifluid
+    ):
+        """Same winners, bytes and solve accounting as the exhaustive search."""
+        prepared = prepared_continuous if model == "continuous" else prepared_semifluid
+        plain = track_dense(prepared)
+        with_vol, _ = track_dense_with_volume(prepared)
+        for name in ("u", "v", "params", "error"):
+            assert getattr(with_vol, name).tobytes() == getattr(plain, name).tobytes(), name
+        assert with_vol.ge_solves == plain.ge_solves == plain.error.size * 25
+
+
+class TestRefineKeepsAccounting:
+    """Refinement moves u/v only; the search's solve accounting survives."""
+
+    def test_continuous_keeps_pruned_counts(self, prepared_continuous):
+        pruned = track_dense(prepared_continuous, search="pruned")
+        assert pruned.hypotheses_pruned > 0
+        _, volume = track_dense_with_volume(prepared_continuous)
+        refined = refine_continuous(pruned, volume, prepared_continuous.config.n_zs)
+        assert refined.ge_solves == pruned.ge_solves
+        assert refined.hypotheses_pruned == pruned.hypotheses_pruned
+        assert refined.hypotheses_evaluated == pruned.hypotheses_evaluated
+
+    def test_semifluid_keeps_pruned_counts(self, prepared_semifluid):
+        pruned = track_dense(prepared_semifluid, search="pruned")
+        assert pruned.hypotheses_pruned > 0
+        refined = refine_semifluid(prepared_semifluid, pruned)
+        assert refined.ge_solves == pruned.ge_solves
+        assert refined.hypotheses_pruned == pruned.hypotheses_pruned
+
+    def test_refine_reports_the_volume_solves(self, prepared_continuous):
+        refined = refine(prepared_continuous, track_dense(prepared_continuous))
+        assert refined.ge_solves == refined.error.size * 25
+
 
 class TestRefineContinuous:
     def test_integer_translation_unchanged(self, prepared_continuous):

@@ -92,6 +92,31 @@ class TestSegmentedSearch:
         np.testing.assert_array_equal(state.u, 0.0)
         np.testing.assert_array_equal(state.v, 0.0)
 
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_ties_resolve_in_hypothesis_order(self, config, rows):
+        """Dense exact ties: the winner is the first minimum in
+        hypothesis_order, whichever segment it arrives in."""
+        from repro.core.matching import hypothesis_order
+
+        shape = (6, 7)
+        order = hypothesis_order(config.n_zs)
+        rng = np.random.default_rng(rows)
+        errors = {hyp: rng.integers(0, 3, size=shape).astype(float) for hyp in order}
+
+        def evaluate(dy, dx):
+            params = np.full(shape + (6,), float(dy * 10 + dx))
+            return errors[(dy, dx)], params, float(dx), float(dy)
+
+        state = SegmentedSearch(config, evaluate).run(shape, rows)
+        stack = np.stack([errors[hyp] for hyp in order])
+        first = np.argmin(stack, axis=0)  # argmin keeps the first minimum
+        want_v = np.array([order[k][0] for k in first.ravel()], dtype=float).reshape(shape)
+        want_u = np.array([order[k][1] for k in first.ravel()], dtype=float).reshape(shape)
+        np.testing.assert_array_equal(state.v, want_v)
+        np.testing.assert_array_equal(state.u, want_u)
+        np.testing.assert_array_equal(state.error, stack.min(axis=0))
+        np.testing.assert_array_equal(state.params[..., 0], want_v * 10 + want_u)
+
     def test_counts(self, config):
         shape = (4, 4)
         evaluate, _, _ = quadratic_evaluator(shape)
