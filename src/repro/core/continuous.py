@@ -67,6 +67,7 @@ from ..kernels.reference import (  # noqa: F401  (re-exported API)
     N_TRIU,
     PARAM_NAMES,
     TRIU_INDICES,
+    box_sum_stack,
     pointwise_fields,
     residual_rows,
 )
@@ -152,6 +153,64 @@ def solve_accumulated(
     # Guard against tiny negative values from roundoff.
     error = np.maximum(error, 0.0)
     return MotionSolution(params=theta, error=error, singular=singular)
+
+
+def stack_pointwise_fields(
+    p, q, p_after, q_after, e, g, prefer_native: bool = True
+) -> np.ndarray:
+    """:func:`pointwise_fields` of one before frame against stacked after planes.
+
+    With ``prefer_native``, ``(1, H, W)`` before planes, ``(n, H, W)``
+    after planes and the compiled library loaded, the fields are built
+    by the native kernel into a channels-first ``(n, 28, H, W)`` buffer
+    and returned as its channels-last ``(n, H, W, 28)`` view -- the
+    layout :func:`stack_box_sum` sums without a copy.  Bit-identical to
+    the NumPy path, which every other shape and caller takes.
+    """
+    if prefer_native and _planes(p, q, e, g) and _planes(p_after, q_after):
+        shape = np.shape(p)
+        if shape[0] == 1 and np.shape(p_after)[1:] == shape[1:]:
+            from ..native import native_available, native_pointwise_planes
+
+            if native_available():
+                planes = native_pointwise_planes(p[0], q[0], e[0], g[0], p_after, q_after)
+                return np.moveaxis(planes, 1, 3)
+    return pointwise_fields(p, q, p_after, q_after, e, g)
+
+
+def _planes(*arrays) -> bool:
+    """True for equally shaped 3-D float64 arrays."""
+    return all(
+        isinstance(a, np.ndarray) and a.ndim == 3 and a.dtype == np.float64
+        and a.shape == arrays[0].shape
+        for a in arrays
+    )
+
+
+def stack_box_sum(
+    fields: np.ndarray, half_width: int, prefer_native: bool = True
+) -> np.ndarray:
+    """:func:`~repro.kernels.reference.box_sum_stack` of ``(n, H, W, 28)`` fields.
+
+    With ``prefer_native``, a channels-last view of a channels-first
+    buffer (what :func:`stack_pointwise_fields` returns) and a trusted
+    native box sum, the planes are summed in place by the native kernel,
+    bit-identical to SciPy's ``uniform_filter``; anything else takes the
+    SciPy path.  Either way the result is a channels-last view of
+    channels-first sums.
+    """
+    if (
+        prefer_native and half_width > 0 and isinstance(fields, np.ndarray)
+        and fields.ndim == 4 and fields.dtype == np.float64
+    ):
+        planes = np.moveaxis(fields, 3, 1)
+        if planes.flags.c_contiguous:
+            from ..native import native_box_sum_available, native_box_sum_planes
+
+            if native_box_sum_available():
+                side = 2 * half_width + 1
+                return np.moveaxis(native_box_sum_planes(planes, side, side), 1, 3)
+    return box_sum_stack(fields, half_width)
 
 
 def estimate_from_samples(

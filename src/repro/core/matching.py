@@ -26,11 +26,12 @@ Every :func:`track_dense` schedule runs through one hypothesis driver,
 :func:`hypothesis_order`:
 
 1. an *evaluator* builds the chunk's pointwise normal-equation fields
-   (one broadcast :func:`~repro.core.continuous.pointwise_fields`
-   call), computes certificate bounds when asked, and solves the
-   template systems (one box-sum sweep, ONE batched Gaussian
-   elimination) -- on host kernels, or on the array-API
-   :class:`repro.kernels.device.DeviceBackend`;
+   (one :func:`~repro.core.continuous.stack_pointwise_fields` call),
+   computes certificate bounds when asked, and solves the template
+   systems (one box-sum sweep, ONE batched Gaussian elimination) -- on
+   host kernels (native C field build, box sum and solve when the
+   library is loaded, bit-identical to NumPy/SciPy), or on the
+   array-API :class:`repro.kernels.device.DeviceBackend`;
 2. a *schedule* picks the chunks and, per chunk, the pixels to solve;
 3. one flat-index strict-less *merge* updates the best state.  Merging
    in hypothesis order keeps tie-breaks deterministic however the
@@ -66,7 +67,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..kernels import resolve_backend
-from ..kernels.reference import box_sum_stack as _kernel_box_sum_stack
 from ..kernels.reference import strided_window_sums
 from ..obs.metrics import METRICS
 from ..obs.tracing import TRACER
@@ -74,9 +74,10 @@ from ..params import NeighborhoodConfig
 from .continuous import (
     N_FIELDS,
     estimate_from_samples,
-    pointwise_fields,
     solve_accumulated,
 )
+from .continuous import stack_box_sum as _kernel_box_sum_stack
+from .continuous import stack_pointwise_fields as pointwise_fields
 from .prep import FramePreparationCache, prepare_frame
 from .semifluid import (
     ScoreVolume,
@@ -280,8 +281,11 @@ class _HostEvaluator:
     """The driver's evaluation stage on host kernels.
 
     ``pointwise_fields`` -> ``_kernel_box_sum_stack`` ->
-    ``solve_accumulated``.  Certificates and template sums accumulate
-    the same pointwise fields, which is what makes the bound exact.
+    ``solve_accumulated`` (the names ``bench/layers.py`` times; the
+    first two are the native-or-NumPy dispatchers of
+    :mod:`repro.core.continuous`), each told ``prefer_native``.
+    Certificates and template sums accumulate the same pointwise
+    fields, which is what makes the bound exact.
     """
 
     def __init__(self, prepared: PreparedFrames, ridge: float, prefer_native: bool = True):
@@ -315,16 +319,25 @@ class _HostEvaluator:
 
     def _pointwise(self, geo_b: SurfaceGeometry, p_a, q_a):
         return pointwise_fields(
-            geo_b.p[None], geo_b.q[None], p_a, q_a, geo_b.e[None], geo_b.g[None]
+            geo_b.p[None], geo_b.q[None], p_a, q_a, geo_b.e[None], geo_b.g[None],
+            prefer_native=self.prefer_native,
         )
 
     def certificate_bounds(self, pw, grid: "_CertificateGrid"):
         """Grid-shaped ``(lb, |c|)`` of one staged hypothesis.  ``lb`` is
-        zero where singular: E(0) = c is NOT a lower bound on the minimum."""
-        tmp = strided_window_sums(pw[0], 1, grid.gx.size, CERT_STRIDE, grid.m)
-        acc = strided_window_sums(tmp, 0, grid.gy.size, CERT_STRIDE, grid.m)
-        solution = solve_accumulated(acc, ridge=self.ridge, prefer_native=self.prefer_native)
-        return np.where(solution.singular, 0.0, solution.error), np.abs(acc[..., N_FIELDS - 1])
+        zero where singular: E(0) = c is NOT a lower bound on the minimum.
+
+        The window sums run over the fields' ``(28, H, W)`` view, which
+        is contiguous when the fields are a native channels-first build;
+        the solve reads the sums' channels-last view through its strides.
+        """
+        planes = np.moveaxis(pw[0], 2, 0)
+        tmp = strided_window_sums(planes, 2, grid.gx.size, CERT_STRIDE, grid.m)
+        acc = strided_window_sums(tmp, 1, grid.gy.size, CERT_STRIDE, grid.m)
+        solution = solve_accumulated(
+            np.moveaxis(acc, 0, -1), ridge=self.ridge, prefer_native=self.prefer_native
+        )
+        return np.where(solution.singular, 0.0, solution.error), np.abs(acc[N_FIELDS - 1])
 
     def solve(self, pw, pixels: np.ndarray | None = None):
         """Template ``(error, params)``: ``(n, H, W[, 6])``, or ``(s[, 6])`` at ``pixels``.
@@ -336,7 +349,9 @@ class _HostEvaluator:
         allocator hand its pages back to the OS and fault them in again
         per hypothesis (2-3x the minor page faults, measured at 96 px).
         """
-        acc = self._last_acc = _kernel_box_sum_stack(pw, self.prepared.config.n_zt)
+        acc = self._last_acc = _kernel_box_sum_stack(
+            pw, self.prepared.config.n_zt, prefer_native=self.prefer_native
+        )
         solution = solve_accumulated(
             acc if pixels is None else acc.reshape(-1, N_FIELDS)[pixels],
             ridge=self.ridge, prefer_native=self.prefer_native,

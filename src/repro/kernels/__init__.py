@@ -8,7 +8,8 @@ executions plug into the same chain:
 
 * :mod:`repro.kernels.reference` -- the serial NumPy path; THE
   bit-identity reference every other backend answers to.
-* :mod:`repro.native` -- the C kernel for the batched eliminate,
+* :mod:`repro.native` -- C kernels for the pointwise field build, the
+  box sum, the fused template solve and the batched eliminate,
   bitwise-equal by construction and cross-checked on load.
 * :mod:`repro.kernels.device` -- the opt-in array-API path (torch /
   cupy / numpy fallback) that runs whole hypothesis chunks on device
@@ -16,12 +17,12 @@ executions plug into the same chain:
 
 :func:`resolve_backend` is the single selection point.  Backend names:
 
-* ``"auto"`` (default) -- exactly the historical behavior: the native
-  eliminate when it is available and passes its self-check, the NumPy
-  reference otherwise.  Bit-identical either way.
+* ``"auto"`` (default) -- the native kernels when the library is
+  available and passes its self-check, the NumPy reference otherwise.
+  Bit-identical either way.
 * ``"numpy"`` -- pin the pure NumPy reference (benchmarks use this to
   time the pre-native behavior honestly).
-* ``"native"`` -- require the native eliminate; raises with the
+* ``"native"`` -- require the native library; raises with the
   :func:`repro.native.native_status` reason when it is unavailable
   instead of silently degrading.
 * ``"device"`` -- the array-API chunk path.  Approximate by contract
@@ -104,9 +105,14 @@ class ResolvedBackend:
 
     ``requested`` is the caller's name; ``resolved`` is the execution
     path actually taken (``"numpy"``, ``"native"`` or ``"device"``).
-    ``prefer_native`` feeds :func:`repro.core.linalg.gaussian_eliminate`
-    dispatch on the host paths; ``device`` carries the live
-    :class:`repro.kernels.device.DeviceBackend` on the device path.
+    On the host paths ``prefer_native`` is handed to the hypothesis
+    evaluator's three native-or-NumPy dispatchers --
+    :func:`repro.core.continuous.stack_pointwise_fields`,
+    :func:`~repro.core.continuous.stack_box_sum` and
+    :func:`~repro.core.continuous.solve_accumulated` -- so False
+    (``backend="numpy"``) keeps the whole chain on NumPy/SciPy.
+    ``device`` carries the live :class:`repro.kernels.device.DeviceBackend`
+    on the device path.
     """
 
     requested: str

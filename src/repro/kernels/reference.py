@@ -9,8 +9,9 @@ elimination) and :mod:`repro.core.matching` (the stacked box sum and the
 certificate-grid window sums of the pruned schedule) -- so "reference"
 means *the* bits, not merely close ones:
 
-* the native C kernel (:mod:`repro.native`) replays these IEEE-754
-  operations element for element and is bitwise cross-checked on load;
+* the native C kernels (:mod:`repro.native`) replay these IEEE-754
+  operations element for element -- and SciPy's ``uniform_filter``
+  running sums for the box sum -- and are bitwise cross-checked on load;
 * the pruned search schedule uses :func:`strided_window_sums` only to
   form *bounds*, never field values, so its different summation order is
   covered by an explicit slack;
@@ -190,6 +191,8 @@ def box_sum_stack(fields: np.ndarray, half_width: int) -> np.ndarray:
 
     The result is a channels-last *view* of channels-first sums (not
     contiguous); the fused native solve reads it through its strides.
+    Input that already is such a view (a native field build) is
+    filtered without the channels-first copy.
     """
     if half_width == 0:
         return fields.astype(np.float64, copy=True)
@@ -212,10 +215,12 @@ def strided_window_sums(
     """Sum ``arr`` over every certificate window along ``axis``.
 
     Windows are ``2 * half_width + 1`` wide and start every ``stride``
-    elements, so whole stride-width bins can be pre-summed once with
-    one contiguous reshape-sum; each window is then ``side // stride``
-    contiguous bin adds plus at most ``stride - 1`` strided adds for
-    the leftover columns, instead of ``side`` strided adds.  The
+    elements, so whole stride-width bins are pre-summed once by
+    ``stride`` sequential slice adds, ``bins = 0.0 + a[0::s] + a[1::s]
+    + ...`` -- the order and the +0.0 start of ``np.sum`` over each bin,
+    with no reshape copy when ``arr`` is a strided view.  Each window is
+    then ``side // stride`` bin adds plus at most ``stride - 1`` strided
+    adds for the leftover columns, instead of ``side`` strided adds.  The
     grouping changes the floating-point summation order, which only
     perturbs the pruned schedule's *bound* within the certificate
     slack -- the field itself never flows through this path.
@@ -224,11 +229,14 @@ def strided_window_sums(
     whole, rest = divmod(side, stride)
     n_bins = grid_size - 1 + whole
 
-    index: list = [slice(None)] * arr.ndim
-    index[axis] = slice(0, stride * n_bins)
-    shape = list(arr.shape)
-    shape[axis : axis + 1] = [n_bins, stride]
-    bins = arr[tuple(index)].reshape(shape).sum(axis=axis + 1)
+    def every_stride(first: int, count: int) -> np.ndarray:
+        ix: list = [slice(None)] * arr.ndim
+        ix[axis] = slice(first, first + stride * (count - 1) + 1, stride)
+        return arr[tuple(ix)]
+
+    bins = every_stride(0, n_bins) + 0.0  # an all -0.0 bin sums to +0.0
+    for k in range(1, stride):
+        bins += every_stride(k, n_bins)
 
     def bin_run(start: int) -> np.ndarray:
         ix: list = [slice(None)] * bins.ndim
@@ -239,10 +247,7 @@ def strided_window_sums(
     for j in range(1, whole):
         out += bin_run(j)
     for k in range(rest):
-        ix = [slice(None)] * arr.ndim
-        first = stride * whole + k
-        ix[axis] = slice(first, first + stride * (grid_size - 1) + 1, stride)
-        out += arr[tuple(ix)]
+        out += every_stride(stride * whole + k, grid_size)
     return out
 
 

@@ -8,14 +8,19 @@ SAME IEEE-754 arithmetic an order of magnitude faster.
 
 This package compiles :mod:`gauss.c` on demand with the system C compiler
 (no new dependencies, no NumPy headers -- the boundary is plain ``ctypes``)
-and exposes two entry points, each strictly bit-identical to the NumPy
-path it shadows:
+and exposes four entry points, each strictly bit-identical to the NumPy
+or SciPy path it shadows:
 
 * :func:`native_gauss_eliminate` -- :func:`repro.core.linalg.gaussian_eliminate`;
 * :func:`native_solve_packed` -- :func:`repro.core.continuous.solve_accumulated`,
   fused: it reads the 28 packed box sums through their strides, builds
   each 6x6 system, solves it and evaluates the minimized error in one
-  pass, with none of the reference's full-array temporaries.
+  pass, with none of the reference's full-array temporaries;
+* :func:`native_pointwise_planes` --
+  :func:`repro.kernels.reference.pointwise_fields` of one before frame
+  against a stack of after planes, written channels-first;
+* :func:`native_box_sum_planes` -- the SciPy ``uniform_filter`` box sum
+  of :func:`repro.kernels.reference.box_sum_stack`, plane by plane.
 
 The contract holds because
 
@@ -23,10 +28,17 @@ The contract holds because
   (see the comment block in ``gauss.c``),
 * it is compiled with ``-ffp-contract=off`` so the compiler cannot fuse
   multiply-adds into differently-rounded FMAs, and
-* :func:`_self_check` verifies bitwise agreement of both entry points on
-  batches of adversarial systems (random, singular, NaN, infinity, signed
-  zeros) before the library is ever trusted; any mismatch or build
-  failure quietly disables it.
+* :func:`_self_check` verifies bitwise agreement of every entry point on
+  adversarial inputs (random, singular, NaN, infinity, signed zeros,
+  denormals, windows longer than the image) before the library is ever
+  trusted; any mismatch or build failure quietly disables it.
+
+The box sum is the one exception to that all-or-nothing rule.  It
+answers to SciPy's *internal* running-sum arithmetic, which a SciPy
+release may change (``pyproject.toml`` admits ``scipy>=1.10``), so a
+box-sum mismatch disables :func:`native_box_sum_planes` alone --
+:func:`native_box_sum_available` turns False, :func:`native_status`
+names the reason, and every other entry point stays in use.
 
 Control knobs:
 
@@ -67,7 +79,10 @@ from ..obs.tracing import TRACER
 
 __all__ = [
     "native_available",
+    "native_box_sum_available",
+    "native_box_sum_planes",
     "native_gauss_eliminate",
+    "native_pointwise_planes",
     "native_solve_packed",
     "native_status",
     "reset",
@@ -78,11 +93,17 @@ _LOG = get_logger("native")
 _HERE = Path(__file__).resolve().parent
 _SOURCE = _HERE / "gauss.c"
 _BUILD_DIR = _HERE / "_build"
-_CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
+#: Packed normal-equation fields per pixel (repro.kernels.reference.N_FIELDS).
+_N_FIELDS = 28
+
+_CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
 
 #: Lazily populated: None = not attempted, (lib, None) = usable,
 #: (None, reason) = unusable.
 _state: tuple[ctypes.CDLL | None, str | None] | None = None
+
+#: Why the loaded library's box sum is not trusted (None: it is).
+_box_sum_reason: str | None = None
 
 #: True when the memoized failure must never be retried within this process:
 #: the env opt-out, or a kernel that failed the bit-identity self-check.
@@ -179,6 +200,34 @@ def _self_check(lib: ctypes.CDLL) -> None:
         ):
             raise AssertionError("native template solve disagrees with NumPy reference")
 
+    from ..kernels.reference import pointwise_fields
+
+    p, q, e, g, p_after, q_after = adversarial_planes()
+    with np.errstate(all="ignore"):
+        ref = pointwise_fields(p[None], q[None], p_after, q_after, e[None], g[None])
+        nat = _call_pointwise_planes(lib, p, q, e, g, p_after, q_after)
+    if not same_bits(ref, np.moveaxis(nat, 1, 3)):
+        raise AssertionError("native pointwise fields disagree with NumPy reference")
+
+
+def _box_sum_check(lib: ctypes.CDLL) -> str | None:
+    """Why the box sum disagrees with SciPy on adversarial planes, or None."""
+    from ..kernels.reference import box_sum_stack
+
+    stack = adversarial_box_stack()
+    for half in (1, 2, 4):
+        with np.errstate(all="ignore"):
+            ref = box_sum_stack(np.moveaxis(stack, 1, 3), half)
+            nat = _call_box_sum_planes(lib, stack, 2 * half + 1, 2 * half + 1)
+        if not same_bits(ref, np.moveaxis(nat, 1, 3)):
+            import scipy
+
+            return (
+                f"box_sum_planes disagrees with SciPy {scipy.__version__} "
+                f"uniform_filter at half-width {half}"
+            )
+    return None
+
 
 def same_bits(a, b) -> bool:
     """Equal shapes, NaN at the same places and identical bytes elsewhere
@@ -224,6 +273,50 @@ def adversarial_packed(m: int = 128, seed: int = 20261017) -> np.ndarray:
     return fields
 
 
+def adversarial_planes(n: int = 3, h: int = 5, w: int = 7, seed: int = 20261018):
+    """``(p, q, e, g, p_after, q_after)`` planes that probe the field build.
+
+    Magnitudes spread from 1e-300 to 1e300 (products overflow and
+    underflow), with NaN, +-inf, signed zeros and denormals planted in
+    every input; the after planes carry ``n`` hypotheses.
+    """
+    rng = np.random.default_rng(seed)
+    size = (6, n, h, w)
+    values = rng.choice((-1.0, 1.0), size=size) * 10.0 ** rng.uniform(-300, 300, size=size)
+    values[:, :, 1:3] = rng.normal(size=(6, n, 2, w))  # ordinary rows
+    specials = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310)
+    flat = values.reshape(6, -1)
+    for k in range(6):
+        at = rng.choice(flat.shape[1], size=len(specials), replace=False)
+        flat[k, at] = specials
+    p, q, e, g = (np.ascontiguousarray(values[k, 0]) for k in range(4))
+    return p, q, e, g, values[4], values[5]
+
+
+def adversarial_box_stack(n: int = 2, h: int = 5, w: int = 7, seed: int = 20261019):
+    """``(n, 28, h, w)`` channels-first planes that probe the box sum.
+
+    Mixed magnitudes and signs (running-sum cancellation), a plane of
+    signed zeros, denormals, and NaN / +-inf planted away from the
+    borders; ``h`` and ``w`` are shorter than the widest probed window.
+    """
+    rng = np.random.default_rng(seed)
+    size = (n, _N_FIELDS, h, w)
+    stack = rng.normal(size=size) * 10.0 ** rng.uniform(-8, 8, size=size)
+    stack[0, 0] = -0.0
+    stack[0, 1] = 5e-324 * rng.integers(-3, 4, size=(h, w))
+    stack[0, 2, 0, 0] = 1e300
+    stack[0, 2, h - 1, w - 1] = -1e300
+    stack[n - 1, 3, h // 2, w // 2] = np.nan
+    stack[n - 1, 4, h - 1, 0] = np.inf
+    stack[n - 1, 5, 0, w - 1] = -np.inf
+    return stack
+
+
+def _doubles(a: np.ndarray):
+    return a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
+
+
 def _call_kernel(
     lib: ctypes.CDLL, matrices: np.ndarray, rhs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -238,9 +331,7 @@ def _call_kernel(
     singular = np.zeros(m, dtype=np.uint8)
     if m:
         lib.gauss_eliminate(
-            a.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-            b.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-            x.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+            _doubles(a), _doubles(b), _doubles(x),
             singular.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
             ctypes.c_ssize_t(m),
             ctypes.c_ssize_t(n),
@@ -292,11 +383,10 @@ def _call_solve_packed(
             fields = np.ascontiguousarray(fields)
             layout = _packed_layout(fields)
         lib.solve_packed(
-            fields.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+            _doubles(fields),
             *(ctypes.c_ssize_t(v) for v in layout),
             ctypes.c_double(ridge),
-            theta.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
-            error.ctypes.data_as(ctypes.POINTER(ctypes.c_double)),
+            _doubles(theta), _doubles(error),
             singular.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
         )
     return (
@@ -306,8 +396,47 @@ def _call_solve_packed(
     )
 
 
+def _call_pointwise_planes(
+    lib: ctypes.CDLL, p, q, e, g, p_after, q_after
+) -> np.ndarray:
+    before = [np.ascontiguousarray(a, dtype=np.float64) for a in (p, q, e, g)]
+    after = [np.ascontiguousarray(a, dtype=np.float64) for a in (p_after, q_after)]
+    shape = before[0].shape
+    if len(shape) != 2 or any(a.shape != shape for a in before) or any(
+        a.shape != after[0].shape or a.shape[1:] != shape for a in after
+    ):
+        raise ValueError("expected (H, W) before planes and (n, H, W) after planes")
+    n = after[0].shape[0]
+    out = np.empty((n, _N_FIELDS) + shape, dtype=np.float64)
+    if out.size:
+        lib.pointwise_planes(
+            *(_doubles(a) for a in before), *(_doubles(a) for a in after),
+            ctypes.c_ssize_t(n), ctypes.c_ssize_t(shape[0] * shape[1]), _doubles(out),
+        )
+    return out
+
+
+def _call_box_sum_planes(
+    lib: ctypes.CDLL, planes: np.ndarray, side_y: int, side_x: int
+) -> np.ndarray:
+    planes = np.ascontiguousarray(planes, dtype=np.float64)
+    if planes.ndim < 2 or side_y < 1 or side_x < 1:
+        raise ValueError(f"expected (..., H, W) planes and sides >= 1, got {planes.shape}")
+    out = np.empty_like(planes)
+    if out.size:
+        h, w = planes.shape[-2:]
+        status = lib.box_sum_planes(
+            _doubles(planes), _doubles(out), ctypes.c_ssize_t(planes.size // (h * w)),
+            ctypes.c_ssize_t(h), ctypes.c_ssize_t(w),
+            ctypes.c_ssize_t(side_y), ctypes.c_ssize_t(side_x),
+        )
+        if status:
+            raise MemoryError("box_sum_planes could not allocate its line buffers")
+    return out
+
+
 def _load() -> tuple[ctypes.CDLL | None, str | None]:
-    global _state, _state_permanent, _transient_attempts
+    global _state, _state_permanent, _transient_attempts, _box_sum_reason
     if _state is not None:
         retryable = (
             _state[0] is None
@@ -343,8 +472,21 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
             ctypes.POINTER(ctypes.c_double),
             ctypes.POINTER(ctypes.c_ubyte),
         ]
+        lib.pointwise_planes.restype = ctypes.c_int
+        lib.pointwise_planes.argtypes = [
+            *[ctypes.POINTER(ctypes.c_double)] * 6,
+            ctypes.c_ssize_t,
+            ctypes.c_ssize_t,
+            ctypes.POINTER(ctypes.c_double),
+        ]
+        lib.box_sum_planes.restype = ctypes.c_int
+        lib.box_sum_planes.argtypes = [
+            *[ctypes.POINTER(ctypes.c_double)] * 2,
+            *[ctypes.c_ssize_t] * 5,
+        ]
         with TRACER.span("native.self_check"):
             _self_check(lib)
+            box_sum_reason = _box_sum_check(lib)
     except _TRANSIENT_EXCEPTIONS as exc:
         _transient_attempts += 1
         reason = f"{type(exc).__name__}: {exc}"
@@ -374,8 +516,12 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
     _state = (lib, None)
     _state_permanent = False
     _transient_attempts = 0
+    _box_sum_reason = box_sum_reason
     METRICS.set_gauge("native.available", 1)
+    METRICS.set_gauge("native.box_sum.available", int(box_sum_reason is None))
     log_event(_LOG, logging.INFO, "native.loaded", source=_SOURCE.name)
+    if box_sum_reason is not None:
+        log_event(_LOG, logging.WARNING, "native.box_sum.disabled", reason=box_sum_reason)
     return _state
 
 
@@ -389,10 +535,11 @@ def reset() -> None:
     probe.  Safe to call at any time; already-dispatched solves are
     unaffected.
     """
-    global _state, _state_permanent, _transient_attempts
+    global _state, _state_permanent, _transient_attempts, _box_sum_reason
     _state = None
     _state_permanent = False
     _transient_attempts = 0
+    _box_sum_reason = None
 
 
 def native_available() -> bool:
@@ -400,10 +547,21 @@ def native_available() -> bool:
     return _load()[0] is not None
 
 
+def native_box_sum_available() -> bool:
+    """True when the library is loaded AND its box sum matches SciPy."""
+    return _load()[0] is not None and _box_sum_reason is None
+
+
 def native_status() -> str:
-    """``"available"`` or the reason the native kernel is unusable."""
+    """``"available"`` when every entry point is trusted, else the reason.
+
+    A library whose box sum alone disagrees with the installed SciPy
+    reports ``"available; <reason>"``: the other entry points stay in use.
+    """
     lib, reason = _load()
-    return "available" if lib is not None else reason or "unavailable"
+    if lib is None:
+        return reason or "unavailable"
+    return "available" if _box_sum_reason is None else f"available; {_box_sum_reason}"
 
 
 def native_gauss_eliminate(
@@ -429,3 +587,34 @@ def native_solve_packed(
     if lib is None:
         raise RuntimeError(f"native kernel unavailable: {reason}")
     return _call_solve_packed(lib, fields, ridge)
+
+
+def native_pointwise_planes(p, q, e, g, p_after, q_after) -> np.ndarray:
+    """``(n, 28, H, W)`` pointwise fields of ``(H, W)`` before planes and
+    ``(n, H, W)`` after planes.
+
+    Channels-first; its ``np.moveaxis(out, 1, 3)`` view is bit-identical
+    to ``pointwise_fields(p[None], q[None], p_after, q_after, e[None],
+    g[None])``.  Caller must check :func:`native_available` first.
+    """
+    lib, reason = _load()
+    if lib is None:
+        raise RuntimeError(f"native kernel unavailable: {reason}")
+    return _call_pointwise_planes(lib, p, q, e, g, p_after, q_after)
+
+
+def native_box_sum_planes(planes: np.ndarray, side_y: int, side_x: int) -> np.ndarray:
+    """Box sums of every ``(H, W)`` plane of ``(..., H, W)`` over a
+    ``side_y x side_x`` window (odd sides, zero outside the image).
+
+    Bit-identical to ``uniform_filter(planes, size=(1, ..., side_y,
+    side_x), mode="constant") * float(side_y * side_x)`` on the SciPy the
+    load-time check ran against.  Caller must check
+    :func:`native_box_sum_available` first.
+    """
+    lib, reason = _load()
+    if lib is None:
+        raise RuntimeError(f"native kernel unavailable: {reason}")
+    if _box_sum_reason is not None:
+        raise RuntimeError(f"native box sum unavailable: {_box_sum_reason}")
+    return _call_box_sum_planes(lib, planes, side_y, side_x)

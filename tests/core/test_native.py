@@ -1,9 +1,10 @@
-"""Native Gaussian-elimination kernel: strict bit-identity with NumPy.
+"""Native kernels: strict bit-identity with NumPy and SciPy.
 
 The native path is an *optimization*, never a semantic change: every
 test here demands bit-pattern equality (including negative zeros, NaN
-placement and singular flags) between the C kernel and the NumPy
-reference it shadows.
+placement and singular flags) between the C kernels -- the Gaussian
+elimination, the fused template solve, the pointwise field build and
+the box sum -- and the NumPy/SciPy reference each one shadows.
 """
 
 from __future__ import annotations
@@ -16,12 +17,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.continuous import N_FIELDS, solve_accumulated
+from repro.core.continuous import (
+    N_FIELDS,
+    solve_accumulated,
+    stack_box_sum,
+    stack_pointwise_fields,
+)
 from repro.core.linalg import gaussian_eliminate
+from repro.core.matching import _HostEvaluator, hypothesis_order, track_dense
+from repro.kernels.reference import box_sum_stack, pointwise_fields
 from repro.native import (
+    adversarial_box_stack,
     adversarial_packed,
+    adversarial_planes,
     native_available,
+    native_box_sum_available,
+    native_box_sum_planes,
     native_gauss_eliminate,
+    native_pointwise_planes,
     native_solve_packed,
     native_status,
     same_bits,
@@ -218,6 +231,142 @@ class TestFusedTemplateSolve:
             solve_accumulated(np.zeros((4, 27)))
 
 
+def _random_planes(n: int, h: int, w: int, seed: int):
+    rng = np.random.default_rng(seed)
+    p, q = rng.normal(size=(2, h, w))
+    p_after, q_after = rng.normal(size=(2, n, h, w))
+    return p, q, 1.0 + p * p, 1.0 + q * q, p_after, q_after
+
+
+def _assert_pointwise_matches(p, q, e, g, p_after, q_after):
+    with np.errstate(all="ignore"):
+        ref = pointwise_fields(p[None], q[None], p_after, q_after, e[None], g[None])
+        planes = native_pointwise_planes(p, q, e, g, p_after, q_after)
+    assert planes.shape == (p_after.shape[0], N_FIELDS) + p.shape
+    assert same_bits(ref, np.moveaxis(planes, 1, 3))
+
+
+@needs_native
+class TestPointwisePlanes:
+    """``pointwise_planes`` against NumPy ``pointwise_fields``, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n,h,w", [(1, 96, 96), (3, 17, 23), (2, 1, 9), (2, 7, 1), (4, 5, 130)]
+    )
+    def test_random_planes(self, n, h, w):
+        _assert_pointwise_matches(*_random_planes(n, h, w, seed=n * 1000 + h + w))
+
+    def test_adversarial_planes(self):
+        planes = adversarial_planes()
+        assert planes[4].shape[0] > 1
+        _assert_pointwise_matches(*planes)
+
+    @pytest.mark.parametrize("n,h,w", [(2, 9, 300), (1, 33, 5)])
+    def test_adversarial_planes_across_tiles(self, n, h, w):
+        """Shapes whose pixel count spans several 128-pixel tiles."""
+        _assert_pointwise_matches(*adversarial_planes(n, h, w, seed=h * w))
+
+    def test_semifluid_gathered_after_planes(self, prepared_semifluid):
+        chunk = hypothesis_order(prepared_semifluid.config.n_zs)[:3]
+        native_pw, dy, _ = _HostEvaluator(prepared_semifluid, 1e-9).stage(chunk)
+        numpy_pw, dy_np, _ = _HostEvaluator(prepared_semifluid, 1e-9, False).stage(chunk)
+        assert dy is not None and np.array_equal(dy, dy_np)
+        assert np.moveaxis(native_pw, 3, 1).flags.c_contiguous  # the native build
+        assert numpy_pw.flags.c_contiguous  # the NumPy build
+        assert same_bits(native_pw, numpy_pw)
+
+    def test_dispatch_shapes(self):
+        """Only (1, H, W) before and (n, H, W) after planes go native."""
+        p, q, e, g, p_after, q_after = _random_planes(2, 6, 8, seed=1)
+        stacked = stack_pointwise_fields(p[None], q[None], p_after, q_after, e[None], g[None])
+        assert np.moveaxis(stacked, 3, 1).flags.c_contiguous
+        flat = stack_pointwise_fields(p, q, p_after[0], q_after[0], e, g)
+        assert flat.flags.c_contiguous and flat.shape == (6, 8, N_FIELDS)
+        assert same_bits(stacked[0], flat)
+
+
+def _assert_box_sum_matches(planes, half_width):
+    side = 2 * half_width + 1
+    with np.errstate(all="ignore"):
+        ref = box_sum_stack(np.moveaxis(planes, 1, 3), half_width)
+        got = native_box_sum_planes(planes, side, side)
+    assert same_bits(ref, np.moveaxis(got, 1, 3))
+
+
+@needs_native
+@pytest.mark.skipif(not native_box_sum_available(), reason=native_status())
+class TestBoxSumPlanes:
+    """``box_sum_planes`` against SciPy's ``uniform_filter``, bit for bit."""
+
+    @pytest.mark.parametrize("half_width", range(1, 7))
+    @pytest.mark.parametrize(
+        "n,h,w", [(1, 64, 64), (2, 17, 23), (1, 47, 70), (2, 3, 40), (1, 40, 3)]
+    )
+    def test_random_planes(self, n, h, w, half_width):
+        rng = np.random.default_rng(h * 100 + w + half_width)
+        size = (n, N_FIELDS, h, w)
+        planes = rng.normal(size=size) * 10.0 ** rng.uniform(-6, 6, size=size)
+        _assert_box_sum_matches(planes, half_width)
+
+    @pytest.mark.parametrize("half_width", range(1, 7))
+    def test_adversarial_stack(self, half_width):
+        _assert_box_sum_matches(adversarial_box_stack(), half_width)
+
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 9), (9, 1), (2, 5), (5, 2)])
+    @pytest.mark.parametrize("half_width", [1, 4, 6])
+    def test_lines_shorter_than_the_window(self, h, w, half_width):
+        _assert_box_sum_matches(adversarial_box_stack(2, h, w, seed=h * 10 + w), half_width)
+
+    def test_pointwise_output(self):
+        """The layout the evaluator hands over: fields of three hypotheses."""
+        planes = native_pointwise_planes(*_random_planes(3, 31, 45, seed=5))
+        for half_width in (1, 3, 6):
+            _assert_box_sum_matches(planes, half_width)
+
+    @pytest.mark.parametrize("side_y,side_x", [(1, 5), (7, 1), (3, 9), (1, 1)])
+    def test_rectangular_and_unit_sides(self, side_y, side_x):
+        from scipy import ndimage
+
+        planes = adversarial_box_stack(1, 11, 13, seed=side_y * side_x)
+        with np.errstate(all="ignore"):
+            ref = ndimage.uniform_filter(
+                planes, size=(1, 1, side_y, side_x), mode="constant", cval=0.0
+            ) * float(side_y * side_x)
+            got = native_box_sum_planes(planes, side_y, side_x)
+        assert same_bits(ref, got)
+
+    def test_dispatch_reads_channels_first_in_place(self):
+        planes = native_pointwise_planes(*_random_planes(2, 12, 14, seed=6))
+        fields = np.moveaxis(planes, 1, 3)
+        via_dispatch = stack_box_sum(fields, 2)
+        assert np.moveaxis(via_dispatch, 3, 1).flags.c_contiguous
+        assert same_bits(via_dispatch, box_sum_stack(fields, 2))
+        # A channels-last buffer takes the SciPy path, with the same bits.
+        assert same_bits(stack_box_sum(np.ascontiguousarray(fields), 2), via_dispatch)
+
+
+@needs_native
+def test_numpy_backend_never_reaches_the_hypothesis_kernels(monkeypatch, prepared_semifluid):
+    """``backend="numpy"`` stays pure NumPy/SciPy; ``"auto"`` calls both kernels."""
+    from repro import native
+
+    calls = []
+    for name in ("native_pointwise_planes", "native_box_sum_planes"):
+        real = getattr(native, name)
+
+        def spy(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(native, name, spy)
+    reference = track_dense(prepared_semifluid, backend="numpy")
+    assert calls == []
+    auto = track_dense(prepared_semifluid, backend="auto")
+    assert "native_pointwise_planes" in calls
+    assert ("native_box_sum_planes" in calls) == native_box_sum_available()
+    assert auto.error.tobytes() == reference.error.tobytes()
+
+
 class TestBuildCacheKey:
     """The build cache must key on compiler identity + flags, not just source."""
 
@@ -334,6 +483,59 @@ class TestLoadRetry:
         assert "template solve" in native.native_status()
         assert not native.native_available()
         assert calls["n"] == 1, "a wrong kernel must not be re-probed"
+
+    def test_pointwise_self_check_failure_is_permanent(self, monkeypatch):
+        """A field build that disagrees with NumPy untrusts the whole library."""
+        from repro import native
+
+        calls = {"n": 0}
+        real = native._call_pointwise_planes
+
+        def flipped_sign(lib, *planes):
+            calls["n"] += 1
+            out = real(lib, *planes)
+            out[0, 17] = np.negative(out[0, 17])
+            return out
+
+        monkeypatch.setattr(native, "_call_pointwise_planes", flipped_sign)
+        assert not native.native_available()
+        assert "pointwise" in native.native_status()
+        assert not native.native_box_sum_available()
+        assert not native.native_available()
+        assert calls["n"] == 1, "a wrong kernel must not be re-probed"
+
+    def test_box_sum_self_check_failure_disables_only_the_box_sum(self, monkeypatch):
+        """A SciPy whose uniform_filter rounds differently must not take
+        the fused solve down with the box sum."""
+        from repro import native
+
+        real = native._call_box_sum_planes
+
+        def off_by_one_ulp(lib, planes, side_y, side_x):
+            return np.nextafter(real(lib, planes, side_y, side_x), np.inf)
+
+        monkeypatch.setattr(native, "_call_box_sum_planes", off_by_one_ulp)
+        assert native.native_available()
+        assert not native.native_box_sum_available()
+        status = native.native_status()
+        assert status.startswith("available; ") and "box_sum_planes" in status
+        with pytest.raises(RuntimeError, match="box sum unavailable"):
+            native.native_box_sum_planes(np.zeros((1, 3, 3)), 3, 3)
+
+        solves = []
+        real_solve = native.native_solve_packed
+
+        def spy(fields, ridge):
+            solves.append(fields.shape)
+            return real_solve(fields, ridge)
+
+        monkeypatch.setattr(native, "native_solve_packed", spy)
+        planes = native.native_pointwise_planes(*_random_planes(1, 10, 12, seed=3))
+        fields = np.moveaxis(planes, 1, 3)
+        summed = stack_box_sum(fields, 2)  # the SciPy path, same bits
+        assert same_bits(summed, box_sum_stack(fields, 2))
+        solve_accumulated(summed)
+        assert solves == [summed.shape]
 
     def test_reset_clears_the_outcome(self, monkeypatch):
         from repro import native

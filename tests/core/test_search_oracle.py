@@ -9,6 +9,10 @@ and is checked against the exhaustive ``backend="numpy"`` result of
   ladder) must match it byte for byte;
 * pruned rows must also prove they skipped work, with solve accounting
   that adds up to the exhaustive count;
+* the non-square rows repeat the exact rows on a crop whose sides are
+  no multiple of the certificate stride (nor of the native box sum's
+  row block), so the box-sum edges and the certificate-grid edges are
+  checked byte for byte too;
 * the approximate rows keep their documented bounds: the device backend
   through :func:`repro.kernels.digest.compare_results`, the pyramid
   schedule through its mean endpoint error (its flips are real motion
@@ -23,7 +27,12 @@ from typing import Callable
 import numpy as np
 import pytest
 
-from repro.core.matching import DEFAULT_BATCH_BYTES, PHASE_MATCHING, track_dense
+from repro.core.matching import (
+    DEFAULT_BATCH_BYTES,
+    PHASE_MATCHING,
+    prepare_frames,
+    track_dense,
+)
 from repro.kernels.digest import compare_results
 from repro.maspar.machine import scaled_machine
 from repro.obs.metrics import METRICS
@@ -31,6 +40,12 @@ from repro.parallel.parallel_sma import ParallelSMA
 from repro.reliability.degrade import DegradationLadder
 
 MODELS = ("continuous", "semifluid")
+
+#: Rows and columns of ``translation_frames`` kept by the non-square
+#: case: 46 x 62 px (1 and 2 mod CERT_STRIDE, 2 mod the box sum's
+#: 4-row block), folding onto a 23 x 31 PE grid.
+CROP = (slice(5, 51), slice(1, 63))
+CROP_MACHINE = (23, 31)
 
 #: Mean endpoint-error bound of the pyramid schedule (docs/performance.md).
 PYRAMID_MAX_MEAN_EPE = 0.5
@@ -57,6 +72,7 @@ class Case:
     frames: tuple
     config: object
     reference: object
+    machine: tuple = (8, 8)
 
     @property
     def full_solves(self) -> int:
@@ -74,6 +90,11 @@ def cases(prepared_continuous, prepared_semifluid, translation_frames,
     ):
         reference = track_dense(prepared, backend="numpy")
         out[model] = Case(prepared, translation_frames, config, reference)
+        crop = tuple(frame[CROP].copy() for frame in translation_frames)
+        prepared = prepare_frames(*crop, config)
+        out[f"{model}-nonsquare"] = Case(
+            prepared, crop, config, track_dense(prepared, backend="numpy"), CROP_MACHINE
+        )
     return out
 
 
@@ -104,7 +125,7 @@ def _parallel(search, backend="auto", segment_rows=None):
     def run(case):
         f0, f1 = case.frames
         out = ParallelSMA(
-            case.config, machine=scaled_machine(8, 8), search=search, backend=backend,
+            case.config, machine=scaled_machine(*case.machine), search=search, backend=backend,
             segment_rows=segment_rows,
         ).track_pair(f0, f1, dt_seconds=60.0)
         assert out.field.metadata["search"] == search
@@ -153,6 +174,12 @@ def _rows() -> list[Row]:
                     ))
             rows.append(Row(f"{model}-device-{search}", model, _dense(search, "device"),
                             kind="device", pruned=search == "pruned"))
+            for backend in ("numpy", "auto"):
+                for runner, label in ((_dense, "dense"), (_parallel, "parallel")):
+                    rows.append(Row(
+                        f"{model}-nonsquare-{label}-{search}-{backend}", f"{model}-nonsquare",
+                        runner(search, backend), pruned=search == "pruned",
+                    ))
     rows.append(Row("continuous-ladder-pruned", "continuous", _ladder("pruned"), pruned=True))
     rows.append(Row("continuous-pyramid", "continuous", _dense("pyramid"), kind="pyramid"))
     return rows
