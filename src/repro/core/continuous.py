@@ -125,24 +125,28 @@ class MotionSolution:
 
 
 def solve_accumulated(
-    fields: np.ndarray, ridge: float = 1e-9, prefer_native: bool = True
+    fields: np.ndarray, ridge: float = 1e-9, prefer_native: bool = True, pixels=None
 ) -> MotionSolution:
     """Minimize the accumulated template error (Step 2 of Section 2.2).
 
     ``fields`` are template-summed packed fields.  A tiny ridge term
     stabilizes near-degenerate patches without perturbing
     well-conditioned solutions; set ``ridge=0`` for the strict paper
-    formulation.  With ``prefer_native`` (``backend="numpy"`` pins it
-    False) and the compiled library loaded, the whole solve runs in the
-    fused native kernel, bit-identical to the NumPy steps below and
-    reading ``fields`` through its strides without a copy.
+    formulation.  ``pixels`` (flat indices over the leading axes)
+    solves only ``fields.reshape(-1, N_FIELDS)[pixels]``.  With
+    ``prefer_native`` (``backend="numpy"`` pins it False) and the
+    compiled library loaded, the whole solve runs in the fused native
+    kernel, bit-identical to the NumPy steps below and reading
+    ``fields`` through its strides, at ``pixels`` too, without a copy.
     """
     if prefer_native:
         from ..native import native_available, native_solve_packed
 
         if native_available():
-            theta, error, singular = native_solve_packed(fields, ridge)
+            theta, error, singular = native_solve_packed(fields, ridge, pixels)
             return MotionSolution(params=theta, error=error, singular=singular)
+    if pixels is not None:
+        fields = np.asarray(fields).reshape(-1, N_FIELDS)[pixels]
     h, grad, c = unpack_fields(fields)
     if ridge:
         h = h + ridge * np.eye(N_PARAMS)

@@ -12,6 +12,10 @@ elimination schedule in lockstep on its own system, which is exactly a
 :func:`gaussian_eliminate` implements partial-pivot Gaussian
 elimination with back substitution, vectorized over arbitrary leading
 batch dimensions -- the SIMD-lockstep rendering of the paper's kernel.
+The native template solve (``solve_packed`` in ``repro/native/gauss.c``)
+renders it once more at the scale of one CPU: 4 or 8 systems share one
+vector register per matrix entry, each lane picks its own pivot by
+mask and blend, and the bits match this reference lane for lane.
 Singular (or numerically singular) systems are reported per batch
 element rather than raising, because in the SMA inner loop a flat
 surface patch simply means "no usable normal here" and the caller

@@ -344,7 +344,8 @@ class _HostEvaluator:
 
         The box sum covers the full image on purpose: its running-sum
         rounding depends on the distance from the array origin, so
-        cropping to the selected pixels would change bits.  The last box
+        cropping to the selected pixels would change bits.  The solve
+        reads the selected pixels where they lie.  The last box
         sum is kept alive until the next one: freeing it lets the
         allocator hand its pages back to the OS and fault them in again
         per hypothesis (2-3x the minor page faults, measured at 96 px).
@@ -353,8 +354,7 @@ class _HostEvaluator:
             pw, self.prepared.config.n_zt, prefer_native=self.prefer_native
         )
         solution = solve_accumulated(
-            acc if pixels is None else acc.reshape(-1, N_FIELDS)[pixels],
-            ridge=self.ridge, prefer_native=self.prefer_native,
+            acc, ridge=self.ridge, prefer_native=self.prefer_native, pixels=pixels
         )
         return solution.error, solution.params
 

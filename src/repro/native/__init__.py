@@ -13,9 +13,12 @@ or SciPy path it shadows:
 
 * :func:`native_gauss_eliminate` -- :func:`repro.core.linalg.gaussian_eliminate`;
 * :func:`native_solve_packed` -- :func:`repro.core.continuous.solve_accumulated`,
-  fused: it reads the 28 packed box sums through their strides, builds
-  each 6x6 system, solves it and evaluates the minimized error in one
-  pass, with none of the reference's full-array temporaries;
+  fused: it reads the 28 packed box sums through their strides (all of
+  them, or the flat pixel indices it is given), builds each 6x6 system,
+  solves it and evaluates the minimized error in one pass, with none of
+  the reference's full-array temporaries.  On x86 CPUs with AVX2 or
+  AVX-512F it solves 4 or 8 systems in lockstep, one per vector lane;
+  :func:`native_solve_lanes` reports the width;
 * :func:`native_pointwise_planes` --
   :func:`repro.kernels.reference.pointwise_fields` of one before frame
   against a stack of after planes, written channels-first;
@@ -31,7 +34,9 @@ The contract holds because
 * :func:`_self_check` verifies bitwise agreement of every entry point on
   adversarial inputs (random, singular, NaN, infinity, signed zeros,
   denormals, windows longer than the image) before the library is ever
-  trusted; any mismatch or build failure quietly disables it.
+  trusted -- the template solve at every lane width the CPU runs, one
+  system at a time included; any mismatch or build failure quietly
+  disables it.
 
 The box sum is the one exception to that all-or-nothing rule.  It
 answers to SciPy's *internal* running-sum arithmetic, which a SciPy
@@ -83,6 +88,7 @@ __all__ = [
     "native_box_sum_planes",
     "native_gauss_eliminate",
     "native_pointwise_planes",
+    "native_solve_lanes",
     "native_solve_packed",
     "native_status",
     "reset",
@@ -188,17 +194,27 @@ def _self_check(lib: ctypes.CDLL) -> None:
     from ..core.continuous import solve_accumulated
 
     # Channels-last view of a channels-first buffer: the layout the box
-    # sum hands over, read through its strides.
+    # sum hands over, read through its strides -- in full, and through
+    # an index list that puts every special row in every lane position.
     packed = np.moveaxis(np.ascontiguousarray(adversarial_packed().T), 0, -1)
+    pixels = adversarial_pixels()
+    runs = [(None, (), slice(None))]  # the dispatched width first
+    for lanes in _lane_widths(lib):
+        runs += [(lanes, (None, lanes), slice(None)), (lanes, (pixels, lanes), pixels)]
     for ridge in (1e-9, 0.0):
         with np.errstate(all="ignore"):
             ref = solve_accumulated(packed, ridge=ridge, prefer_native=False)
-            nat = _call_solve_packed(lib, packed, ridge)
-        if not (
-            same_bits(ref.params, nat[0]) and same_bits(ref.error, nat[1])
-            and np.array_equal(ref.singular, nat[2])
-        ):
-            raise AssertionError("native template solve disagrees with NumPy reference")
+        for lanes, extra, at in runs:
+            with np.errstate(all="ignore"):
+                nat = _call_solve_packed(lib, packed, ridge, *extra)
+            if not (
+                same_bits(ref.params[at], nat[0]) and same_bits(ref.error[at], nat[1])
+                and np.array_equal(ref.singular[at], nat[2])
+            ):
+                width = "" if lanes is None else f" at {lanes} lanes"
+                raise AssertionError(
+                    f"native template solve disagrees with NumPy reference{width}"
+                )
 
     from ..kernels.reference import pointwise_fields
 
@@ -271,6 +287,21 @@ def adversarial_packed(m: int = 128, seed: int = 20261017) -> np.ndarray:
     fields[10] *= 1e300
     fields[11, 27] = np.nan
     return fields
+
+
+def adversarial_pixels(specials: int = 12, m: int = 128, width: int = 8) -> np.ndarray:
+    """Flat indices into :func:`adversarial_packed` rows for the lane kernels.
+
+    One tile of ``width`` well-posed rows per (special row, lane
+    position) pair, with the special row at that position, then a short
+    tail of special rows so the last group is partial.  Any width that
+    divides ``width`` sees each special row in each of its lanes.
+    """
+    fill = np.arange(specials, m)
+    tile = np.arange(specials * width)  # tile t holds special row t // width
+    tiles = fill[(tile[:, None] * width + np.arange(width)) % fill.size]
+    tiles[tile, tile % width] = tile // width
+    return np.concatenate([tiles.ravel(), np.arange(width - 3)])
 
 
 def adversarial_planes(n: int = 3, h: int = 5, w: int = 7, seed: int = 20261018):
@@ -365,35 +396,62 @@ def _packed_layout(fields: np.ndarray) -> tuple[int, int, int, int, int] | None:
 
 
 def _call_solve_packed(
-    lib: ctypes.CDLL, fields: np.ndarray, ridge: float
+    lib: ctypes.CDLL, fields: np.ndarray, ridge: float, pixels=None, lanes: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``solve_packed`` on ``fields``, or on ``fields.reshape(-1, 28)[pixels]``.
+
+    ``lanes`` picks the kernel body: 0 the widest the CPU runs, else 1,
+    4 or 8 (the self-check and the tests pin each width in turn).
+    """
     fields = np.asarray(fields, dtype=np.float64)
     if fields.ndim == 0 or fields.shape[-1] != 28:
         raise ValueError(f"expected 28 packed fields, got shape {fields.shape}")
-    batch_shape = fields.shape[:-1]
-    m = int(np.prod(batch_shape, dtype=np.int64))
-    theta = np.empty((m, 6), dtype=np.float64)
-    error = np.empty(m, dtype=np.float64)
-    singular = np.empty(m, dtype=np.uint8)
-    if m:
+    m = int(np.prod(fields.shape[:-1], dtype=np.int64))
+    index = None
+    if pixels is None:
+        batch_shape = fields.shape[:-1]
+    else:
+        index = np.asarray(pixels)
+        if index.dtype.kind not in "iu":
+            raise TypeError(f"pixels must be integer indices, got {index.dtype}")
+        if index.size and (index.min() < -m or index.max() >= m):
+            raise IndexError(f"pixel index out of range for {m} systems")
+        batch_shape = index.shape
+        index = np.ascontiguousarray(np.where(index < 0, index + m, index).ravel(), dtype=np.intp)
+    count = int(np.prod(batch_shape, dtype=np.int64))
+    theta = np.empty((count, 6), dtype=np.float64)
+    error = np.empty(count, dtype=np.float64)
+    singular = np.empty(count, dtype=np.uint8)
+    if count:
         if fields.ndim == 1:
             fields = fields[None]
         layout = _packed_layout(fields)
         if layout is None:
             fields = np.ascontiguousarray(fields)
             layout = _packed_layout(fields)
-        lib.solve_packed(
+        status = lib.solve_packed(
             _doubles(fields),
             *(ctypes.c_ssize_t(v) for v in layout),
+            None if index is None else index.ctypes.data_as(ctypes.POINTER(ctypes.c_ssize_t)),
+            ctypes.c_ssize_t(count),
             ctypes.c_double(ridge),
             _doubles(theta), _doubles(error),
             singular.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
+            ctypes.c_int(lanes),
         )
+        if status:
+            raise ValueError(f"solve_packed cannot run {lanes} lanes on this CPU")
     return (
         theta.reshape(batch_shape + (6,)),
         error.reshape(batch_shape)[()],
         singular.view(np.bool_).reshape(batch_shape),
     )
+
+
+def _lane_widths(lib: ctypes.CDLL) -> tuple[int, ...]:
+    """The ``solve_packed`` widths this CPU runs, narrowest first."""
+    mask = lib.solve_lane_widths()
+    return tuple(w for w in (1, 4, 8) if mask & w)
 
 
 def _call_pointwise_planes(
@@ -467,11 +525,16 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
         lib.solve_packed.argtypes = [
             ctypes.POINTER(ctypes.c_double),
             *[ctypes.c_ssize_t] * 5,
+            ctypes.POINTER(ctypes.c_ssize_t),
+            ctypes.c_ssize_t,
             ctypes.c_double,
             ctypes.POINTER(ctypes.c_double),
             ctypes.POINTER(ctypes.c_double),
             ctypes.POINTER(ctypes.c_ubyte),
+            ctypes.c_int,
         ]
+        lib.solve_lane_widths.restype = ctypes.c_int
+        lib.solve_lane_widths.argtypes = []
         lib.pointwise_planes.restype = ctypes.c_int
         lib.pointwise_planes.argtypes = [
             *[ctypes.POINTER(ctypes.c_double)] * 6,
@@ -575,18 +638,30 @@ def native_gauss_eliminate(
 
 
 def native_solve_packed(
-    fields: np.ndarray, ridge: float
+    fields: np.ndarray, ridge: float, pixels=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(params, error, singular)`` of ``(..., 28)`` packed template sums.
 
-    Bit-identical to ``solve_accumulated(fields, ridge, prefer_native=False)``.
-    Any strided float64 layout is read in place.  Caller must check
+    Bit-identical to ``solve_accumulated(fields, ridge, prefer_native=False)``;
+    with ``pixels`` (flat indices over the leading axes) to solving
+    ``fields.reshape(-1, 28)[pixels]``, without gathering it.  Any
+    strided float64 layout is read in place.  Caller must check
     availability first.
     """
     lib, reason = _load()
     if lib is None:
         raise RuntimeError(f"native kernel unavailable: {reason}")
-    return _call_solve_packed(lib, fields, ridge)
+    return _call_solve_packed(lib, fields, ridge, pixels)
+
+
+def native_solve_lanes() -> int:
+    """Systems the native template solve runs side by side: 8 (AVX-512F),
+    4 (AVX2) or 1 (one at a time, and whenever the library is not loaded).
+
+    Read-only: the width follows the CPU and is not a setting.
+    """
+    lib = _load()[0]
+    return 1 if lib is None else _lane_widths(lib)[-1]
 
 
 def native_pointwise_planes(p, q, e, g, p_after, q_after) -> np.ndarray:

@@ -23,9 +23,14 @@
  *
  * Because IEEE add/mul/div are exactly rounded and the operand order is
  * identical, scalar C and vectorized NumPy produce identical bit patterns.
- * The Python wrapper cross-checks both entry points on import with
+ * The same holds lane by lane for the template solve's AVX2 / AVX-512F
+ * body at the end of this file, which this file #includes once per
+ * vector width.  The Python wrapper cross-checks every entry point, and
+ * the template solve at every width the CPU runs, on import with
  * fingerprint batches and refuses the library on any mismatch.
  */
+
+#ifndef LANES /* the lane-parallel body below is included once per width */
 
 #include <math.h>
 #include <stddef.h>
@@ -144,12 +149,15 @@ int gauss_eliminate(double *a, double *b, double *x, unsigned char *singular,
 
 /* The template solve of repro.core.continuous.solve_accumulated, fused.
  *
- * Reads outer * inner packed 28-field sums (21 upper-triangle entries of
- * the symmetric 6x6 H, 6 gradient entries, the constant c) in place:
- * system (o, p) starts at fields + o * outer_stride + p * pixel_stride
- * and its k-th field sits k * field_stride further on (strides in
- * doubles), so a channels-last view of channels-first box sums is read
- * without a copy.  Per system it replays the NumPy reference:
+ * Reads packed 28-field sums (21 upper-triangle entries of the
+ * symmetric 6x6 H, 6 gradient entries, the constant c) in place.  The
+ * systems are numbered flat over outer * inner: system (o, p) starts at
+ * fields + o * outer_stride + p * pixel_stride and its k-th field sits
+ * k * field_stride further on (strides in doubles), so a channels-last
+ * view of channels-first box sums is read without a copy.  With a
+ * pixels list the call solves only the count systems it names, in list
+ * order (any order, duplicates allowed); without one it solves all of
+ * them.  Per system it replays the NumPy reference:
  *
  *   - h = H + ridge * I over EVERY entry (off the diagonal that adds
  *     ridge * 0.0, which turns a -0.0 entry into +0.0), skipped when
@@ -162,41 +170,130 @@ int gauss_eliminate(double *a, double *b, double *x, unsigned char *singular,
  *     lanes start at +0.0, and c + (+0.0) is +0.0 for either zero c),
  *     so no signed-zero rule of np.maximum comes into play.
  *
- * theta (m*6), error (m) and singular (m) are written contiguously in
- * (o, p) order.  Returns 0. */
+ * On x86 CPUs with AVX2 (AVX-512F) the systems are solved 4 (8) at a
+ * time by the lane-parallel body at the end of this file, which
+ * replays solve_system lane by lane; everywhere else, and at lanes ==
+ * 1, one at a time by solve_system.
+ *
+ * theta (count*6, or outer*inner*6), error and singular are written
+ * contiguously in solve order.  lanes picks the body: 0 the widest the
+ * CPU runs, else 1, 4 or 8.  Returns 0, or -1 for a width the CPU
+ * cannot run. */
+enum { N_PARAMS = 6, N_TRIU = 21, N_FIELDS = 28, MAX_LANES = 8 };
+
+/* Solves n systems, the l-th starting at fields + off[l]; contiguous
+ * says off[l] == off[0] + l for every lane of a full group. */
+typedef void (*solve_group_fn)(const double *fields, const ptrdiff_t *off, int contiguous,
+                               ptrdiff_t field_stride, double ridge, ptrdiff_t n,
+                               double *theta, double *error, unsigned char *singular);
+
+static void solve_one(const double *fields, const ptrdiff_t *off, int contiguous,
+                      ptrdiff_t field_stride, double ridge, ptrdiff_t n, double *theta,
+                      double *error, unsigned char *singular)
+{
+    enum { N = N_PARAMS };
+    const double diag = ridge * 1.0;
+    const double offd = ridge * 0.0;
+    const double *f = fields + off[0];
+    double a[N * N], b[N], grad[N];
+    ptrdiff_t idx = 0;
+    (void)contiguous;
+    (void)n;
+    for (ptrdiff_t i = 0; i < N; i++)
+        for (ptrdiff_t j = i; j < N; j++, idx++) {
+            double v = f[idx * field_stride];
+            a[i * N + j] = v;
+            a[j * N + i] = v;
+        }
+    if (ridge != 0.0)
+        for (ptrdiff_t i = 0; i < N; i++)
+            for (ptrdiff_t j = 0; j < N; j++)
+                a[i * N + j] = a[i * N + j] + (i == j ? diag : offd);
+    for (ptrdiff_t k = 0; k < N; k++) {
+        grad[k] = f[(N_TRIU + k) * field_stride];
+        b[k] = -grad[k];
+    }
+    double c = f[(N_TRIU + N) * field_stride];
+    singular[0] = solve_system(a, b, theta, N);
+    double e = c + einsum_dot(theta, grad, N);
+    error[0] = e < 0.0 ? 0.0 : e;
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+#define LANES 4
+#define LANE_TARGET "avx2"
+#include "gauss.c"
+#undef LANES
+#undef LANE_TARGET
+#define LANES 8
+#define LANE_TARGET "avx512f"
+#include "gauss.c"
+#undef LANES
+#undef LANE_TARGET
+
+/* Bit w set: the CPU (and the OS, which must save the vector state)
+ * runs the w-lane body.  Probed once, when the library loads. */
+static int lane_widths = 1;
+
+__attribute__((constructor)) static void probe_lane_widths(void)
+{
+    __builtin_cpu_init();
+    lane_widths = 1 | (__builtin_cpu_supports("avx2") ? 4 : 0)
+                  | (__builtin_cpu_supports("avx512f") ? 8 : 0);
+}
+#else
+static const int lane_widths = 1;
+#endif
+
+/* The widths solve_packed accepts, as a bit mask of 1, 4 and 8. */
+int solve_lane_widths(void)
+{
+    return lane_widths;
+}
+
 int solve_packed(const double *fields, ptrdiff_t outer, ptrdiff_t outer_stride,
                  ptrdiff_t inner, ptrdiff_t pixel_stride, ptrdiff_t field_stride,
-                 double ridge, double *theta, double *error, unsigned char *singular)
+                 const ptrdiff_t *pixels, ptrdiff_t count, double ridge, double *theta,
+                 double *error, unsigned char *singular, int lanes)
 {
-    enum { N = 6, N_TRIU = 21 };
-    const double diag = ridge * 1.0;
-    const double off = ridge * 0.0;
-    for (ptrdiff_t o = 0; o < outer; o++) {
-        for (ptrdiff_t p = 0; p < inner; p++) {
-            const double *f = fields + o * outer_stride + p * pixel_stride;
-            ptrdiff_t s = o * inner + p;
-            double a[N * N], b[N], grad[N];
-            ptrdiff_t idx = 0;
-            for (ptrdiff_t i = 0; i < N; i++)
-                for (ptrdiff_t j = i; j < N; j++, idx++) {
-                    double v = f[idx * field_stride];
-                    a[i * N + j] = v;
-                    a[j * N + i] = v;
+    solve_group_fn group = solve_one;
+    if (lanes == 0)
+        lanes = lane_widths & 8 ? 8 : lane_widths & 4 ? 4 : 1;
+    if ((lanes != 1 && lanes != 4 && lanes != 8) || !(lane_widths & lanes))
+        return -1;
+#if defined(__x86_64__) || defined(__i386__)
+    if (lanes == 4)
+        group = solve_group4;
+    else if (lanes == 8)
+        group = solve_group8;
+#endif
+    ptrdiff_t total = pixels ? count : outer * inner;
+    ptrdiff_t off[MAX_LANES];
+    ptrdiff_t o = 0, p = 0; /* the next system when every one is solved */
+    for (ptrdiff_t s = 0; s < total; s += lanes) {
+        ptrdiff_t n = total - s < lanes ? total - s : lanes;
+        for (ptrdiff_t l = 0; l < n; l++) {
+            if (pixels) {
+                ptrdiff_t flat = pixels[s + l];
+                off[l] = outer == 1 ? flat * pixel_stride
+                                    : flat / inner * outer_stride + flat % inner * pixel_stride;
+            } else {
+                off[l] = o * outer_stride + p * pixel_stride;
+                if (++p == inner) {
+                    p = 0;
+                    o++;
                 }
-            if (ridge != 0.0)
-                for (ptrdiff_t i = 0; i < N; i++)
-                    for (ptrdiff_t j = 0; j < N; j++)
-                        a[i * N + j] = a[i * N + j] + (i == j ? diag : off);
-            for (ptrdiff_t k = 0; k < N; k++) {
-                grad[k] = f[(N_TRIU + k) * field_stride];
-                b[k] = -grad[k];
             }
-            double c = f[(N_TRIU + N) * field_stride];
-            double *x = theta + s * N;
-            singular[s] = solve_system(a, b, x, N);
-            double e = c + einsum_dot(x, grad, N);
-            error[s] = e < 0.0 ? 0.0 : e;
         }
+        /* Idle lanes of a short group re-solve the first system. */
+        int contiguous = n == lanes;
+        for (ptrdiff_t l = 1; l < lanes; l++) {
+            if (l >= n)
+                off[l] = off[0];
+            contiguous &= off[l] == off[0] + l;
+        }
+        group(fields, off, contiguous, field_stride, ridge, n, theta + s * N_PARAMS, error + s,
+              singular + s);
     }
     return 0;
 }
@@ -222,7 +319,7 @@ int solve_packed(const double *fields, ptrdiff_t outer, ptrdiff_t outer_stride,
  * per-pixel loop touches 28 distant cache lines per pixel.  Instead a
  * tile of TILE pixels is staged column by column and every field is
  * written as one contiguous run of the tile.  Returns 0. */
-enum { N_PARAMS = 6, N_FIELDS = 28, TILE = 128 };
+enum { TILE = 128 };
 
 static int a1_zero(int k) { return k == 1 || k == 5; }
 static int a2_zero(int k) { return k == 2 || k == 4; }
@@ -446,3 +543,175 @@ int box_sum_planes(const double *in, double *out, ptrdiff_t planes, ptrdiff_t h,
     free(ext);
     return 0;
 }
+
+#else /* LANES */
+
+/* The lane-parallel template solve: solve_one on LANES systems at once.
+ *
+ * Every lane follows the same elimination schedule on its own system --
+ * the MasPar's SIMD-lockstep PEs -- so each data-dependent branch of
+ * solve_system becomes a per-lane mask and a blend, and every lane
+ * replays the scalar arithmetic operation for operation:
+ *
+ *   - pivot: first maximum of |column k| with NaN maximal, as
+ *       take = !best_nan & (v > best | isnan(v))
+ *     blending best, its row index and best_nan on take;
+ *   - row swap: rows k and r trade columns >= k in the lanes whose
+ *     pivot row is r (columns < k are never read again);
+ *   - factors: a[i][k] / safe first, then +0.0 blended in where the
+ *     pivot is bad (|pivot| < SINGULAR_TOLERANCE, false for NaN);
+ *   - row updates: columns > k only.  Every entry at or left of the
+ *     pivot column is dead after step k: later pivots, factors and
+ *     updates read columns > k, and back substitution reads each
+ *     pivot and the entries right of it, none of which the skipped
+ *     updates would have written;
+ *   - back substitution and the error dot in np.einsum's two-lane
+ *     order (both contractions are shorter than 8: even terms into
+ *     lane 0, odd terms into lane 1, from +0.0, one combining add);
+ *   - singular zeroing and the clamp as blends.
+ *
+ * A contiguous group loads each field as one vector; any other stride,
+ * a short group and an index list load lane by lane.  Compiled for
+ * LANE_TARGET only, and called only when the CPU supports it. */
+
+#define LANE_CAT_(name, w) name##w
+#define LANE_CAT(name, w) LANE_CAT_(name, w)
+#define vd LANE_CAT(vd, LANES)
+#define vm LANE_CAT(vm, LANES)
+#define LANE_FN static inline __attribute__((target(LANE_TARGET), always_inline))
+
+typedef double vd __attribute__((vector_size(LANES * sizeof(double))));
+typedef long long vm __attribute__((vector_size(LANES * sizeof(double))));
+
+/* Lanes of a where m is set, of b elsewhere (m lanes are 0 or -1). */
+#define BLEND(m, a, b) ((vd)(((vm)(a) & (m)) | ((vm)(b) & ~(m))))
+#define VABS(v) ((vd)((vm)(v) & ~(vm)LANE_CAT(splat, LANES)(-0.0)))
+
+LANE_FN vd LANE_CAT(splat, LANES)(double x)
+{
+    vd v;
+    for (int l = 0; l < LANES; l++)
+        v[l] = x;
+    return v;
+}
+
+LANE_FN vd LANE_CAT(load, LANES)(const double *fields, const ptrdiff_t *off, int contiguous,
+                                 ptrdiff_t at)
+{
+    vd v;
+    if (contiguous) {
+        memcpy(&v, fields + off[0] + at, sizeof v);
+        return v;
+    }
+    for (int l = 0; l < LANES; l++)
+        v[l] = fields[off[l] + at];
+    return v;
+}
+
+#define SPLAT LANE_CAT(splat, LANES)
+#define LOAD(at) LANE_CAT(load, LANES)(fields, off, contiguous, (at))
+
+static __attribute__((target(LANE_TARGET))) void
+LANE_CAT(solve_group, LANES)(const double *fields, const ptrdiff_t *off, int contiguous,
+                             ptrdiff_t field_stride, double ridge, ptrdiff_t n, double *theta,
+                             double *error, unsigned char *singular)
+{
+    enum { N = N_PARAMS };
+    const vd zero = SPLAT(0.0), one = SPLAT(1.0), tol = SPLAT(SINGULAR_TOLERANCE);
+    const vm none = (vm)(zero != zero); /* every lane false */
+    vd a[N][N], b[N], grad[N], x[N];
+    for (int i = 0, idx = 0; i < N; i++)
+        for (int j = i; j < N; j++, idx++)
+            a[i][j] = a[j][i] = LOAD(idx * field_stride);
+    if (ridge != 0.0) {
+        const vd diag = SPLAT(ridge * 1.0), offd = SPLAT(ridge * 0.0);
+        for (int i = 0; i < N; i++)
+            for (int j = 0; j < N; j++)
+                a[i][j] = a[i][j] + (i == j ? diag : offd);
+    }
+    for (int k = 0; k < N; k++) {
+        grad[k] = LOAD((N_TRIU + k) * field_stride);
+        b[k] = -grad[k];
+    }
+    const vd c = LOAD((N_TRIU + N) * field_stride);
+
+    /* Both sweeps are unrolled in full so that every a[i][j] is a
+     * fixed register or spill slot, not an indexed stack array. */
+    vm sing = none;
+#pragma GCC unroll 6
+    for (int k = 0; k < N; k++) {
+        vd best = VABS(a[k][k]);
+        vm best_nan = (vm)(best != best);
+        vm index = none + k;
+        for (int i = k + 1; i < N; i++) {
+            vd v = VABS(a[i][k]);
+            vm v_nan = (vm)(v != v);
+            vm take = ~best_nan & ((vm)(v > best) | v_nan);
+            best = BLEND(take, v, best);
+            index = (take & i) | (~take & index);
+            best_nan = (take & v_nan) | (~take & best_nan);
+        }
+        for (int r = k + 1; r < N; r++) {
+            vm m = (vm)(index == r);
+            for (int j = k; j < N; j++) {
+                vd t = a[k][j];
+                a[k][j] = BLEND(m, a[r][j], t);
+                a[r][j] = BLEND(m, t, a[r][j]);
+            }
+            vd t = b[k];
+            b[k] = BLEND(m, b[r], t);
+            b[r] = BLEND(m, t, b[r]);
+        }
+        vd pivot = a[k][k];
+        vm bad = (vm)(VABS(pivot) < tol);
+        sing |= bad;
+        vd safe = BLEND(bad, one, pivot);
+        for (int i = k + 1; i < N; i++) {
+            vd factor = a[i][k] / safe;
+            factor = BLEND(bad, zero, factor);
+            for (int j = k + 1; j < N; j++)
+                a[i][j] -= factor * a[k][j];
+            b[i] -= factor * b[k];
+        }
+    }
+
+#pragma GCC unroll 6
+    for (int k = N - 1; k >= 0; k--) {
+        vd lane0 = zero, lane1 = zero;
+        for (int j = k + 1; j < N; j += 2) {
+            lane0 += a[k][j] * x[j];
+            if (j + 1 < N)
+                lane1 += a[k][j + 1] * x[j + 1];
+        }
+        vd pivot = a[k][k];
+        vd safe = BLEND((vm)(VABS(pivot) < tol), one, pivot);
+        x[k] = (b[k] - (lane0 + lane1)) / safe;
+    }
+    vd lane0 = zero, lane1 = zero;
+    for (int k = 0; k < N; k++) {
+        x[k] = BLEND(sing, zero, x[k]);
+        if (k % 2)
+            lane1 += x[k] * grad[k];
+        else
+            lane0 += x[k] * grad[k];
+    }
+    vd e = c + (lane0 + lane1);
+    e = BLEND((vm)(e < zero), zero, e);
+
+    for (ptrdiff_t l = 0; l < n; l++) {
+        for (int k = 0; k < N; k++)
+            theta[l * N + k] = x[k][l];
+        error[l] = e[l];
+        singular[l] = (unsigned char)(sing[l] & 1);
+    }
+}
+
+#undef LOAD
+#undef SPLAT
+#undef VABS
+#undef BLEND
+#undef LANE_FN
+#undef vm
+#undef vd
+
+#endif /* LANES */

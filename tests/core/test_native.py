@@ -211,24 +211,173 @@ class TestFusedTemplateSolve:
 
         calls = []
 
-        def spy(fields, ridge):
-            calls.append(fields.shape)
-            return native_solve_packed(fields, ridge)
+        def spy(fields, ridge, pixels=None):
+            calls.append((fields.shape, None if pixels is None else list(pixels)))
+            return native_solve_packed(fields, ridge, pixels)
 
         monkeypatch.setattr(native, "native_solve_packed", spy)
         fields = adversarial_packed(32, seed=6)
         via_dispatch = solve_accumulated(fields)
-        assert calls == [fields.shape]
+        assert calls == [(fields.shape, None)]
         direct = native_solve_packed(fields, 1e-9)
         assert via_dispatch.params.tobytes() == direct[0].tobytes()
         assert via_dispatch.error.tobytes() == direct[1].tobytes()
+        at = solve_accumulated(fields, pixels=np.array([5, 1]))
+        assert calls[1] == (fields.shape, [5, 1]), "pixels must reach the kernel ungathered"
+        assert at.error.tobytes() == direct[1][[5, 1]].tobytes()
         with np.errstate(all="ignore"):
             solve_accumulated(fields, prefer_native=False)
-        assert len(calls) == 1, "prefer_native=False must stay on the NumPy path"
+            solve_accumulated(fields, prefer_native=False, pixels=np.array([5, 1]))
+        assert len(calls) == 2, "prefer_native=False must stay on the NumPy path"
 
     def test_wrong_field_count_rejected(self):
         with pytest.raises(ValueError, match="28 packed fields"):
             solve_accumulated(np.zeros((4, 27)))
+
+
+def _lane_widths() -> tuple[int, ...]:
+    from repro import native
+
+    return native._lane_widths(native._load()[0])
+
+
+def _solve_at(fields, ridge, pixels=None, lanes=0):
+    """The fused solve pinned to one kernel width (0: the dispatched one)."""
+    from repro import native
+
+    return native._call_solve_packed(native._load()[0], fields, ridge, pixels, lanes)
+
+
+def _assert_lanes_match(fields, ridge, pixels=None):
+    """Every width the CPU runs, scalar and the dispatched one included,
+    against the NumPy reference, bit for bit."""
+    with np.errstate(all="ignore"):
+        ref = solve_accumulated(fields, ridge=ridge, prefer_native=False, pixels=pixels)
+        for lanes in (0,) + _lane_widths():
+            params, error, singular = _solve_at(fields, ridge, pixels, lanes)
+            assert same_bits(ref.params, params), f"params at {lanes} lanes"
+            assert same_bits(ref.error, error), f"error at {lanes} lanes"
+            assert singular.dtype == bool
+            np.testing.assert_array_equal(ref.singular, singular, err_msg=f"{lanes} lanes")
+    return ref
+
+
+def _special_tiles(width: int = 8) -> np.ndarray:
+    """One tile of ``width`` well-posed systems per (special row, lane
+    position), the special row at that position."""
+    specials = _adversarial_rows()
+    fill = adversarial_packed(64, seed=5)[12:]
+    tiles = []
+    for k, row in enumerate(specials):
+        for lane in range(width):
+            tile = np.roll(fill, -(k * width + lane), axis=0)[:width].copy()
+            tile[lane] = row
+            tiles.append(tile)
+    return np.concatenate(tiles)
+
+
+@needs_native
+class TestLaneSolve:
+    """The lane-parallel bodies against the NumPy reference at every width
+    the CPU runs, plus forced scalar: tails, lane positions, index lists
+    and layouts."""
+
+    def test_widths(self):
+        from repro import native
+
+        widths = _lane_widths()
+        assert widths[0] == 1 and set(widths) <= {1, 4, 8}
+        assert native.native_solve_lanes() == widths[-1]
+        with pytest.raises(ValueError, match="cannot run 2 lanes"):
+            _solve_at(adversarial_packed(16), 1e-9, lanes=2)
+
+    @pytest.mark.parametrize("ridge", [1e-9, 0.0])
+    @pytest.mark.parametrize("m", range(1, 18))
+    def test_every_tail(self, m, ridge):
+        # Well-posed rows first, the special rows in the short last group.
+        fields = np.roll(adversarial_packed(40, seed=m), m // 2, axis=0)[:m]
+        _assert_lanes_match(fields, ridge)
+        _assert_lanes_match(fields[::-1], ridge)  # negative pixel stride
+        view = np.moveaxis(np.ascontiguousarray(fields.T), 0, -1)
+        _assert_lanes_match(view, ridge)
+
+    @pytest.mark.parametrize("ridge", [1e-9, 0.0])
+    def test_special_system_in_every_lane(self, ridge):
+        """NaN, +-inf, singular, signed-zero and negative-c systems in each
+        lane position next to well-posed ones: no pivot or bad-pivot
+        blend may leak into a neighbouring lane."""
+        tiles = _special_tiles()
+        ref = _assert_lanes_match(tiles, ridge)
+        assert np.isnan(ref.error).any() and not np.isnan(ref.error).all()
+        assert ref.singular.any() == (ridge == 0.0)
+        view = np.moveaxis(np.ascontiguousarray(tiles.T), 0, -1)
+        _assert_lanes_match(view, ridge)
+        _assert_lanes_match(tiles[1:], ridge)  # every tile straddles two groups
+
+    @pytest.mark.parametrize("ridge", [1e-9, 0.0])
+    def test_index_lists(self, ridge):
+        rng = np.random.default_rng(31)
+        first = rng.normal(size=(1, N_FIELDS, 9, 11))
+        first[0, :, 2, 3] = 0.0
+        first[0, 4, 5, 5] = np.nan
+        first[0, 27, 8, 10] = -first[0, 27, 8, 10] - 1e6
+        view = np.moveaxis(first, 1, 3)
+        last = view[0].size // N_FIELDS - 1
+        for pixels in (
+            np.array([], dtype=np.intp),
+            np.array([last]),
+            np.array([2 * 11 + 3]),
+            rng.permutation(last + 1)[:37],
+            np.array([60, 5, 60, 60, 7, 5, 93, last, 0, 93]),
+            np.arange(last + 1),
+            np.array([-1, -last - 1]),
+        ):
+            _assert_lanes_match(view, ridge, pixels)
+        params, error, singular = native_solve_packed(view, ridge, np.array([], dtype=np.intp))
+        assert params.shape == (0, 6) and error.shape == singular.shape == (0,)
+        with pytest.raises(IndexError):
+            native_solve_packed(view, ridge, np.array([last + 1]))
+
+    def test_index_list_of_special_tiles(self):
+        from repro.native import adversarial_pixels
+
+        packed = adversarial_packed()
+        view = np.moveaxis(np.ascontiguousarray(packed.T), 0, -1)
+        pixels = adversarial_pixels()
+        for ridge in (1e-9, 0.0):
+            _assert_lanes_match(view, ridge, pixels)
+            _assert_lanes_match(packed, ridge, pixels[::-1])
+
+    @pytest.mark.parametrize("ridge", [1e-9, 0.0])
+    def test_multi_hypothesis_chunk(self, ridge):
+        """``outer > 1``: a (n, H, W, 28) exhaustive chunk whose rows are
+        no multiple of any width, so lane groups span two hypotheses."""
+        rng = np.random.default_rng(32)
+        first = rng.normal(size=(3, N_FIELDS, 5, 7)) * np.exp(rng.normal(size=(3, 1, 5, 7)))
+        first[1, :, 4, 6] = 0.0
+        first[2, 0, 0, 0] = np.inf
+        view = np.moveaxis(first, 1, 3)
+        _assert_lanes_match(view, ridge)
+        _assert_lanes_match(view, ridge, np.array([104, 0, 35, 34, 70, 69, 36, 104]))
+        _assert_lanes_match(np.ascontiguousarray(view), ridge)
+
+    def test_strided_inputs(self):
+        fields = _special_tiles(4)
+        for ridge in (1e-9, 0.0):
+            _assert_lanes_match(fields[::3], ridge)
+            _assert_lanes_match(fields[:, None, :][::2], ridge)
+            _assert_lanes_match(fields[::2], ridge, np.arange(0, 60, 7))
+
+    def test_luis_box_sums(self, prepared_continuous):
+        """Box sums of one real hypothesis, in full and at survivors."""
+        evaluator = _HostEvaluator(prepared_continuous, 1e-9)
+        pw, _, _ = evaluator.stage([hypothesis_order(prepared_continuous.config.n_zs)[3]])
+        evaluator.solve(pw)
+        acc = evaluator._last_acc
+        survivors = np.flatnonzero(np.random.default_rng(33).random(acc[0, ..., 0].size) < 0.3)
+        for ridge in (1e-9, 0.0):
+            _assert_lanes_match(acc, ridge)
+            _assert_lanes_match(acc, ridge, survivors)
 
 
 def _random_planes(n: int, h: int, w: int, seed: int):
@@ -484,6 +633,38 @@ class TestLoadRetry:
         assert not native.native_available()
         assert calls["n"] == 1, "a wrong kernel must not be re-probed"
 
+    def test_lane_self_check_failure_is_permanent(self, monkeypatch):
+        """A template solve that disagrees at one lane width only -- the
+        widest, read through an index list -- untrusts the whole library."""
+        from repro import native
+
+        calls = {"n": 0}
+        real = native._call_solve_packed
+
+        def wrong_at_widest(lib, fields, ridge, pixels=None, lanes=0):
+            calls["n"] += 1
+            params, error, singular = real(lib, fields, ridge, pixels, lanes)
+            if pixels is not None and lanes == native._lane_widths(lib)[-1]:
+                error = np.nextafter(error, np.inf)
+            return params, error, singular
+
+        monkeypatch.setattr(native, "_call_solve_packed", wrong_at_widest)
+        assert not native.native_available()
+        status = native.native_status()
+        assert "template solve" in status and "lanes" in status
+        assert native.native_solve_lanes() == 1
+        probes = calls["n"]
+        assert not native.native_available()
+        assert calls["n"] == probes, "a wrong kernel must not be re-probed"
+
+    def test_status_reads_exactly_available_when_trusted(self):
+        from repro import native
+
+        if not native.native_available():
+            pytest.skip(f"native kernel unavailable: {native.native_status()}")
+        assert native.native_status() == "available"
+        assert native.native_solve_lanes() in (1, 4, 8)
+
     def test_pointwise_self_check_failure_is_permanent(self, monkeypatch):
         """A field build that disagrees with NumPy untrusts the whole library."""
         from repro import native
@@ -525,9 +706,9 @@ class TestLoadRetry:
         solves = []
         real_solve = native.native_solve_packed
 
-        def spy(fields, ridge):
+        def spy(fields, ridge, pixels=None):
             solves.append(fields.shape)
-            return real_solve(fields, ridge)
+            return real_solve(fields, ridge, pixels)
 
         monkeypatch.setattr(native, "native_solve_packed", spy)
         planes = native.native_pointwise_planes(*_random_planes(1, 10, 12, seed=3))

@@ -13,6 +13,10 @@ and is checked against the exhaustive ``backend="numpy"`` result of
   no multiple of the certificate stride (nor of the native box sum's
   row block), so the box-sum edges and the certificate-grid edges are
   checked byte for byte too;
+* the odd rows repeat the ``track_dense`` rows (and the pyramid row)
+  on a crop of 2,745 pixels, one more than a multiple of 8, so the
+  native solve's 4- and 8-system lane groups straddle hypotheses and
+  end short;
 * the approximate rows keep their documented bounds: the device backend
   through :func:`repro.kernels.digest.compare_results`, the pyramid
   schedule through its mean endpoint error (its flips are real motion
@@ -46,6 +50,10 @@ MODELS = ("continuous", "semifluid")
 #: 4-row block), folding onto a 23 x 31 PE grid.
 CROP = (slice(5, 51), slice(1, 63))
 CROP_MACHINE = (23, 31)
+
+#: The odd case: 45 x 61 px = 2,745 pixels, 1 mod 8 and 1 mod 4, so a
+#: one-hypothesis solve of the whole image ends on a one-system lane group.
+ODD_CROP = (slice(5, 50), slice(1, 62))
 
 #: Mean endpoint-error bound of the pyramid schedule (docs/performance.md).
 PYRAMID_MAX_MEAN_EPE = 0.5
@@ -95,6 +103,9 @@ def cases(prepared_continuous, prepared_semifluid, translation_frames,
         out[f"{model}-nonsquare"] = Case(
             prepared, crop, config, track_dense(prepared, backend="numpy"), CROP_MACHINE
         )
+        crop = tuple(frame[ODD_CROP].copy() for frame in translation_frames)
+        prepared = prepare_frames(*crop, config)
+        out[f"{model}-odd"] = Case(prepared, crop, config, track_dense(prepared, backend="numpy"))
     return out
 
 
@@ -180,8 +191,13 @@ def _rows() -> list[Row]:
                         f"{model}-nonsquare-{label}-{search}-{backend}", f"{model}-nonsquare",
                         runner(search, backend), pruned=search == "pruned",
                     ))
+                rows.append(Row(
+                    f"{model}-odd-dense-{search}-{backend}", f"{model}-odd",
+                    _dense(search, backend), pruned=search == "pruned",
+                ))
     rows.append(Row("continuous-ladder-pruned", "continuous", _ladder("pruned"), pruned=True))
     rows.append(Row("continuous-pyramid", "continuous", _dense("pyramid"), kind="pyramid"))
+    rows.append(Row("continuous-odd-pyramid", "continuous-odd", _dense("pyramid"), kind="pyramid"))
     return rows
 
 
