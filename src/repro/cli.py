@@ -320,8 +320,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     admin.add_argument(
         "--state-dir", type=str, default=None, metavar="DIR",
-        help="operate directly on a *stopped* server's state directory "
-        "(mutually exclusive with --url)",
+        help="operate directly on a server's state directory through "
+        "the locked job store (mutually exclusive with --url)",
     )
     admin.add_argument(
         "--job", type=str, default=None, metavar="JOB_ID",
@@ -1004,10 +1004,12 @@ def _cmd_serve_admin(args: argparse.Namespace) -> int:
     """Operator console: dead-letter list/requeue + flight recorder.
 
     Two transports: ``--url`` talks to a live server over HTTP;
-    ``--state-dir`` opens a *stopped* server's journal directly (the
-    queue flushes the requeue back to disk before exiting; the flight
-    recorder is read-only and torn-tail tolerant, so ``flightlog``
-    works against a SIGKILLed server's directory).
+    ``--state-dir`` opens the directory's queue directly, through the
+    same locked journal the servers use, so it is safe beside live
+    fleet nodes (a nodeless console never revokes their leases, and a
+    requeue is one journal record); the flight recorder is read-only
+    and torn-tail tolerant, so ``flightlog`` works against a SIGKILLed
+    server's directory.
     """
     if (args.url is None) == (args.state_dir is None):
         print("error: pass exactly one of --url or --state-dir", file=sys.stderr)
@@ -1052,16 +1054,18 @@ def _cmd_serve_admin(args: argparse.Namespace) -> int:
 
         state_path = os.path.join(args.state_dir, "queue.json")
         queue = JobQueue(max_depth=1_000_000, state_path=state_path)
-        if args.action == "requeue":
-            try:
-                job = queue.requeue(args.job_id)
-            except (KeyError, ValueError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            queue.save()
-            print(f"requeued {job.id} (state={job.state})")
-            return 0
-        jobs = [job.to_dict() for job in queue.list_jobs(state="dead")]
+        try:
+            if args.action == "requeue":
+                try:
+                    job = queue.requeue(args.job_id)
+                except (KeyError, ValueError) as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    return 1
+                print(f"requeued {job.id} (state={job.state})")
+                return 0
+            jobs = [job.to_dict() for job in queue.list_jobs(state="dead")]
+        finally:
+            queue.dispose()
 
     if not jobs:
         print("dead-letter queue is empty")

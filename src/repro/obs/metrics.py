@@ -14,7 +14,8 @@ the stable set used by the pipeline is tabulated in
 machinery reports under ``serve.lease.*`` (granted / renewed / reaped /
 stale_completions), ``serve.retry.*`` (scheduled, backoff_seconds),
 ``serve.dead.*`` (total, jobs, requeued), ``serve.journal.*`` (records,
-compactions, torn_discarded), ``serve.workers.restarted`` and
+compactions, synced_records, torn_discarded, torn_tails_terminated),
+``serve.workers.restarted`` and
 ``serve.chaos.*`` -- see ``docs/serving.md``.
 
 Histograms are **fixed-bucket**: every sample lands in one of a set of

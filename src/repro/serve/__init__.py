@@ -13,7 +13,8 @@ pipelines, operational cloud-motion forecasting):
   grants with heartbeat reaping, bounded retry with exponential backoff,
   a dead-letter quarantine, and a checksummed write-ahead journal with
   torn-write-tolerant replay so a killed-and-restarted server resumes
-  every accepted job,
+  every accepted job; the journal is shared under an ``flock``, so a
+  fleet of processes over one state directory is one queue,
 * :mod:`repro.serve.cache`   -- a content-addressed result cache keyed
   on frame fingerprints + SMA parameters (LRU under a byte budget,
   atomic ``.npz`` artifacts), so identical requests never recompute,
@@ -31,14 +32,11 @@ pipelines, operational cloud-motion forecasting):
   ``GET /healthz``, ``GET /metrics`` with Prometheus content
   negotiation) wired to :mod:`repro.obs`, plus graceful drain and the
   crash-safe flight recorder (:mod:`repro.obs.events`),
-* :mod:`repro.serve.store`   -- the fleet layer: a cross-process
-  :class:`SharedJobStore` (many ``repro serve-worker`` nodes over one
-  state directory, flock-serialized WAL replication, fleet-wide dedup
-  and lease reaping) and the :class:`NodeRegistry` heartbeat roster,
-* :mod:`repro.serve.frontend` -- the asyncio HTTP frontend: one event
-  loop multiplexing thousands of clients over the shared
-  :func:`~repro.serve.http.route` dispatcher, byte-identical responses
-  to the threaded server.
+* :mod:`repro.serve.store`   -- fleet membership: node identities and
+  the :class:`NodeRegistry` heartbeat roster,
+* :mod:`repro.serve.frontend` -- the asyncio HTTP server: one event
+  loop multiplexing thousands of clients over the
+  :func:`~repro.serve.http.route` dispatcher.
 
 Serve-mode chaos (``repro serve --chaos``) arms a seeded
 :class:`~repro.reliability.injection.ServeChaosPlan` that crashes,
@@ -53,7 +51,7 @@ from __future__ import annotations
 from ..reliability.injection import ServeChaosPlan
 from .cache import ResultCache, result_key
 from .frontend import AsyncFrontend, make_async_server
-from .http import ServeApp, make_server, route
+from .http import ServeApp, route
 from .jobs import ACTIVE_STATES, JOB_STATES, Job, JobRequest, JobValidationError, ServeLimits
 from .queue import (
     JobQueue,
@@ -63,7 +61,7 @@ from .queue import (
     QueueJournal,
 )
 from .slo import SLOConfig, SLOTracker
-from .store import NodeRegistry, SharedJobStore, default_node_id
+from .store import NodeRegistry, default_node_id
 from .workers import WorkerPool
 
 __all__ = [
@@ -85,11 +83,9 @@ __all__ = [
     "ServeApp",
     "ServeChaosPlan",
     "ServeLimits",
-    "SharedJobStore",
     "WorkerPool",
     "default_node_id",
     "make_async_server",
-    "make_server",
     "result_key",
     "route",
 ]

@@ -37,7 +37,8 @@ Routes (all JSON unless noted):
 
 :class:`ServeApp` owns the queue, result cache, worker pool, shared
 preparation cache and the serving :class:`~repro.maspar.cost.CostLedger`;
-:func:`make_server` binds it to a :class:`ThreadingHTTPServer`.
+:func:`route` maps requests onto it, and
+:class:`~repro.serve.frontend.AsyncFrontend` serves ``route`` over HTTP.
 Graceful drain: stop admitting, finish every accepted job, persist
 state, then shut the listener down -- SIGTERM loses nothing.  Ungraceful
 death loses nothing either: the queue journals every accepted mutation,
@@ -53,7 +54,6 @@ import json
 import logging
 import os
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
@@ -85,8 +85,8 @@ from .jobs import (
     JobValidationError,
     ServeLimits,
 )
-from .queue import JobQueue, LoadShedError, LoadShedPolicy, QueueFullError
-from .store import NodeRegistry, SharedJobStore, default_node_id
+from .queue import JobQueue, LoadShedError, LoadShedPolicy, QueueFullError, fcntl
+from .store import NodeRegistry, default_node_id
 from .workers import WorkerPool
 
 _LOG = get_logger("serve.http")
@@ -99,7 +99,8 @@ class ServeApp:
     """Everything behind the HTTP surface, usable without HTTP too.
 
     Tests and benchmarks drive :meth:`submit_payload` / :meth:`drain`
-    directly; the CLI wraps it in :func:`make_server`.
+    directly; the CLI serves it through
+    :func:`~repro.serve.frontend.make_async_server`.
     """
 
     def __init__(
@@ -163,9 +164,16 @@ class ServeApp:
         self.ledger = CostLedger(GODDARD_MP2)
         self._ledger_lock = threading.Lock()
         #: Fleet mode: this app is one node of many over a shared state
-        #: directory -- the queue becomes the cross-process
-        #: :class:`SharedJobStore`, the flight journal becomes per-node,
-        #: and a :class:`NodeRegistry` heartbeat announces membership.
+        #: directory -- it gets a node id (its workers lease as
+        #: ``<node>/...``), a per-node flight journal, and a
+        #: :class:`NodeRegistry` heartbeat announcing membership.  The
+        #: queue is the same durable store either way; one server is a
+        #: fleet of one.
+        if fleet and fcntl is None:  # pragma: no cover - non-POSIX
+            raise RuntimeError(
+                "fleet mode needs POSIX flock to share a state directory; "
+                "run a single server on this platform"
+            )
         self.fleet = bool(fleet)
         self.node = node or (default_node_id() if fleet else None)
         self.registry = NodeRegistry(state_dir) if fleet else None
@@ -189,29 +197,17 @@ class ServeApp:
             backoff_factor=2.0,
             jitter=0.0,
         )
-        if fleet:
-            self.queue = SharedJobStore(
-                state_dir,
-                node=self.node,
-                max_depth=queue_depth,
-                lease_seconds=lease_seconds,
-                job_timeout_seconds=job_timeout_seconds,
-                retry_policy=retry_policy,
-                on_recovery_seconds=self._charge_recovery,
-                recorder=self.recorder,
-                on_terminal=self.slo_tracker.record_job,
-            )
-        else:
-            self.queue = JobQueue(
-                max_depth=queue_depth,
-                state_path=os.path.join(state_dir, "queue.json"),
-                lease_seconds=lease_seconds,
-                job_timeout_seconds=job_timeout_seconds,
-                retry_policy=retry_policy,
-                on_recovery_seconds=self._charge_recovery,
-                recorder=self.recorder,
-                on_terminal=self.slo_tracker.record_job,
-            )
+        self.queue = JobQueue(
+            max_depth=queue_depth,
+            state_path=os.path.join(state_dir, "queue.json"),
+            node=self.node,
+            lease_seconds=lease_seconds,
+            job_timeout_seconds=job_timeout_seconds,
+            retry_policy=retry_policy,
+            on_recovery_seconds=self._charge_recovery,
+            recorder=self.recorder,
+            on_terminal=self.slo_tracker.record_job,
+        )
         self.cache = ResultCache(
             os.path.join(state_dir, "cache"), max_bytes=cache_bytes
         )
@@ -255,8 +251,7 @@ class ServeApp:
             self.live.stop()
         drained = self.queue.wait_idle(timeout=timeout)
         self.pool.stop()
-        if self.queue.state_path:
-            self.queue.save()
+        self.queue.save()
         if self.registry is not None:
             self.registry.remove(self.node)
         self.recorder.close()
@@ -623,11 +618,9 @@ def route(
 ) -> tuple[int, bytes, str, dict]:
     """Dispatch one request; ``(status, body, content type, headers)``.
 
-    Transport-independent routing shared by the thread-per-connection
-    :class:`ServeHandler` and the asyncio
-    :class:`~repro.serve.frontend.AsyncFrontend` -- both surfaces serve
-    byte-identical responses because both serve *this* function.
-    ``target`` is the raw request target (path + optional query);
+    Transport-independent routing: the asyncio
+    :class:`~repro.serve.frontend.AsyncFrontend` serves it over HTTP,
+    and tests call it directly.  ``target`` is the raw request target (path + optional query);
     ``accept`` drives the ``/metrics`` content negotiation.
     """
 
@@ -714,48 +707,3 @@ def route(
         status, payload = app.product_payload(path.rsplit("/", 1)[1])
         return as_json(status, payload)
     return as_json(404, {"error": f"no such route {path!r}"})
-
-
-class ServeHandler(BaseHTTPRequestHandler):
-    """Routes HTTP requests onto a :class:`ServeApp` (set by subclassing)."""
-
-    app: ServeApp = None  # type: ignore[assignment]
-    server_version = "repro-serve"
-
-    # -- plumbing ---------------------------------------------------------------------
-
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
-        log_event(
-            _LOG, logging.DEBUG, "serve.http",
-            client=self.client_address[0], line=format % args,
-        )
-
-    def _dispatch(self, method: str) -> None:
-        length = int(self.headers.get("Content-Length", "0") or 0)
-        body = self.rfile.read(length) if length > 0 else b""
-        status, payload, content_type, headers = route(
-            self.app, method, self.path, body, accept=self.headers.get("Accept")
-        )
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def do_POST(self) -> None:  # noqa: N802 -- http.server API
-        self._dispatch("POST")
-
-    def do_GET(self) -> None:  # noqa: N802 -- http.server API
-        self._dispatch("GET")
-
-
-def make_server(
-    app: ServeApp, host: str = "127.0.0.1", port: int = 0
-) -> ThreadingHTTPServer:
-    """A :class:`ThreadingHTTPServer` bound to ``app`` (port 0 = ephemeral)."""
-    handler = type("BoundServeHandler", (ServeHandler,), {"app": app})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server

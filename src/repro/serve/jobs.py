@@ -248,32 +248,13 @@ class Job:
         }
 
     @classmethod
-    def from_dict(cls, payload: dict, *, revoke_lease: bool = True) -> "Job":
-        """Inverse of :meth:`to_dict`.
-
-        With ``revoke_lease`` (the single-process restart default), a
-        job persisted mid-run comes back ``pending`` with its lease
-        revoked but its attempt count intact: the restarted server
-        re-executes it from scratch (the computation is a pure function
-        of the request, so the product is unaffected) and the crashed
-        attempt still counts against the retry budget, so a job that
-        crashes the server on every attempt ends up ``dead``, not in a
-        crash loop.  Legacy terminal ``failed`` restores as ``dead``.
-
-        The shared fleet store passes ``revoke_lease=False``: a job
-        running on *another* node must stay leased to that node when
-        this process (re)loads the shared state -- lease expiry, not
-        process restart, is the fleet-wide truth about worker death.
+    def from_dict(cls, payload: dict) -> "Job":
+        """Inverse of :meth:`to_dict`; legacy terminal ``failed``
+        restores as ``dead``.  Leases load as written -- which stale
+        ones to revoke is the queue's rule (see :mod:`repro.serve.queue`).
         """
         state = payload["state"]
-        started = payload.get("started_at")
-        worker = payload.get("worker")
-        lease_token = payload.get("lease_token")
-        lease_deadline = payload.get("lease_deadline")
-        if state == "running" and revoke_lease:
-            state, started = "pending", None
-            worker = lease_token = lease_deadline = None
-        elif state == "failed":
+        if state == "failed":
             state = "dead"
         return cls(
             id=payload["id"],
@@ -283,7 +264,7 @@ class Job:
             state=state,
             trace_id=payload.get("trace_id", ""),
             submitted_at=payload["submitted_at"],
-            started_at=started,
+            started_at=payload.get("started_at"),
             finished_at=payload.get("finished_at"),
             cache_hit=payload.get("cache_hit", False),
             result_key=payload.get("result_key"),
@@ -292,9 +273,9 @@ class Job:
             queue_wait_seconds=payload.get("queue_wait_seconds"),
             wall_seconds=payload.get("wall_seconds"),
             attempts=payload.get("attempts", 0),
-            worker=worker,
-            lease_token=lease_token,
-            lease_deadline=lease_deadline,
+            worker=payload.get("worker"),
+            lease_token=payload.get("lease_token"),
+            lease_deadline=payload.get("lease_deadline"),
             not_before=payload.get("not_before"),
             metadata=payload.get("metadata", {}),
         )

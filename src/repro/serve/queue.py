@@ -34,21 +34,51 @@ inspectable via ``GET /v1/jobs?state=dead`` and revivable with
 ``repro serve-admin requeue``.  A poison job quarantines alone; it
 never takes the pool down and never blocks other work.
 
-**Durability.** Accepting mutations append one checksummed JSONL record
-to a write-ahead journal (``<state_path>.wal``); a full snapshot
-(``state_path``) is written atomically on :meth:`save` and whenever the
-journal is compacted.  Replay is torn-write tolerant: a record half
-written when the process was SIGKILLed fails its checksum (or does not
-parse) and is discarded together with everything after it -- never
-fatal, never able to corrupt acknowledged jobs, because a job is only
-acknowledged to the client *after* its record is on disk.  A restarted
-server therefore resumes with every accepted job in exactly one of
-pending / retrying / done / dead -- jobs that were mid-run come back
-``pending`` with their lease revoked and the crashed attempt counted.
+**Durability.** With ``state_path=None`` the queue lives in memory.
+A durable queue keeps its state in files named after ``state_path``
+(``queue.json`` for a server's state directory):
+
+* ``queue.json``     -- the compaction snapshot, written atomically,
+* ``queue.json.wal`` -- the write-ahead journal: every accepting
+  mutation appends one checksummed JSONL line, flushed before the
+  caller is acknowledged,
+* ``queue.lock``     -- an ``flock`` serializing every operation across
+  processes (skipped where ``fcntl`` is missing, e.g. on Windows:
+  there a durable queue serves one process),
+* ``queue.gen``      -- a generation counter bumped on every compaction.
+
+Every operation takes the lock and first applies the records other
+processes appended since its last look (a byte cursor into the
+journal), so any number of processes over one state path -- the nodes
+of a serve fleet -- share one queue: job ids, dedup fingerprints,
+depth and leases are fleet-wide.  A single server is a fleet of one.
+A compaction bumps the generation, and a process whose cursor it
+invalidated reloads the snapshot and the journal.  ``close()`` stays
+process-local: a node draining for a restart stops only its own
+claims and submissions.
+
+**One replay policy.**  Only newline-terminated lines are records.  A
+complete line that fails its checksum or does not parse is counted
+(``serve.journal.torn_discarded``) and skipped; the records after it
+still apply.  A partial last line -- a writer SIGKILLed mid-append --
+is left unread, and the next append terminates it with a bare newline
+first, sacrificing exactly that record, which no client was ever
+acknowledged for.
+
+**One revocation rule.**  A loading queue holds no leases, so a
+``running`` job leased by this queue's own node (the ``<node>/``
+prefix of its worker; no prefix is the nodeless single-server case)
+belongs to a dead predecessor.  Its lease is revoked on load: the job
+comes back ``pending`` with the crashed attempt still counted, so a
+job that crashes the server on every attempt ends up ``dead``, not in
+a crash loop.  Leases of other nodes stay -- lease expiry, not a
+restart, is the truth about their workers.  Every reload applies the
+same rule, sparing only the leases this queue granted itself.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import heapq
 import json
@@ -58,6 +88,11 @@ import secrets
 import threading
 import time
 from collections import deque
+
+try:  # pragma: no cover - exercised implicitly on every POSIX test run
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX: durable queues run unlocked
+    fcntl = None
 
 from ..ioutil import atomic_write_text
 from ..obs.log import get_logger, log_event
@@ -72,6 +107,11 @@ STATE_VERSION = 2
 #: Bounds on the drain-rate-derived ``Retry-After`` hint.
 RETRY_AFTER_MIN = 0.1
 RETRY_AFTER_MAX = 60.0
+
+#: Bound on one blocking wait of :meth:`JobQueue.claim` and
+#: :meth:`JobQueue.wait_idle`: another process's mutations cannot
+#: notify this one's condition variable, so waiters re-check this often.
+DEFAULT_POLL_SECONDS = 0.05
 
 _LOG = get_logger("serve.queue")
 
@@ -168,60 +208,89 @@ def _decode_record(line: bytes) -> dict | None:
         return None
 
 
-class QueueJournal:
-    """Append-only write-ahead log of job records.
+def _lease_node(worker: str | None) -> str | None:
+    """The node holding a lease: the ``<node>/`` prefix of the worker
+    identity, or None for an unprefixed (single-server) worker."""
+    if worker is None or "/" not in worker:
+        return None
+    return worker.split("/", 1)[0]
 
-    Each append is a single buffered ``write`` of one complete line,
-    flushed before the caller acknowledges the mutation.  Replay stops
-    at the first record that fails to parse or checksum -- a torn tail
-    from a crash mid-write is discarded, not fatal.
+
+class QueueJournal:
+    """Append-only write-ahead log of job records, read through a cursor.
+
+    ``offset`` is the byte cursor: everything before it was read or
+    written by the owning queue.  Each append is a single flushed write
+    of one complete line.  :meth:`replay` reads complete lines only and
+    skips corrupt ones (see the module docstring for the policy).
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self._handle = None
         self.records_since_compact = 0
+        self.offset = 0
+        #: The journal ends in a partial line left by a crashed writer;
+        #: the next append terminates it first.
+        self.torn = False
 
-    def append(self, record: dict) -> int:
-        """Append one record; returns the bytes written (for WAL cursors)."""
+    def size(self) -> int:
+        try:
+            return os.path.getsize(self.path)
+        except OSError:
+            return 0
+
+    def append(self, record: dict) -> None:
+        """Append one record and move the cursor past it (the caller
+        holds the lock and has read up to the end)."""
         if self._handle is None:
             self._handle = open(self.path, "ab")  # noqa: SIM115 -- long-lived WAL
         data = _encode_record(record)
+        if self.torn:
+            data = b"\n" + data
+            self.torn = False
+            METRICS.inc("serve.journal.torn_tails_terminated")
         self._handle.write(data)
         self._handle.flush()
+        self.offset = self._handle.tell()
         self.records_since_compact += 1
-        return len(data)
-
-    def append_newline(self) -> int:
-        """Terminate a torn tail left by a crashed writer (fleet WALs)."""
-        if self._handle is None:
-            self._handle = open(self.path, "ab")  # noqa: SIM115 -- long-lived WAL
-        self._handle.write(b"\n")
-        self._handle.flush()
-        return 1
 
     def replay(self) -> tuple[list[dict], int]:
-        """(valid records in order, count of discarded torn/corrupt lines)."""
-        if not os.path.exists(self.path):
+        """Read from the cursor to the last complete line: ``(valid
+        records in order, corrupt lines skipped)``.  A partial last line
+        stays unread and sets :attr:`torn`."""
+        try:
+            with open(self.path, "rb") as handle:
+                handle.seek(self.offset)
+                raw = handle.read()
+        except FileNotFoundError:
             return [], 0
-        with open(self.path, "rb") as handle:
-            raw = handle.read()
+        end = raw.rfind(b"\n") + 1
         records: list[dict] = []
-        lines = [line for line in raw.split(b"\n") if line]
-        for position, line in enumerate(lines):
+        skipped = 0
+        for line in raw[:end].split(b"\n"):
+            if not line:
+                continue
             record = _decode_record(line)
             if record is None:
-                # Everything after a torn record is unordered garbage.
-                return records, len(lines) - position
-            records.append(record)
-        return records, 0
+                skipped += 1
+            else:
+                records.append(record)
+        self.offset += end
+        self.torn = end < len(raw)
+        return records, skipped
 
     def reset(self) -> None:
-        """Truncate after a compaction snapshot has superseded the log."""
-        if self._handle is not None:
-            self._handle.close()
-        self._handle = open(self.path, "wb")  # noqa: SIM115 -- long-lived WAL
-        self._handle.flush()
+        """Truncate after a compaction snapshot has superseded the log.
+
+        Appends reopen in append mode: a handle left at this process's
+        own position would overwrite records other processes appended.
+        """
+        self.close()
+        with open(self.path, "wb"):
+            pass
+        self.offset = 0
+        self.torn = False
         self.records_since_compact = 0
 
     def close(self) -> None:
@@ -234,8 +303,13 @@ class JobQueue:
     """Bounded, deduplicating, lease-granting, persistent priority queue.
 
     Thread-safe: submits arrive from HTTP handler threads while worker
-    threads claim/renew and the reaper revokes, so every mutation runs
-    under one condition variable.
+    threads claim/renew and the reaper revokes, so every operation runs
+    under one condition variable -- and, on a durable queue, under the
+    cross-process lock after syncing with the journal.
+
+    ``node`` names the fleet node this queue belongs to (None for a
+    single server); its workers lease as ``<node>/...`` and it revokes
+    its own stale leases on load.
     """
 
     def __init__(
@@ -243,6 +317,8 @@ class JobQueue:
         max_depth: int = 64,
         state_path: str | None = None,
         *,
+        node: str | None = None,
+        poll_seconds: float = DEFAULT_POLL_SECONDS,
         lease_seconds: float = 15.0,
         job_timeout_seconds: float | None = None,
         retry_policy: RetryPolicy | None = None,
@@ -259,6 +335,8 @@ class JobQueue:
             raise ValueError("job_timeout_seconds must be > 0 when set")
         self.max_depth = max_depth
         self.state_path = state_path
+        self.node = node
+        self.poll_seconds = poll_seconds
         self.lease_seconds = lease_seconds
         self.job_timeout_seconds = job_timeout_seconds
         self.retry_policy = retry_policy or RetryPolicy(
@@ -288,9 +366,23 @@ class JobQueue:
         #: Wall-clock finish times of recent done/dead transitions --
         #: the drain-rate sample behind the Retry-After hint.
         self._finished_at: deque[float] = deque(maxlen=32)
-        self._journal = QueueJournal(state_path + ".wal") if state_path else None
-        if state_path:
-            self._restore(state_path)
+        self._journal: QueueJournal | None = None
+        self._lock_file = None
+        self._gen_fd: int | None = None
+        #: Compaction generation this process last synced against
+        #: (-1: never, so the first sync loads).
+        self._generation = -1
+        if state_path is not None:
+            stem = os.path.splitext(state_path)[0]
+            os.makedirs(os.path.dirname(os.path.abspath(state_path)), exist_ok=True)
+            # Rewritten in place and read through one open descriptor:
+            # every operation checks it, and each syscall made while
+            # another thread wants the GIL can cost this one its turn.
+            self._gen_fd = os.open(stem + ".gen", os.O_RDWR | os.O_CREAT, 0o644)
+            self._journal = QueueJournal(state_path + ".wal")
+            if fcntl is not None:
+                self._lock_file = open(stem + ".lock", "a+b")  # noqa: SIM115 -- lifetime = queue
+            self._load()
 
     # -- submission -------------------------------------------------------------------
 
@@ -303,7 +395,7 @@ class JobQueue:
         durability.
         """
         fingerprint = request.fingerprint()
-        with self._cond:
+        with self._locked():
             if self._closed:
                 raise RuntimeError("queue is closed (server draining)")
             active_id = self._active_by_fingerprint.get(fingerprint)
@@ -347,19 +439,24 @@ class JobQueue:
         """Pop the highest-priority due job under a fresh lease.
 
         Blocks up to ``timeout`` (forever when None) on the queue's
-        condition variable -- an idle claimer costs nothing until a
-        submit, retry expiry, or close wakes it.  Returns None on
-        timeout or when the queue has been closed.
+        condition variable: a same-process submit, retry expiry or close
+        wakes it at once, and a durable queue also re-checks every
+        ``poll_seconds`` for other processes' submits.  The attempt and
+        the wait share one hold of the condition, so no notify can slip
+        in between.  Returns None on timeout or once this queue is
+        closed.  ``worker`` should be the node-qualified identity
+        (``<node>/worker-N``) in a fleet.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
-                job, next_due = self._try_claim_locked(worker)
+                with self._locked():
+                    if self._closed:
+                        return None
+                    job, next_due = self._try_claim_locked(worker)
                 if job is not None:
                     return job
-                if self._closed:
-                    return None
-                waits = []
+                waits = [self.poll_seconds] if self._journal is not None else []
                 if deadline is not None:
                     remaining = deadline - time.monotonic()
                     if remaining <= 0:
@@ -396,13 +493,15 @@ class JobQueue:
 
     def renew(self, job_id: str, lease_token: str, extend: float | None = None) -> bool:
         """Heartbeat: push the lease deadline out; False if the lease is
-        stale (job reaped, finished, or re-claimed elsewhere)."""
-        with self._cond:
+        stale (job reaped, finished, or re-claimed elsewhere).  Journaled,
+        so every node's reaper sees the renewed deadline."""
+        with self._locked():
             job = self._jobs.get(job_id)
             if job is None or job.state != "running" or job.lease_token != lease_token:
                 return False
             job.lease_deadline = time.time() + (extend or self.lease_seconds)
             METRICS.inc("serve.lease.renewed")
+            self._append(job)
             self._flight("lease_renewed", job, lease_deadline=job.lease_deadline)
             return True
 
@@ -413,7 +512,7 @@ class JobQueue:
         and possibly re-executed) drops the completion and returns None
         -- the zombie worker's result must not clobber the live job.
         """
-        with self._cond:
+        with self._locked():
             job = self._jobs[job_id]
             if lease_token is not None and (
                 job.state != "running" or job.lease_token != lease_token
@@ -440,7 +539,7 @@ class JobQueue:
         ``dead``.  Stale lease tokens are dropped like in
         :meth:`complete`.
         """
-        with self._cond:
+        with self._locked():
             job = self._jobs.get(job_id)
             if job is None:
                 return None
@@ -457,11 +556,12 @@ class JobQueue:
 
         This is what makes a hung or dead worker unable to strand a
         job: the lease token is revoked, so even if the worker wakes up
-        later its completion is dropped as stale.
+        later its completion is dropped as stale.  Any node reaps any
+        node's leases.
         """
         now = time.time() if now is None else now
         reaped: list[Job] = []
-        with self._cond:
+        with self._locked():
             for job in list(self._jobs.values()):
                 if job.state != "running":
                     continue
@@ -494,7 +594,7 @@ class JobQueue:
 
     def requeue(self, job_id: str) -> Job:
         """Admin: revive a dead-letter job with a fresh attempt budget."""
-        with self._cond:
+        with self._locked():
             job = self._jobs.get(job_id)
             if job is None:
                 raise KeyError(f"unknown job {job_id!r}")
@@ -597,7 +697,7 @@ class JobQueue:
     # -- introspection ----------------------------------------------------------------
 
     def get(self, job_id: str) -> Job | None:
-        with self._cond:
+        with self._locked():
             return self._jobs.get(job_id)
 
     def list_jobs(self, state: str | None = None, limit: int = 500) -> list[Job]:
@@ -606,7 +706,7 @@ class JobQueue:
             raise ValueError(
                 f"unknown job state {state!r} (choose from {', '.join(JOB_STATES)})"
             )
-        with self._cond:
+        with self._locked():
             jobs = sorted(self._jobs.values(), key=lambda j: -j.seq)
             if state is not None:
                 jobs = [j for j in jobs if j.state == state]
@@ -614,30 +714,41 @@ class JobQueue:
 
     def depth(self) -> int:
         """Queued jobs -- pending + retrying (the backpressure quantity)."""
-        with self._cond:
+        with self._locked():
             return self._depth_locked()
 
     def in_flight(self) -> int:
-        with self._cond:
+        with self._locked():
             return sum(1 for j in self._jobs.values() if j.state == "running")
 
     def outstanding(self) -> int:
         """Accepted but not finished (pending/running/retrying) -- the
         drain gate."""
-        with self._cond:
+        with self._locked():
             return sum(1 for j in self._jobs.values() if j.state in ACTIVE_STATES)
 
     def counts(self) -> dict[str, int]:
-        with self._cond:
+        with self._locked():
             counts = dict.fromkeys(JOB_STATES, 0)
             for job in self._jobs.values():
                 counts[job.state] += 1
             return counts
 
+    def running_by_node(self) -> dict[str, int]:
+        """Running-job counts grouped by the leasing node -- the
+        per-node breakdown behind the ``serve.node.*`` gauges."""
+        with self._locked():
+            counts: dict[str, int] = {}
+            for job in self._jobs.values():
+                if job.state == "running":
+                    node = _lease_node(job.worker) or "?"
+                    counts[node] = counts.get(node, 0) + 1
+            return counts
+
     def queued_priorities(self) -> list[int]:
         """Sorted priorities of the queued (pending/retrying) jobs --
         the load-shed policy's admission-threshold input."""
-        with self._cond:
+        with self._locked():
             return sorted(
                 j.priority
                 for j in self._jobs.values()
@@ -646,7 +757,7 @@ class JobQueue:
 
     def retry_after_hint(self) -> float:
         """Current backpressure hint (seconds), drain-rate derived."""
-        with self._cond:
+        with self._locked():
             return self._retry_after_locked()
 
     @property
@@ -659,36 +770,46 @@ class JobQueue:
 
         A ``retrying`` job still counts as accepted work -- drain waits
         out its backoff and final attempt rather than abandoning it.
+        Same-process finishes wake the wait at once; other processes'
+        are seen within ``poll_seconds``.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
-            while any(j.state in ACTIVE_STATES for j in self._jobs.values()):
-                remaining = None
+            while True:
+                with self._locked():
+                    if not any(j.state in ACTIVE_STATES for j in self._jobs.values()):
+                        return True
+                remaining = self.poll_seconds
                 if deadline is not None:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
+                    until = deadline - time.monotonic()
+                    if until <= 0:
                         return False
-                due = [
-                    j.not_before for j in self._jobs.values()
-                    if j.state == "retrying" and j.not_before is not None
-                ]
-                if due:
-                    until_due = max(0.0, min(due) - time.time()) + 1e-3
-                    remaining = until_due if remaining is None else min(remaining, until_due)
+                    remaining = min(remaining, until)
                 self._cond.wait(remaining)
-            return True
 
     def close(self) -> None:
-        """Refuse further submissions and wake blocked claimers."""
+        """Refuse further submissions and claims, and wake blocked
+        claimers.  Process-local: the rest of a fleet keeps working."""
         with self._cond:
             self._closed = True
             self._cond.notify_all()
+
+    def dispose(self) -> None:
+        """Release file handles (does not touch the shared state)."""
+        if self._journal is not None:
+            self._journal.close()
+        if self._lock_file is not None:
+            self._lock_file.close()
+            self._lock_file = None
+        if self._gen_fd is not None:
+            os.close(self._gen_fd)
+            self._gen_fd = None
 
     # -- persistence ------------------------------------------------------------------
 
     def to_state(self) -> dict:
         """JSON-ready queue state (deterministic for identical histories)."""
-        with self._cond:
+        with self._locked():
             return self._state_locked()
 
     def _state_locked(self) -> dict:
@@ -702,17 +823,35 @@ class JobQueue:
     def save(self, path: str | None = None) -> str:
         """Persist a full snapshot atomically; returns the path written.
 
-        Writing to the configured ``state_path`` also truncates the
-        journal -- the snapshot supersedes it.
+        Writing to the configured ``state_path`` compacts: the snapshot
+        supersedes the journal, which is truncated.
         """
         target = path or self.state_path
         if target is None:
             raise ValueError("no state path configured")
-        with self._cond:
-            atomic_write_text(target, json.dumps(self._state_locked(), sort_keys=True))
-            if self._journal is not None and target == self.state_path:
-                self._journal.reset()
+        with self._locked():
+            if target == self.state_path:
+                self._compact_locked()
+            else:
+                atomic_write_text(target, json.dumps(self._state_locked(), sort_keys=True))
         return target
+
+    @contextlib.contextmanager
+    def _locked(self):
+        """The in-process lock; on a durable queue also the cross-process
+        lock, with the view synced to the shared state first."""
+        with self._cond:
+            if self._journal is None:
+                yield
+                return
+            if self._lock_file is not None:
+                fcntl.flock(self._lock_file, fcntl.LOCK_EX)
+            try:
+                self._sync_locked()
+                yield
+            finally:
+                if self._lock_file is not None:
+                    fcntl.flock(self._lock_file, fcntl.LOCK_UN)
 
     def _append(self, job: Job) -> None:
         # Called with the lock held.  One flushed line per accepting
@@ -720,22 +859,12 @@ class JobQueue:
         if self._journal is None:
             return
         self._rev += 1
-        record = {"rev": self._rev, "seq": self._seq, "job": job.to_dict()}
-        record.update(self._record_extra())
-        written = self._journal.append(record)
-        self._after_append(written)
+        self._journal.append(
+            {"rev": self._rev, "seq": self._seq, "job": job.to_dict(), "node": self.node}
+        )
         METRICS.inc("serve.journal.records")
         if self._journal.records_since_compact >= self.compact_every:
             self._compact_locked()
-
-    def _record_extra(self) -> dict:
-        """Extra journal-record fields; the shared fleet store stamps
-        the writing node's identity here."""
-        return {}
-
-    def _after_append(self, written_bytes: int) -> None:
-        """Hook after a journal append; the shared fleet store advances
-        its WAL read cursor past its own records here."""
 
     def _flight(self, event: str, job: Job, ts: float | None = None,
                 worker: str | None = None, **fields) -> None:
@@ -754,74 +883,150 @@ class JobQueue:
             METRICS.inc("serve.flight.write_errors")
 
     def _compact_locked(self) -> None:
+        # Snapshot, then generation, then truncation: a crash between
+        # any two steps leaves a snapshot + journal pair that replays to
+        # the same state (replaying records already folded in is a no-op).
         atomic_write_text(
             self.state_path, json.dumps(self._state_locked(), sort_keys=True)
         )
+        self._generation += 1
+        os.lseek(self._gen_fd, 0, os.SEEK_SET)
+        os.write(self._gen_fd, b"%d\n" % self._generation)
         self._journal.reset()
         METRICS.inc("serve.journal.compactions")
 
-    def _restore(self, path: str) -> None:
-        """Rebuild state from snapshot + journal; tolerant of every
-        partial-crash artifact.
+    # -- loading and syncing (lock held) ----------------------------------------------
 
-        A missing-but-configured snapshot and an empty snapshot file are
-        the same situation -- a server that never persisted -- and both
-        start clean with a structured log line rather than diverging.
-        Torn or corrupt trailing journal records are discarded (with a
-        warning and a metric), never fatal.
-        """
-        snapshot_jobs: list[dict] = []
-        if not os.path.exists(path):
-            log_event(
-                _LOG, logging.INFO, "serve.queue.starting_clean",
-                path=path, reason="state file missing",
-            )
-        else:
+    def _load(self) -> None:
+        """First sync: snapshot + whole journal.  ``on_terminal`` does not
+        fire for history -- the SLO window reflects live traffic."""
+        on_terminal, self.on_terminal = self.on_terminal, None
+        try:
+            with self._locked():
+                pass
+        finally:
+            self.on_terminal = on_terminal
+        METRICS.inc("serve.queue.restored_jobs", float(len(self._jobs)))
+
+    def _read_generation(self) -> int:
+        try:
+            os.lseek(self._gen_fd, 0, os.SEEK_SET)
+            return int(os.read(self._gen_fd, 32) or 0)
+        except ValueError:
+            return 0
+
+    def _sync_locked(self) -> None:
+        """Apply every record appended since the cursor; reload snapshot
+        + journal when a compaction (or a shrunken journal) invalidated
+        the cursor, then apply the revocation rule."""
+        generation = self._read_generation()
+        size = self._journal.size()
+        reloading = generation != self._generation or size < self._journal.offset
+        if reloading:
+            held = {
+                job.lease_token
+                for job in self._jobs.values()
+                if job.state == "running" and _lease_node(job.worker) == self.node
+            }
+            self._load_snapshot_locked()
+            self._generation = generation
+            self._journal.offset = 0
+            self._journal.torn = False
+        applied = 0
+        if size > self._journal.offset:
+            records, skipped = self._journal.replay()
+            for record in records:
+                self._apply_record_locked(record)
+            applied = len(records)
+            if applied:
+                METRICS.inc("serve.journal.synced_records", float(applied))
+            if skipped:
+                METRICS.inc("serve.journal.torn_discarded", float(skipped))
+                log_event(
+                    _LOG, logging.WARNING, "serve.journal.records_skipped",
+                    path=self._journal.path, skipped=skipped, applied=applied,
+                )
+        if reloading:
+            self._revoke_stale_leases_locked(held)
+        if applied or reloading:
+            self._publish_gauges()
+            self._cond.notify_all()
+
+    def _load_snapshot_locked(self) -> None:
+        self._jobs.clear()
+        self._heap.clear()
+        self._active_by_fingerprint.clear()
+        path = self.state_path
+        text = ""
+        if os.path.exists(path):
             with open(path, encoding="utf-8") as handle:
                 text = handle.read()
-            if not text.strip():
-                log_event(
-                    _LOG, logging.INFO, "serve.queue.starting_clean",
-                    path=path, reason="state file empty",
-                )
-            else:
-                payload = json.loads(text)
-                if payload.get("version") not in (1, STATE_VERSION):
-                    raise ValueError(
-                        f"unsupported queue state version {payload.get('version')!r}"
-                    )
-                self._seq = int(payload["seq"])
-                snapshot_jobs = payload["jobs"]
-        for record in snapshot_jobs:
+        if not text.strip():
+            # A missing and an empty snapshot are the same situation --
+            # nothing was ever compacted -- and both start from the journal.
+            reason = "state file empty" if os.path.exists(path) else "state file missing"
+            log_event(_LOG, logging.INFO, "serve.queue.starting_clean", path=path, reason=reason)
+            return
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError:
+            log_event(_LOG, logging.WARNING, "serve.queue.snapshot_unreadable", path=path)
+            return
+        if payload.get("version") not in (1, STATE_VERSION):
+            raise ValueError(
+                f"unsupported queue state version {payload.get('version')!r}"
+            )
+        self._seq = max(self._seq, int(payload.get("seq", 0)))
+        for record in payload.get("jobs", []):
             job = Job.from_dict(record)
             self._jobs[job.id] = job
-
-        journal = QueueJournal(path + ".wal")
-        records, discarded = journal.replay()
-        journal.close()
-        for record in records:
-            self._seq = max(self._seq, int(record.get("seq", 0)))
-            self._rev = max(self._rev, int(record.get("rev", 0)))
-            job = Job.from_dict(record["job"])
-            self._jobs[job.id] = job  # last record wins
-        if discarded:
-            METRICS.inc("serve.journal.torn_discarded", float(discarded))
-            log_event(
-                _LOG, logging.WARNING, "serve.journal.torn_tail_discarded",
-                path=journal.path, discarded=discarded, replayed=len(records),
-            )
-
         for job in sorted(self._jobs.values(), key=lambda j: j.seq):
             if job.state in ("pending", "retrying"):
                 heapq.heappush(self._heap, (-job.priority, job.seq, job.id))
             if job.state in ACTIVE_STATES:
                 self._active_by_fingerprint[job.request.fingerprint()] = job.id
-        METRICS.inc("serve.queue.restored_jobs", float(len(self._jobs)))
-        self._publish_gauges()
-        if self._journal is not None and (self._jobs or records or discarded):
-            # Fold the replayed journal into a fresh snapshot so a crash
-            # loop cannot grow the WAL without bound.
-            self._compact_locked()
+
+    def _apply_record_locked(self, record: dict) -> None:
+        """Fold one journaled mutation into the local view (last wins)."""
+        job = Job.from_dict(record["job"])
+        old = self._jobs.get(job.id)
+        self._jobs[job.id] = job
+        self._seq = max(self._seq, int(record.get("seq", 0)), job.seq)
+        self._rev = max(self._rev, int(record.get("rev", 0)))
+        fingerprint = job.request.fingerprint()
+        if job.state in ACTIVE_STATES:
+            self._active_by_fingerprint[fingerprint] = job.id
+        elif self._active_by_fingerprint.get(fingerprint) == job.id:
+            del self._active_by_fingerprint[fingerprint]
+        if job.state in ("pending", "retrying"):
+            heapq.heappush(self._heap, (-job.priority, job.seq, job.id))
+        if job.state in ("done", "dead") and (
+            old is None or old.state not in ("done", "dead")
+        ):
+            if job.finished_at is not None:
+                self._finished_at.append(job.finished_at)
+            if self.on_terminal is not None:
+                self.on_terminal(job)
+
+    def _revoke_stale_leases_locked(self, held: set[str]) -> None:
+        """The revocation rule: a running job leased by this node under a
+        token this queue did not grant belongs to a dead predecessor, so
+        it goes back to ``pending`` with its attempt count kept."""
+        for job in self._jobs.values():
+            if (
+                job.state != "running"
+                or _lease_node(job.worker) != self.node
+                or job.lease_token in held
+            ):
+                continue
+            log_event(
+                _LOG, logging.INFO, "serve.queue.lease_revoked",
+                job=job.id, worker=job.worker, attempts=job.attempts,
+            )
+            job.state = "pending"
+            job.started_at = None
+            job.worker = job.lease_token = job.lease_deadline = None
+            heapq.heappush(self._heap, (-job.priority, job.seq, job.id))
 
     # -- internals --------------------------------------------------------------------
 

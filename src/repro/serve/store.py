@@ -1,449 +1,35 @@
-"""Shared fleet job store: one durable queue, many serve nodes.
+"""Fleet membership: node identities and the heartbeat roster.
 
-:class:`SharedJobStore` turns the single-process :class:`JobQueue` into
-a fleet-wide store.  Multiple processes -- ``repro serve-worker`` nodes
-and the async frontend, on the same machine or on different machines
-sharing the state directory over a common filesystem -- each hold an
-instance over the *same* directory and coordinate through three files:
+A serve fleet is several processes -- ``repro serve-worker`` nodes and
+the async frontend, on one machine or on several sharing the state
+directory over a common filesystem -- each holding a
+:class:`~repro.serve.queue.JobQueue` over the same ``queue.json``.
+The queue is the shared store: every process takes its ``flock``,
+replays the journal records the others appended, and appends its own,
+under the one replay policy and the one lease-revocation rule
+described in :mod:`repro.serve.queue`.  A single server is simply a
+fleet of one.
 
-* ``queue.json``      -- the compaction snapshot (same schema as the
-  single-process queue; a fleet state dir downgrades cleanly),
-* ``queue.json.wal``  -- the shared write-ahead journal.  Every
-  mutation appends one checksummed record *while holding the fleet
-  lock*; every operation first replays the records other nodes wrote
-  since its last look (a byte cursor into the WAL), so each process's
-  in-memory view converges on the shared truth before it acts,
-* ``queue.lock``      -- an ``flock`` advisory lock serializing
-  mutations fleet-wide, and ``queue.gen`` -- a generation counter
-  bumped on every compaction so a node whose WAL cursor was
-  invalidated by another node's compaction reloads from the snapshot
-  instead of silently missing records.
-
-Lease semantics are unchanged -- and that is the point: a lease granted
-on node A is visible to node B, so *any* node's reaper can requeue work
-a dead node stranded, and A's zombie completion is dropped on the same
-stale-token check as before.  Unlike the single-process restart path, a
-(re)loading fleet node does **not** revoke running jobs' leases: a job
-running on another node is healthy, and lease expiry -- not process
-restart -- is the fleet-wide truth about worker death.
-
-Cross-process claims cannot ride a condition variable, so
-:meth:`claim` polls: one non-blocking attempt under the fleet lock,
-then a short bounded wait (local submits still wake the wait early).
-``close()`` stays process-local -- a worker node draining for restart
-must not stop the rest of the fleet from accepting work.
-
-Torn-tail handling differs from the single-process WAL: a writer
-SIGKILLed mid-append leaves a line without a newline, and the *next*
-writer would otherwise glue its record onto the stump.  Readers
-therefore only consume newline-terminated lines (an undecodable
-complete line is counted and skipped, never fatal), and a writer that
-observed a torn tail terminates it with a bare newline before
-appending, sacrificing exactly the torn record -- which was never
-acknowledged to any client.
+What the fleet adds on top lives here: :func:`default_node_id`, which
+names a node (its workers lease as ``<node>/serve-worker-N``), and
+:class:`NodeRegistry`, the advisory heartbeat roster behind the
+per-node ``/healthz`` and ``serve.node.*`` breakdown.
 """
 
 from __future__ import annotations
 
 import contextlib
-import heapq
 import json
-import logging
 import os
 import socket
 import time
 
-try:  # pragma: no cover - exercised implicitly on every POSIX test run
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback (single-node)
-    fcntl = None
-
 from ..ioutil import atomic_write_text
-from ..obs.log import get_logger, log_event
-from ..obs.metrics import METRICS
-from .jobs import ACTIVE_STATES, Job
-from .queue import STATE_VERSION, JobQueue, _decode_record
-
-_LOG = get_logger("serve.store")
-
-#: Default bounded wait between cross-process claim attempts.
-DEFAULT_POLL_SECONDS = 0.05
 
 
 def default_node_id() -> str:
     """A node identity unique across the fleet: host + pid."""
     return f"{socket.gethostname()}-{os.getpid()}"
-
-
-class SharedJobStore(JobQueue):
-    """A :class:`JobQueue` whose durable state is shared by a fleet.
-
-    Drop-in for the queue everywhere (``WorkerPool``, ``ServeApp``, the
-    admin console): same submit/claim/renew/complete/fail/reap surface,
-    same dedup, backpressure, retry and dead-letter semantics -- but
-    every instance over the same ``state_dir`` observes every other
-    instance's mutations, and job ids / dedup fingerprints are unique
-    and authoritative fleet-wide.
-    """
-
-    def __init__(
-        self,
-        state_dir: str,
-        *,
-        node: str | None = None,
-        poll_seconds: float = DEFAULT_POLL_SECONDS,
-        **queue_kwargs,
-    ) -> None:
-        if fcntl is None:  # pragma: no cover - non-POSIX
-            raise RuntimeError(
-                "SharedJobStore needs POSIX flock; use JobQueue on this platform"
-            )
-        os.makedirs(state_dir, exist_ok=True)
-        self.state_dir = state_dir
-        self.node = node or default_node_id()
-        self.poll_seconds = poll_seconds
-        self._lock_path = os.path.join(state_dir, "queue.lock")
-        self._gen_path = os.path.join(state_dir, "queue.gen")
-        self._lock_file = open(self._lock_path, "a+b")  # noqa: SIM115 -- lifetime = store
-        #: Byte cursor into the shared WAL: everything before it is
-        #: already applied to this process's in-memory view.
-        self._wal_offset = 0
-        #: Compaction generation this process last synced against.
-        self._generation = -1
-        #: The WAL currently ends in a torn (newline-less) record left
-        #: by a crashed writer; terminated before our next append.
-        self._tail_torn = False
-        queue_kwargs.pop("state_path", None)
-        super().__init__(
-            state_path=os.path.join(state_dir, "queue.json"), **queue_kwargs
-        )
-
-    # -- fleet lock + sync ------------------------------------------------------------
-
-    @contextlib.contextmanager
-    def _fleet(self):
-        """Take the in-process lock, then the fleet flock, then converge
-        on the shared state.  Everything inside acts on fresh truth."""
-        with self._cond:
-            fcntl.flock(self._lock_file, fcntl.LOCK_EX)
-            try:
-                self._sync_locked()
-                yield
-            finally:
-                fcntl.flock(self._lock_file, fcntl.LOCK_UN)
-
-    def _read_generation(self) -> int:
-        try:
-            with open(self._gen_path, encoding="utf-8") as handle:
-                return int(handle.read().strip() or 0)
-        except (OSError, ValueError):
-            return 0
-
-    def _sync_locked(self) -> None:
-        """Apply every record other nodes journaled since our last look."""
-        generation = self._read_generation()
-        wal_path = self.state_path + ".wal"
-        try:
-            wal_size = os.path.getsize(wal_path)
-        except OSError:
-            wal_size = 0
-        if generation != self._generation or wal_size < self._wal_offset:
-            # Another node compacted (or the WAL shrank underneath us):
-            # our cursor is meaningless.  Reload snapshot + full WAL.
-            self._load_snapshot_locked()
-            self._generation = generation
-            self._wal_offset = 0
-        if wal_size <= self._wal_offset:
-            return
-        with open(wal_path, "rb") as handle:
-            handle.seek(self._wal_offset)
-            raw = handle.read()
-        consumed = 0
-        applied = 0
-        while True:
-            newline = raw.find(b"\n", consumed)
-            if newline < 0:
-                break
-            line = raw[consumed:newline]
-            consumed = newline + 1
-            if not line:
-                continue
-            record = _decode_record(line)
-            if record is None:
-                METRICS.inc("serve.store.skipped_records")
-                continue
-            self._apply_record_locked(record)
-            applied += 1
-        self._wal_offset += consumed
-        self._tail_torn = consumed < len(raw)
-        if applied:
-            METRICS.inc("serve.store.synced_records", float(applied))
-            self._publish_gauges()
-            self._cond.notify_all()
-
-    def _apply_record_locked(self, record: dict) -> None:
-        """Fold one remote mutation into the local view (last wins)."""
-        job = Job.from_dict(record["job"], revoke_lease=False)
-        old = self._jobs.get(job.id)
-        self._jobs[job.id] = job
-        self._seq = max(self._seq, int(record.get("seq", 0)), job.seq)
-        self._rev = max(self._rev, int(record.get("rev", 0)))
-        fingerprint = job.request.fingerprint()
-        if job.state in ACTIVE_STATES:
-            self._active_by_fingerprint[fingerprint] = job.id
-        elif self._active_by_fingerprint.get(fingerprint) == job.id:
-            del self._active_by_fingerprint[fingerprint]
-        if job.state in ("pending", "retrying"):
-            heapq.heappush(self._heap, (-job.priority, job.seq, job.id))
-        if (
-            job.state in ("done", "dead")
-            and (old is None or old.state not in ("done", "dead"))
-        ):
-            if job.finished_at is not None:
-                self._finished_at.append(job.finished_at)
-            if self.on_terminal is not None:
-                self.on_terminal(job)
-
-    # -- persistence overrides --------------------------------------------------------
-
-    def _restore(self, path: str) -> None:
-        """Initial load: snapshot + full WAL, leases left intact.
-
-        Unlike the single-process restore this neither revokes running
-        jobs' leases (they may be running on live nodes) nor compacts
-        (truncating the WAL would churn every other node's cursor for
-        no benefit; compaction happens on ``compact_every`` as usual).
-        """
-        with self._cond:
-            fcntl.flock(self._lock_file, fcntl.LOCK_EX)
-            try:
-                self._load_snapshot_locked()
-                self._generation = self._read_generation()
-                self._wal_offset = 0
-                self._sync_after_load_locked()
-            finally:
-                fcntl.flock(self._lock_file, fcntl.LOCK_UN)
-
-    def _load_snapshot_locked(self) -> None:
-        self._jobs.clear()
-        self._heap.clear()
-        self._active_by_fingerprint.clear()
-        path = self.state_path
-        if not os.path.exists(path):
-            return
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
-        if not text.strip():
-            return
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError:
-            log_event(
-                _LOG, logging.WARNING, "serve.store.snapshot_unreadable", path=path
-            )
-            return
-        if payload.get("version") not in (1, STATE_VERSION):
-            raise ValueError(
-                f"unsupported queue state version {payload.get('version')!r}"
-            )
-        self._seq = max(self._seq, int(payload.get("seq", 0)))
-        for record in payload.get("jobs", []):
-            job = Job.from_dict(record, revoke_lease=False)
-            self._jobs[job.id] = job
-        self._rebuild_schedule_locked()
-
-    def _rebuild_schedule_locked(self) -> None:
-        for job in sorted(self._jobs.values(), key=lambda j: j.seq):
-            if job.state in ("pending", "retrying"):
-                heapq.heappush(self._heap, (-job.priority, job.seq, job.id))
-            if job.state in ACTIVE_STATES:
-                self._active_by_fingerprint[job.request.fingerprint()] = job.id
-
-    def _sync_after_load_locked(self) -> None:
-        """WAL replay for the initial load (cursor at 0, no callbacks).
-
-        ``on_terminal`` deliberately does not fire for history -- the
-        SLO window should reflect the live fleet, not the archive.
-        """
-        on_terminal, self.on_terminal = self.on_terminal, None
-        try:
-            self._sync_locked()
-        finally:
-            self.on_terminal = on_terminal
-        METRICS.inc("serve.queue.restored_jobs", float(len(self._jobs)))
-        self._publish_gauges()
-
-    def _record_extra(self) -> dict:
-        return {"node": self.node}
-
-    def _after_append(self, written_bytes: int) -> None:
-        # Our own record is already in memory; never re-apply it.
-        self._wal_offset += written_bytes
-
-    def _append(self, job: Job) -> None:
-        if self._journal is not None and self._tail_torn:
-            self._wal_offset += self._journal.append_newline()
-            self._tail_torn = False
-            METRICS.inc("serve.store.torn_tails_terminated")
-        super()._append(job)
-
-    def _compact_locked(self) -> None:
-        super()._compact_locked()
-        self._generation += 1
-        atomic_write_text(self._gen_path, str(self._generation))
-        self._wal_offset = 0
-        self._tail_torn = False
-
-    def save(self, path: str | None = None) -> str:
-        target = path or self.state_path
-        if target is None:
-            raise ValueError("no state path configured")
-        with self._fleet():
-            if target == self.state_path:
-                self._compact_locked()
-            else:
-                atomic_write_text(
-                    target, json.dumps(self._state_locked(), sort_keys=True)
-                )
-        return target
-
-    # -- mutation surface (fleet-locked) ----------------------------------------------
-
-    def submit(self, request, priority: int = 0):
-        with self._fleet():
-            return super().submit(request, priority=priority)
-
-    def claim(self, timeout: float | None = None, worker: str | None = None):
-        """Poll-based cross-process claim (no fleet-wide wakeups exist).
-
-        ``worker`` should be the node-qualified identity
-        (``<node>/worker-N``) so reaping and flight events attribute
-        correctly across the fleet.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._fleet():
-                closed = self._closed
-                if not closed:
-                    job, _ = self._try_claim_locked(worker)
-                    if job is not None:
-                        return job
-            if closed:
-                return None
-            remaining = self.poll_seconds
-            if deadline is not None:
-                until = deadline - time.monotonic()
-                if until <= 0:
-                    return None
-                remaining = min(remaining, until)
-            with self._cond:
-                if not self._closed:
-                    self._cond.wait(remaining)
-
-    def renew(self, job_id: str, lease_token: str, extend: float | None = None) -> bool:
-        with self._fleet():
-            return super().renew(job_id, lease_token, extend=extend)
-
-    def complete(self, job_id: str, lease_token: str | None = None, **fields):
-        with self._fleet():
-            return super().complete(job_id, lease_token=lease_token, **fields)
-
-    def fail(self, job_id, error, lease_token=None, retryable=True):
-        with self._fleet():
-            return super().fail(
-                job_id, error, lease_token=lease_token, retryable=retryable
-            )
-
-    def reap(self, now: float | None = None):
-        with self._fleet():
-            return super().reap(now=now)
-
-    def requeue(self, job_id: str):
-        with self._fleet():
-            return super().requeue(job_id)
-
-    # -- read surface (synced for freshness) ------------------------------------------
-
-    def get(self, job_id: str):
-        with self._fleet():
-            return self._jobs.get(job_id)
-
-    def list_jobs(self, state: str | None = None, limit: int = 500):
-        with self._fleet():
-            pass
-        return super().list_jobs(state=state, limit=limit)
-
-    def depth(self) -> int:
-        with self._fleet():
-            return self._depth_locked()
-
-    def in_flight(self) -> int:
-        with self._fleet():
-            return sum(1 for j in self._jobs.values() if j.state == "running")
-
-    def outstanding(self) -> int:
-        with self._fleet():
-            return sum(1 for j in self._jobs.values() if j.state in ACTIVE_STATES)
-
-    def counts(self) -> dict[str, int]:
-        with self._fleet():
-            pass
-        return super().counts()
-
-    def queued_priorities(self) -> list[int]:
-        with self._fleet():
-            pass
-        return super().queued_priorities()
-
-    def retry_after_hint(self) -> float:
-        with self._fleet():
-            return self._retry_after_locked()
-
-    def to_state(self) -> dict:
-        with self._fleet():
-            return self._state_locked()
-
-    def running_by_node(self) -> dict[str, int]:
-        """Running-job counts grouped by the claiming node (the worker
-        identity's ``<node>/`` prefix) -- the per-node breakdown behind
-        ``serve.node.*`` gauges."""
-        with self._fleet():
-            counts: dict[str, int] = {}
-            for job in self._jobs.values():
-                if job.state != "running":
-                    continue
-                node = (job.worker or "?").split("/", 1)[0]
-                counts[node] = counts.get(node, 0) + 1
-            return counts
-
-    def wait_idle(self, timeout: float | None = None) -> bool:
-        """Poll until no job is pending/running/retrying fleet-wide."""
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while True:
-            with self._fleet():
-                if not any(
-                    j.state in ACTIVE_STATES for j in self._jobs.values()
-                ):
-                    return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(self.poll_seconds)
-
-    def close(self) -> None:
-        """Process-local: stop *this* node's claims and submissions.
-
-        The rest of the fleet keeps accepting and executing work -- a
-        node draining for a rolling restart must not take the fleet's
-        admission down with it.
-        """
-        super().close()
-
-    def dispose(self) -> None:
-        """Release file handles (does not touch shared state)."""
-        if self._journal is not None:
-            self._journal.close()
-        with contextlib.suppress(OSError):
-            self._lock_file.close()
 
 
 class NodeRegistry:

@@ -1,10 +1,9 @@
 """AsyncFrontend: the asyncio HTTP surface over the shared route().
 
-The contract under test: the event-loop frontend serves the exact same
-``/v1/*`` API as the ThreadingHTTPServer -- byte-identical JSON, the
-same 429 backpressure and load-shed semantics, the same Prometheus
-content negotiation -- while multiplexing many concurrent keep-alive
-clients on one loop.
+The contract under test: the event-loop frontend serves exactly what
+``route()`` answers -- byte-identical JSON, the 429 backpressure and
+load-shed semantics, the Prometheus content negotiation -- while
+multiplexing many concurrent keep-alive clients on one loop.
 """
 
 import http.client

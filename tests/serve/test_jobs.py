@@ -1,8 +1,11 @@
 """Job request validation and fingerprinting."""
 
+import json
+
 import pytest
 
 from repro.serve.jobs import Job, JobRequest, JobValidationError, ServeLimits
+from repro.serve.queue import JobQueue
 
 
 class TestValidation:
@@ -65,10 +68,20 @@ class TestJobRoundTrip:
         job = Job(id="job-000001", request=JobRequest(dataset="florida"), priority=2, seq=1)
         assert Job.from_dict(job.to_dict()).to_dict() == job.to_dict()
 
-    def test_running_restores_as_pending(self):
+    def test_running_restores_as_pending(self, tmp_path):
+        """A job persisted mid-run by a nodeless server comes back
+        pending when that server restarts (the queue's revocation rule;
+        ``from_dict`` itself keeps the lease as written)."""
         job = Job(id="job-000002", request=JobRequest(dataset="luis"), seq=2)
         job.state = "running"
         job.started_at = 123.0
-        restored = Job.from_dict(job.to_dict())
+        job.worker = "serve-worker-0"
+        job.lease_token = "t"
+        job.attempts = 1
+        assert Job.from_dict(job.to_dict()).to_dict() == job.to_dict()
+        path = tmp_path / "queue.json"
+        path.write_text(json.dumps({"version": 2, "seq": 2, "jobs": [job.to_dict()]}))
+        restored = JobQueue(state_path=str(path)).get(job.id)
         assert restored.state == "pending"
         assert restored.started_at is None
+        assert restored.attempts == 1

@@ -35,16 +35,22 @@ class TestTornWrites:
     def test_truncation_at_every_byte_offset_never_loses_acknowledged_jobs(
         self, tmp_path
     ):
-        """Kill the server mid-write, at every possible byte."""
+        """Kill a two-node fleet mid-write, at every possible byte of the
+        final record: nodes ``a`` and ``b`` interleave submits into one
+        journal, and a third node loads each truncation."""
         path = str(tmp_path / "queue.json")
-        q = JobQueue(max_depth=8, state_path=path)
+        a = JobQueue(max_depth=8, state_path=path, node="a")
+        b = JobQueue(max_depth=8, state_path=path, node="b")
         acknowledged = []
-        for seed in range(3):
-            job, _ = q.submit(_request(seed=seed), priority=seed)
+        for seed in range(4):
+            job, _ = (a if seed % 2 == 0 else b).submit(
+                _request(seed=seed), priority=seed
+            )
             acknowledged.append(job.id)
 
         wal = (tmp_path / "queue.json.wal").read_bytes()
         lines = wal.rstrip(b"\n").split(b"\n")
+        assert len(lines) == 4
         last_start = len(wal) - len(lines[-1]) - 1
         for cut in range(last_start, len(wal) + 1):
             crash_dir = tmp_path / f"crash-{cut}"
@@ -52,17 +58,27 @@ class TestTornWrites:
             crash_path = str(crash_dir / "queue.json")
             (crash_dir / "queue.json.wal").write_bytes(wal[:cut])
 
-            restored = JobQueue(max_depth=8, state_path=crash_path)  # never raises
-            jobs = {j.id for j in restored.list_jobs()}
+            c = JobQueue(max_depth=8, state_path=crash_path, node="c")  # never raises
+            jobs = {j.id for j in c.list_jobs()}
             if cut == len(wal):
-                # Nothing torn: all three acknowledged jobs present.
+                # Nothing torn: all four acknowledged jobs present.
                 assert jobs == set(acknowledged)
             else:
                 # Only the final record can be torn at these offsets, so
-                # the first two acknowledged jobs must always survive --
+                # the first three acknowledged jobs must always survive --
                 # and replay never invents jobs that were never accepted.
-                assert set(acknowledged[:2]) <= jobs
+                assert set(acknowledged[:3]) <= jobs
                 assert jobs <= set(acknowledged)
+
+            # The next append terminates the torn tail (a bare newline
+            # first), and a fresh reload sees it next to the survivors.
+            late, created = c.submit(_request(seed=99))
+            assert created
+            after = (crash_dir / "queue.json.wal").read_bytes()
+            torn = cut not in (last_start, len(wal))
+            assert after[cut:cut + 1] == (b"\n" if torn else b"{")
+            reloaded = {j.id for j in JobQueue(max_depth=8, state_path=crash_path).list_jobs()}
+            assert reloaded == jobs | {late.id}
 
     def test_acknowledged_means_durable(self, tmp_path):
         """Every record the journal flushed before a cut is replayed:
@@ -83,9 +99,9 @@ class TestTornWrites:
         assert restored.get(first.id) is not None
         assert restored.get(first.id).state == "pending"
 
-    def test_corrupt_middle_record_discards_the_tail(self, tmp_path):
-        """A checksum-failing record poisons everything after it (order
-        is gone), but never what came before."""
+    def test_corrupt_middle_record_is_skipped(self, tmp_path):
+        """A complete line that fails its checksum is counted and skipped;
+        the records after it still apply."""
         journal = QueueJournal(str(tmp_path / "j.wal"))
         journal.append({"rev": 1, "seq": 1, "job": {"id": "a"}})
         journal.append({"rev": 2, "seq": 2, "job": {"id": "b"}})
@@ -95,9 +111,25 @@ class TestTornWrites:
         lines = raw.rstrip(b"\n").split(b"\n")
         garbled = lines[1].replace(b'"rev":2', b'"rev":9')  # breaks the crc
         (tmp_path / "j.wal").write_bytes(b"\n".join([lines[0], garbled, lines[2]]) + b"\n")
-        records, discarded = QueueJournal(str(tmp_path / "j.wal")).replay()
-        assert [r["rev"] for r in records] == [1]
-        assert discarded == 2
+        records, skipped = QueueJournal(str(tmp_path / "j.wal")).replay()
+        assert [r["rev"] for r in records] == [1, 3]
+        assert skipped == 1
+
+    def test_corrupt_middle_record_does_not_hide_later_jobs(self, tmp_path):
+        path = str(tmp_path / "queue.json")
+        q = JobQueue(max_depth=8, state_path=path)
+        first, _ = q.submit(_request(seed=1))
+        second, _ = q.submit(_request(seed=2))
+        third, _ = q.submit(_request(seed=3))
+        q.dispose()
+        wal = tmp_path / "queue.json.wal"
+        lines = wal.read_bytes().rstrip(b"\n").split(b"\n")
+        lines[1] = lines[1].replace(b'"priority":0', b'"priority":5')  # breaks the crc
+        wal.write_bytes(b"\n".join(lines) + b"\n")
+        restored = JobQueue(max_depth=8, state_path=path)
+        assert restored.get(first.id) is not None
+        assert restored.get(second.id) is None
+        assert restored.get(third.id).state == "pending"
 
     def test_journal_roundtrip_is_lossless(self, tmp_path):
         journal = QueueJournal(str(tmp_path / "j.wal"))

@@ -211,6 +211,20 @@ class TestCondvarWakeups:
         assert not thread.is_alive()
         assert claimed and claimed[0].id == job.id
 
+    def test_claim_without_timeout_blocks_until_submit(self):
+        q = JobQueue(max_depth=4)
+        claimed = []
+        thread = threading.Thread(target=lambda: claimed.append(q.claim(worker="w0")))
+        thread.start()
+        deadline = time.monotonic() + 5.0
+        while not q._cond._waiters:  # the claimer is parked on the condvar
+            assert time.monotonic() < deadline
+            time.sleep(0)
+        job, _ = q.submit(_request())
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+        assert claimed and claimed[0].id == job.id
+
     def test_close_wakes_blocked_claimers(self):
         q = JobQueue(max_depth=4)
         results = []

@@ -1,26 +1,31 @@
-"""SharedJobStore: one durable queue shared by many node processes.
+"""The durable JobQueue as a fleet store: one queue, many node processes.
 
-Each test opens two (or more) store instances over the same state
-directory -- the in-process stand-in for two ``repro serve-worker``
-nodes on a shared filesystem -- and checks the fleet contract:
+Each test opens two (or more) queue instances over the same state
+path -- the in-process stand-in for two ``repro serve-worker`` nodes
+on a shared filesystem -- and checks the fleet contract:
 
 * a mutation on node A is visible on node B before B acts (WAL
-  replication via byte cursors under the fleet flock),
+  replication via byte cursors under the flock),
 * dedup fingerprints and job ids are authoritative fleet-wide,
 * compaction on one node does not lose records for the others
   (generation bump forces a snapshot reload),
 * ``close()`` is process-local -- a draining node never stops the
-  fleet -- and a dead node's leases are reaped by a survivor.
+  fleet -- and a dead node's leases are reaped by a survivor,
+* the one revocation rule: a loading queue revokes only its own
+  node's stale leases.
 """
 
 import json
 import os
+import threading
+import time
 
 import pytest
 
+from repro.cli import main
 from repro.serve.jobs import JobRequest
-from repro.serve.queue import QueueFullError
-from repro.serve.store import NodeRegistry, SharedJobStore, default_node_id
+from repro.serve.queue import JobQueue, QueueFullError
+from repro.serve.store import NodeRegistry, default_node_id
 
 
 def _request(seed: int = 0, **kwargs) -> JobRequest:
@@ -35,7 +40,15 @@ def state_dir(tmp_path):
 def _store(state_dir, node, **kwargs):
     kwargs.setdefault("max_depth", 16)
     kwargs.setdefault("poll_seconds", 0.01)
-    return SharedJobStore(state_dir, node=node, **kwargs)
+    return JobQueue(state_path=os.path.join(state_dir, "queue.json"), node=node, **kwargs)
+
+
+def _wait_until_blocked(queue):
+    """Spin until a thread waits on the queue's condition variable."""
+    deadline = time.monotonic() + 5.0
+    while not queue._cond._waiters:
+        assert time.monotonic() < deadline, "nobody blocked on the queue"
+        time.sleep(0)
 
 
 class TestCrossProcessVisibility:
@@ -133,6 +146,20 @@ class TestCompactionGenerations:
         for job in [*jobs, late]:
             assert b.get(job.id) is not None
 
+    def test_append_after_another_nodes_compaction_keeps_its_records(self, state_dir):
+        """A compacting node must not keep writing at its own file
+        position: that would overwrite what other nodes appended since."""
+        a = _store(state_dir, "a")
+        b = _store(state_dir, "b")
+        a.submit(_request(seed=1))
+        a.save()  # truncates the journal
+        from_b, _ = b.submit(_request(seed=2))
+        from_a, _ = a.submit(_request(seed=3))
+        c = _store(state_dir, "c")
+        assert c.get(from_b.id) is not None
+        assert c.get(from_a.id) is not None
+        assert c.depth() == 3
+
     def test_generation_file_written_on_compaction(self, state_dir):
         a = _store(state_dir, "a")
         a.submit(_request(seed=1))
@@ -211,6 +238,18 @@ class TestCrossNodeReaping:
         retaken = b.claim(timeout=2.0, worker="b/serve-worker-0")
         assert retaken.id == job.id and retaken.attempts == 2
 
+    def test_renewal_is_visible_to_other_reapers(self, state_dir):
+        """A renewed lease is journaled: another node's reaper must not
+        take back a job whose worker is alive and heartbeating."""
+        a = _store(state_dir, "a", lease_seconds=0.1)
+        b = _store(state_dir, "b", lease_seconds=0.1)
+        job, _ = a.submit(_request(seed=1))
+        claimed = a.claim(timeout=1.0, worker="a/serve-worker-0")
+        first_deadline = claimed.lease_deadline
+        assert a.renew(job.id, claimed.lease_token, extend=60.0)
+        assert b.reap(now=first_deadline + 1.0) == []
+        assert b.get(job.id).lease_token == claimed.lease_token
+
     def test_reload_does_not_revoke_live_leases(self, state_dir):
         a = _store(state_dir, "a")
         job, _ = a.submit(_request(seed=1))
@@ -228,6 +267,123 @@ class TestCrossNodeReaping:
         claimed = b.claim(timeout=1.0, worker="b/w")
         b.complete(job.id, lease_token=claimed.lease_token)
         assert a.wait_idle(timeout=1.0)
+
+
+class TestLeaseRevocation:
+    """One rule: a loading queue revokes the leases of its own node that
+    it did not grant itself, keeping the attempt count."""
+
+    def test_nodeless_restart_revokes_its_own_running_job(self, state_dir):
+        q = _store(state_dir, None)
+        job, _ = q.submit(_request(seed=1))
+        q.claim(timeout=0, worker="serve-worker-0")
+        q.dispose()
+        restarted = _store(state_dir, None)
+        revived = restarted.get(job.id)
+        assert revived.state == "pending" and revived.attempts == 1
+        assert revived.lease_token is None and revived.worker is None
+        assert restarted.claim(timeout=0, worker="serve-worker-0").attempts == 2
+
+    def test_node_restarted_under_its_own_name_revokes_its_own_lease(self, state_dir):
+        a = _store(state_dir, "a")
+        b = _store(state_dir, "b")
+        mine, _ = a.submit(_request(seed=1))
+        theirs, _ = a.submit(_request(seed=2))
+        a.claim(timeout=0, worker="a/serve-worker-0")
+        b_lease = b.claim(timeout=0, worker="b/serve-worker-0").lease_token
+        a.dispose()  # node a dies with its lease outstanding
+        restarted = _store(state_dir, "a")
+        assert restarted.get(mine.id).state == "pending"
+        assert restarted.get(mine.id).attempts == 1
+        assert restarted.get(theirs.id).state == "running"
+        assert restarted.get(theirs.id).lease_token == b_lease
+
+    def test_reload_spares_leases_this_queue_granted(self, state_dir):
+        a = _store(state_dir, "a")
+        b = _store(state_dir, "b")
+        job, _ = a.submit(_request(seed=1))
+        claimed = a.claim(timeout=0, worker="a/serve-worker-0")
+        b.save()  # compaction: a's next operation reloads the snapshot
+        assert a.get(job.id).state == "running"
+        assert a.get(job.id).lease_token == claimed.lease_token
+        assert a.complete(job.id, lease_token=claimed.lease_token) is not None
+
+    def test_every_reload_revokes_a_predecessors_lease(self, state_dir):
+        old = _store(state_dir, "a")
+        b = _store(state_dir, "b")
+        job, _ = old.submit(_request(seed=1))
+        old.claim(timeout=0, worker="a/serve-worker-0")
+        old.dispose()
+        new = _store(state_dir, "a")
+        assert new.get(job.id).state == "pending"
+        b.save()  # b's snapshot still shows the dead predecessor's lease
+        assert new.get(job.id).state == "pending"
+        assert new.claim(timeout=0, worker="a/serve-worker-0").id == job.id
+
+
+class TestWakeups:
+    """A durable queue polls for other processes, but a same-process
+    submit or finish must wake its waiters at once."""
+
+    def test_claim_wakes_on_same_process_submit(self, state_dir):
+        q = _store(state_dir, "a", poll_seconds=30.0)
+        claimed = []
+        thread = threading.Thread(
+            target=lambda: claimed.append(q.claim(timeout=60.0, worker="a/w"))
+        )
+        thread.start()
+        _wait_until_blocked(q)
+        submitted = time.monotonic()
+        job, _ = q.submit(_request(seed=1))
+        thread.join(timeout=5.0)
+        assert time.monotonic() - submitted < 1.0
+        assert claimed and claimed[0].id == job.id
+
+    def test_wait_idle_wakes_on_same_process_complete(self, state_dir):
+        q = _store(state_dir, "a", poll_seconds=30.0)
+        job, _ = q.submit(_request(seed=1))
+        claimed = q.claim(timeout=0, worker="a/w")
+        idle = []
+        thread = threading.Thread(target=lambda: idle.append(q.wait_idle(timeout=60.0)))
+        thread.start()
+        _wait_until_blocked(q)
+        completed = time.monotonic()
+        q.complete(job.id, lease_token=claimed.lease_token)
+        thread.join(timeout=5.0)
+        assert time.monotonic() - completed < 1.0
+        assert idle == [True]
+
+
+class TestAdminConsole:
+    def test_offline_console_is_safe_beside_a_live_node(self, state_dir, capsys):
+        """``serve-admin --state-dir`` goes through the locked store: a
+        live node's lease survives it and no acknowledged job is lost."""
+        a = _store(state_dir, "a", max_depth=1000)
+        job, _ = a.submit(_request(seed=0))
+        claimed = a.claim(timeout=0, worker="a/serve-worker-0")
+        acknowledged = [job.id]
+        stop = threading.Event()
+
+        def keep_submitting():
+            for seed in range(1, 500):
+                if stop.is_set():
+                    break
+                acknowledged.append(a.submit(_request(seed=seed))[0].id)
+
+        thread = threading.Thread(target=keep_submitting)
+        thread.start()
+        try:
+            for _ in range(5):
+                assert main(["serve-admin", "dead", "--state-dir", state_dir]) == 0
+        finally:
+            stop.set()
+            thread.join()
+        assert len(acknowledged) > 1
+        live = a.get(job.id)
+        assert live.state == "running" and live.lease_token == claimed.lease_token
+        c = _store(state_dir, "c", max_depth=1000)
+        assert {j.id for j in c.list_jobs(limit=10_000)} == set(acknowledged)
+        assert c.get(job.id).lease_token == claimed.lease_token
 
 
 class TestNodeRegistry:
@@ -260,18 +416,21 @@ class TestNodeRegistry:
 
 
 class TestSingleProcessCompatibility:
-    def test_fleet_state_dir_downgrades_to_plain_queue(self, state_dir):
-        """queue.json written by the fleet store restores in JobQueue."""
-        from repro.serve.queue import JobQueue
-
+    def test_nodeless_queue_opens_a_fleet_state_dir(self, state_dir):
+        """A single server opening a fleet's state dir sees every job and
+        leaves the fleet nodes' leases alone."""
         a = _store(state_dir, "a")
-        job, _ = a.submit(_request(seed=1))
+        running, _ = a.submit(_request(seed=1))
+        pending, _ = a.submit(_request(seed=2))
+        claimed = a.claim(timeout=0, worker="a/serve-worker-0")
         a.save()
         a.dispose()
         plain = JobQueue(
             max_depth=16, state_path=os.path.join(state_dir, "queue.json")
         )
-        assert plain.get(job.id).state == "pending"
+        assert plain.get(pending.id).state == "pending"
+        assert plain.get(running.id).state == "running"
+        assert plain.get(running.id).lease_token == claimed.lease_token
 
     def test_snapshot_is_plain_versioned_json(self, state_dir):
         a = _store(state_dir, "a")

@@ -20,7 +20,8 @@ from repro.obs.events import FlightRecorder
 from repro.obs.metrics import METRICS
 from repro.obs.prom import PROM_CONTENT_TYPE, parse_exposition
 from repro.reliability.injection import ServeChaosPlan
-from repro.serve.http import ServeApp, make_server
+from repro.serve.frontend import make_async_server
+from repro.serve.http import ServeApp
 
 SIZE = 32
 DEADLINE = 120.0
@@ -36,7 +37,7 @@ def _fresh_metrics():
 @pytest.fixture
 def server(tmp_path):
     app = ServeApp(str(tmp_path / "state"), workers=1, queue_depth=8).start()
-    httpd = make_server(app, "127.0.0.1", 0)
+    httpd = make_async_server(app, "127.0.0.1", 0)
     thread = threading.Thread(target=httpd.serve_forever, daemon=True)
     thread.start()
     base = f"http://127.0.0.1:{httpd.server_address[1]}"
