@@ -90,6 +90,31 @@ class Frame:
         return self.surface.shape
 
 
+def pair_dt(before: Frame, after: Frame, dt_seconds: float | None) -> tuple[float, dict]:
+    """``(dt, metadata)`` of a frame pair, for a :class:`MotionField`.
+
+    ``dt`` is ``dt_seconds`` when given, else the timestamp difference.
+    Equal or reversed timestamps substitute a placeholder of 1 s so
+    pixel displacements stay usable, but *loudly*: a
+    :class:`RuntimeWarning` names the caller's line, and the metadata
+    records ``dt_substituted`` and the rejected interval.
+    """
+    metadata = {}
+    if dt_seconds is None:
+        dt_seconds = after.time_seconds - before.time_seconds
+        if dt_seconds <= 0:
+            metadata = {"dt_substituted": True, "dt_rejected_seconds": float(dt_seconds)}
+            warnings.warn(
+                f"frame timestamps are not increasing (dt = {float(dt_seconds)} s); "
+                "substituting dt = 1 s -- derived wind speeds are in "
+                "pixels/frame, not physical units",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            dt_seconds = 1.0
+    return float(dt_seconds), metadata
+
+
 class SMAnalyzer:
     """Dense non-rigid motion estimation with the SMA algorithm.
 
@@ -192,19 +217,7 @@ class SMAnalyzer:
         """
         before = before if isinstance(before, Frame) else Frame(np.asarray(before))
         after = after if isinstance(after, Frame) else Frame(np.asarray(after))
-        substituted_dt: float | None = None
-        if dt_seconds is None:
-            dt_seconds = after.time_seconds - before.time_seconds
-            if dt_seconds <= 0:
-                substituted_dt = float(dt_seconds)
-                dt_seconds = 1.0
-                warnings.warn(
-                    f"frame timestamps are not increasing (dt = {substituted_dt} s); "
-                    "substituting dt = 1 s -- derived wind speeds are in "
-                    "pixels/frame, not physical units",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+        dt_seconds, dt_metadata = pair_dt(before, after, dt_seconds)
         prepared = self.prepare(before, after, cache=cache)
         result = track_dense(
             prepared, ridge=self.ridge, search=self.search, backend=self.backend
@@ -215,17 +228,15 @@ class SMAnalyzer:
             "hypotheses": result.hypotheses_evaluated,
             "search": self.search,
             "backend": self.backend,
+            **dt_metadata,
         }
-        if substituted_dt is not None:
-            metadata["dt_substituted"] = True
-            metadata["dt_rejected_seconds"] = substituted_dt
         return MotionField(
             u=result.u,
             v=result.v,
             valid=result.valid,
             error=result.error,
             params=result.params,
-            dt_seconds=float(dt_seconds),
+            dt_seconds=dt_seconds,
             pixel_km=self.pixel_km,
             metadata=metadata,
         )

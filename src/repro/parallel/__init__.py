@@ -42,7 +42,7 @@ from .parallel_sma import (
     ParallelSMA,
     machine_for_image,
 )
-from .segmentation import SegmentedSearch, SegmentResult, iter_segments
+from .segmentation import SegmentedSearch, iter_segments
 
 __all__ = [
     "assemble_from_layers",
@@ -75,6 +75,5 @@ __all__ = [
     "plural_track_continuous",
     "machine_for_image",
     "SegmentedSearch",
-    "SegmentResult",
     "iter_segments",
 ]

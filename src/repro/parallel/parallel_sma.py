@@ -27,7 +27,6 @@ the same result as the sequential implementation").
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +38,9 @@ from ..core.matching import (
     _CertificateGrid,
     _HostEvaluator,
     prepare_frames,
-    valid_mask,
 )
 from ..core.prep import FramePreparationCache
-from ..core.sma import Frame
+from ..core.sma import Frame, pair_dt
 from ..kernels import BITWISE_BACKENDS, resolve_backend
 from ..maspar.cost import CostLedger
 from ..maspar.machine import MachineConfig, scaled_machine
@@ -231,9 +229,9 @@ class ParallelSMA:
             ledger.charge_xnet(stats.mesh_bytes, shifts=stats.mesh_shifts)
             ledger.charge_memory(stats.mem_bytes)
             ledger.charge_flops(pixels * c.template_pixels * FLOPS_PER_ERROR_TERM)
-            # One solve per pixel on the exhaustive schedule; the pruned
-            # schedule passes the certificate + survivor count actually
-            # performed -- the ledger is how the saving is observed.
+            # One solve per pixel unless the search passes the count it
+            # performed (certificate + survivor solves when pruned) --
+            # the ledger is how the saving is observed.
             ledger.charge_gaussian_elimination(
                 pixels if solves is None else solves, order=6
             )
@@ -263,19 +261,7 @@ class ParallelSMA:
         after = after if isinstance(after, Frame) else Frame(np.asarray(after))
         if before.shape != after.shape:
             raise ValueError("frame shapes differ")
-        substituted_dt: float | None = None
-        if dt_seconds is None:
-            dt_seconds = after.time_seconds - before.time_seconds
-            if dt_seconds <= 0:
-                substituted_dt = float(dt_seconds)
-                dt_seconds = 1.0
-                warnings.warn(
-                    f"frame timestamps are not increasing (dt = {substituted_dt} s); "
-                    "substituting dt = 1 s -- derived wind speeds are in "
-                    "pixels/frame, not physical units",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+        dt_seconds, dt_metadata = pair_dt(before, after, dt_seconds)
 
         shape = before.shape
         resolved = resolve_backend(self.backend)
@@ -338,50 +324,20 @@ class ParallelSMA:
             self._charge_semifluid(ledger, mapping)
         evaluator = _HostEvaluator(prepared, self.ridge, resolved.prefer_native)
 
-        # Phase 4: segmented hypothesis matching, one hypothesis staged,
-        # box-summed and solved at a time on the driver's evaluator.  The
-        # pruned schedule keeps its own running best (the elementwise
-        # minimum of every error surface handed to the segmented merge,
-        # i.e. exactly the evolution of the merge state): a hypothesis
-        # whose certificate bound provably exceeds it returns +inf for
-        # that pixel, which the strict-less/tie merge can never select --
-        # so the produced field stays bit-identical while the ledger
-        # records only the certificate + survivor eliminations actually
-        # performed.
-        cert_grid = None
+        # Phase 4: segmented hypothesis matching on the hypothesis
+        # driver, one hypothesis staged, box-summed and solved at a time,
+        # each charged to the ledger with the eliminations it performed.
+        grid = None
         if self.search == "pruned":
-            cert_grid = _CertificateGrid.build(shape, self.config.n_zt)
-            running_best = np.full(shape, np.inf)
-
-        def evaluate(dy: int, dx: int):
-            pw, delta_y, delta_x = evaluator.stage([(dy, dx)])
-            if cert_grid is not None:
-                survivors = cert_grid.survivors(evaluator, pw, running_best)
-                solves = cert_grid.systems
-                if survivors is None:  # no certificate pass against best = inf
-                    survivors, solves = np.arange(running_best.size), 0
-                error = np.full(running_best.size, np.inf)
-                params = np.zeros((running_best.size, 6), dtype=np.float64)
-                if survivors.size:
-                    error[survivors], params[survivors] = evaluator.solve(pw, survivors)
-                error, params = error.reshape(shape), params.reshape(shape + (6,))
-                np.minimum(running_best, error, out=running_best)
-                self._charge_hypothesis(ledger, mapping, solves=solves + survivors.size)
-            else:
-                self._charge_hypothesis(ledger, mapping)
-                error, params = evaluator.solve(pw)
-                error, params = error[0], params[0]
-            if delta_y is None:
-                return error, params, float(dx), float(dy)
-            return error, params, delta_x[0], delta_y[0]
-
+            grid = _CertificateGrid.build(shape, self.config.n_zt)
         search = SegmentedSearch(
-            self.config, evaluate, memory=memory, layers=mapping.layers
+            self.config, memory=memory, layers=mapping.layers, grid=grid,
+            charge=lambda solves: self._charge_hypothesis(ledger, mapping, solves),
         )
         with TRACER.span(
             "hypothesis_search", ledger=ledger, segment_rows=segment_rows
         ):
-            state = search.run(shape, segment_rows)
+            state = search.run(evaluator, segment_rows)
 
         metadata = {
             "model": "semi-fluid" if self.config.is_semifluid else "continuous",
@@ -390,17 +346,15 @@ class ParallelSMA:
             "segment_rows": segment_rows,
             "search": self.search,
             "backend": self.backend,
+            **dt_metadata,
         }
-        if substituted_dt is not None:
-            metadata["dt_substituted"] = True
-            metadata["dt_rejected_seconds"] = substituted_dt
         field = MotionField(
             u=state.u,
             v=state.v,
-            valid=valid_mask(shape, self.config),
+            valid=state.valid,
             error=state.error,
             params=state.params,
-            dt_seconds=float(dt_seconds),
+            dt_seconds=dt_seconds,
             pixel_km=self.pixel_km,
             metadata=metadata,
         )
@@ -409,6 +363,6 @@ class ParallelSMA:
             ledger=ledger,
             mapping=mapping,
             segment_rows=segment_rows,
-            segments_processed=state.segments_processed,
+            segments_processed=search.segments_processed,
             peak_memory_bytes=memory.peak_bytes,
         )

@@ -12,23 +12,29 @@ Once all the segments are processed, the equivalent minimization of
 (7) is complete."
 
 :func:`iter_segments` yields the hypothesis displacements of each
-Z-row chunk; :class:`SegmentedSearch` drives the full minimization
-over a chunked search area while charging each segment's
-template-mapping store to a :class:`~repro.maspar.memory.PEMemoryTracker`
--- so an infeasible segment size fails with the same
+Z-row chunk; :class:`SegmentedSearch` is the segment *schedule* of the
+hypothesis driver :func:`repro.core.matching._search`: it hands the
+driver one hypothesis at a time in row-segment order while charging
+each segment's template-mapping store to a
+:class:`~repro.maspar.memory.PEMemoryTracker` -- so an infeasible
+segment size fails with the same
 :class:`~repro.maspar.memory.PEMemoryError` the real machine's 64 KB
-would force, and the result is provably independent of the chunking
-(tested against the unsegmented search).
+would force.  The driver's (error, rank) merge makes the result
+independent of the chunking (tested against the unsegmented search).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
-import numpy as np
-
-from ..core.matching import hypothesis_order
+from ..core.matching import (
+    DenseMatchResult,
+    _CertificateGrid,
+    _Exhaustive,
+    _HostEvaluator,
+    _search,
+    hypothesis_order,
+)
 from ..maspar.memory import PEMemoryTracker
 from ..params import NeighborhoodConfig
 from .memory_plan import FLOAT_BYTES, FLOATS_PER_MAPPING
@@ -57,53 +63,46 @@ def iter_segments(
         row += segment_rows
 
 
-@dataclass
-class SegmentResult:
-    """Best-so-far state across processed segments."""
-
-    error: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    params: np.ndarray
-    segments_processed: int = 0
-    mappings_computed: int = 0
-
-
-class SegmentedSearch:
-    """Chunked minimization of eq. (7) over the hypothesis area.
+class SegmentedSearch(_Exhaustive):
+    """Schedule of eq. (7)'s minimization over a row-segmented search area.
 
     Parameters
     ----------
     config:
         Neighborhood configuration (defines the search area).
-    evaluate:
-        Callback ``evaluate(dy, dx) -> (error, params, u, v)`` returning,
-        for one hypothesis displacement, dense per-pixel arrays: the
-        template error, the motion parameters ``(H, W, 6)`` and the
-        per-pixel correspondence displacement fields (which differ from
-        the constant hypothesis under the semi-fluid mapping; a scalar
-        stands for a constant field).
     memory:
         Optional PE-memory ledger; each segment's template-mapping
         store is allocated for the duration of the segment and freed
         afterwards -- exactly the lifetime the paper engineered.
     layers:
         Resident pixels per PE (sizes the segment allocation).
+    grid:
+        Optional certificate grid: the pruned schedule, solving each
+        hypothesis at its certificate survivors only.
+    charge:
+        Optional callback ``charge(solves)``, called once per hypothesis
+        with the Gaussian eliminations it costs (certificate plus
+        survivor solves when pruned).
     """
 
     def __init__(
         self,
         config: NeighborhoodConfig,
-        evaluate: Callable[[int, int], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]],
         memory: PEMemoryTracker | None = None,
         layers: int = 1,
+        grid: _CertificateGrid | None = None,
+        charge: Callable[[int], None] | None = None,
     ) -> None:
         if layers < 1:
             raise ValueError("layers must be >= 1")
+        super().__init__(hypothesis_order(config.n_zs), grid=grid)
         self.config = config
-        self.evaluate = evaluate
         self.memory = memory
         self.layers = layers
+        self.charge = charge
+        self.rank = {hyp: k for k, hyp in enumerate(self.order)}
+        self.segment_rows = config.search_window
+        self.segments_processed = 0
 
     def _segment_bytes(self, n_rows: int) -> int:
         side = self.config.search_window
@@ -111,50 +110,35 @@ class SegmentedSearch:
         # mappings + the per-hypothesis error terms of the segment
         return n_rows * side * (per_mapping + FLOAT_BYTES) * self.layers
 
-    def run(self, shape: tuple[int, int], segment_rows: int) -> SegmentResult:
-        """Process all segments; returns the global best state.
-
-        Segments run in the paper's row order, not in
-        :func:`~repro.core.matching.hypothesis_order`, so exact ties are
-        broken by each hypothesis's index in that order -- its
-        (Chebyshev magnitude, dy, dx) rank.  The state is then the
-        lexicographic minimum of (error, rank) per pixel however the
-        search is segmented: the winner of ``track_dense``'s strict-less
-        merge in hypothesis order.
-        """
-        rank_of = {hyp: k for k, hyp in enumerate(hypothesis_order(self.config.n_zs))}
-        state = SegmentResult(
-            error=np.full(shape, np.inf),
-            u=np.zeros(shape, dtype=np.float64),
-            v=np.zeros(shape, dtype=np.float64),
-            params=np.zeros(shape + (6,), dtype=np.float64),
-        )
-        best_error, best_u, best_v = (a.reshape(-1) for a in (state.error, state.u, state.v))
-        best_params = state.params.reshape(-1, 6)
-        best_rank = np.full(best_error.size, len(rank_of))
-        for chunk in iter_segments(self.config, segment_rows):
-            rows_in_chunk = len({dy for dy, _ in chunk})
+    def chunks(self):
+        """One hypothesis per chunk, segment by segment in the paper's
+        row order, each segment's store allocated while it runs."""
+        for segment in iter_segments(self.config, self.segment_rows):
             handle = None
             if self.memory is not None:
+                rows_in_segment = len({dy for dy, _ in segment})
                 handle = self.memory.allocate(
-                    self._segment_bytes(rows_in_chunk), name="template-mapping-segment"
+                    self._segment_bytes(rows_in_segment), name="template-mapping-segment"
                 )
             try:
-                for dy, dx in chunk:
-                    error, params, u, v = self.evaluate(dy, dx)
-                    error = np.reshape(error, -1)
-                    rank = rank_of[(dy, dx)]
-                    winners = np.flatnonzero(
-                        (error < best_error) | ((error == best_error) & (rank < best_rank))
-                    )
-                    best_error[winners] = error[winners]
-                    best_params[winners] = np.reshape(params, (-1, 6))[winners]
-                    best_u[winners] = u if np.ndim(u) == 0 else np.reshape(u, -1)[winners]
-                    best_v[winners] = v if np.ndim(v) == 0 else np.reshape(v, -1)[winners]
-                    best_rank[winners] = rank
-                    state.mappings_computed += 1
+                for hyp in segment:
+                    yield self.rank[hyp], [hyp]
             finally:
                 if handle is not None:
                     self.memory.free(handle)
-            state.segments_processed += 1
-        return state
+            self.segments_processed += 1
+
+    def pixels(self, evaluator, pw, best_error):
+        survivors = super().pixels(evaluator, pw, best_error)
+        if self.charge is not None:
+            self.charge(
+                best_error.size if survivors is None
+                else self.grid.systems + survivors.size
+            )
+        return survivors
+
+    def run(self, evaluator: _HostEvaluator, segment_rows: int) -> DenseMatchResult:
+        """Minimize over ``segment_rows``-row segments on the hypothesis driver."""
+        self.segment_rows = segment_rows
+        self.segments_processed = 0
+        return _search(evaluator, self)

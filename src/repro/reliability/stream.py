@@ -325,6 +325,29 @@ class StreamingRunner:
         )
         state.pairs_done = pair + 1
 
+    def _mean_field(self, state, shape, dts, report, machine, **metadata) -> MotionField | None:
+        """The mean motion field over the pairs done (None before the first);
+        ``metadata`` adds keys after the common ones."""
+        n = state.pairs_done
+        if n == 0:
+            return None
+        return MotionField(
+            u=state.sum_u / n,
+            v=state.sum_v / n,
+            valid=valid_mask(shape, self.config),
+            error=state.sum_error / n,
+            dt_seconds=float(np.mean(dts)),
+            pixel_km=self.pixel_km,
+            metadata={
+                "model": "semi-fluid" if self.config.is_semifluid else "continuous",
+                "config": self.config.name,
+                "pairs": n,
+                "degraded_pairs": len(report.degraded_pairs),
+                "machine": f"{machine.nyproc}x{machine.nxproc}",
+                **metadata,
+            },
+        )
+
     @staticmethod
     def _save_checkpoint(checkpoint_file, state, ledger, report, rng, disk) -> None:
         state.report = report
@@ -570,26 +593,8 @@ class StreamingRunner:
                         checkpoint_file, state, ledger, report, rng, disk
                     )
 
-        field = None
-        if state.pairs_done > 0:
-            n = state.pairs_done
-            field = MotionField(
-                u=state.sum_u / n,
-                v=state.sum_v / n,
-                valid=valid_mask(shape, self.config),
-                error=state.sum_error / n,
-                dt_seconds=float(np.mean(dts)),
-                pixel_km=self.pixel_km,
-                metadata={
-                    "model": "semi-fluid" if self.config.is_semifluid else "continuous",
-                    "config": self.config.name,
-                    "pairs": n,
-                    "degraded_pairs": len(report.degraded_pairs),
-                    "machine": f"{machine.nyproc}x{machine.nxproc}",
-                },
-            )
         return StreamResult(
-            field=field,
+            field=self._mean_field(state, shape, dts, report, machine),
             report=report,
             ledger=ledger,
             pairs_done=state.pairs_done,
@@ -707,26 +712,10 @@ class StreamingRunner:
             raise RuntimeError(
                 f"ring {source.name!r} closed before yielding a single frame"
             )
-        field = None
-        if state.pairs_done > 0:
-            n = state.pairs_done
-            field = MotionField(
-                u=state.sum_u / n,
-                v=state.sum_v / n,
-                valid=valid_mask(shape, self.config),
-                error=state.sum_error / n,
-                dt_seconds=float(np.mean(dts)),
-                pixel_km=self.pixel_km,
-                metadata={
-                    "model": "semi-fluid" if self.config.is_semifluid else "continuous",
-                    "config": self.config.name,
-                    "pairs": n,
-                    "degraded_pairs": len(report.degraded_pairs),
-                    "machine": f"{machine.nyproc}x{machine.nxproc}",
-                    "source": f"ring://{source.name}",
-                    "frames_missed": source.missed,
-                },
-            )
+        field = self._mean_field(
+            state, shape, dts, report, machine,
+            source=f"ring://{source.name}", frames_missed=source.missed,
+        )
         return StreamResult(
             field=field,
             report=report,

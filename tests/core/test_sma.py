@@ -5,6 +5,7 @@ import pytest
 
 from repro import Frame, SMAnalyzer
 from repro.params import FREDERIC_CONFIG
+from repro.parallel.parallel_sma import ParallelSMA
 from tests.conftest import translated_pair
 
 
@@ -107,15 +108,20 @@ class TestSMAnalyzer:
 
 
 class TestDtSubstitution:
+    @staticmethod
+    def track(config, *args, **kwargs):
+        return SMAnalyzer(config).track_pair(*args, **kwargs)
+
     def test_non_increasing_timestamps_warn_and_record(
         self, small_continuous_config, translation_frames
     ):
         f0, f1 = translation_frames
-        analyzer = SMAnalyzer(small_continuous_config)
-        with pytest.warns(RuntimeWarning, match="not increasing"):
-            field = analyzer.track_pair(
-                Frame(f0, time_seconds=100.0), Frame(f1, time_seconds=40.0)
+        with pytest.warns(RuntimeWarning, match="not increasing") as record:
+            field = self.track(
+                small_continuous_config,
+                Frame(f0, time_seconds=100.0), Frame(f1, time_seconds=40.0),
             )
+        assert record[0].filename == __file__  # names the caller's line
         assert field.dt_seconds == 1.0
         assert field.metadata["dt_substituted"] is True
         assert field.metadata["dt_rejected_seconds"] == -60.0
@@ -123,7 +129,7 @@ class TestDtSubstitution:
     def test_equal_timestamps_warn(self, small_continuous_config, translation_frames):
         f0, f1 = translation_frames
         with pytest.warns(RuntimeWarning):
-            field = SMAnalyzer(small_continuous_config).track_pair(f0, f1)
+            field = self.track(small_continuous_config, f0, f1)
         assert field.metadata["dt_rejected_seconds"] == 0.0
 
     def test_good_timestamps_stay_silent(self, small_continuous_config, translation_frames):
@@ -132,8 +138,9 @@ class TestDtSubstitution:
 
         with _warnings.catch_warnings():
             _warnings.simplefilter("error")
-            field = SMAnalyzer(small_continuous_config).track_pair(
-                Frame(f0, time_seconds=0.0), Frame(f1, time_seconds=90.0)
+            field = self.track(
+                small_continuous_config,
+                Frame(f0, time_seconds=0.0), Frame(f1, time_seconds=90.0),
             )
         assert "dt_substituted" not in field.metadata
 
@@ -143,8 +150,16 @@ class TestDtSubstitution:
 
         with _warnings.catch_warnings():
             _warnings.simplefilter("error")
-            field = SMAnalyzer(small_continuous_config).track_pair(f0, f1, dt_seconds=7.5)
+            field = self.track(small_continuous_config, f0, f1, dt_seconds=7.5)
         assert field.dt_seconds == 7.5
+
+
+class TestParallelDtSubstitution(TestDtSubstitution):
+    """The same contract on the simulated machine."""
+
+    @staticmethod
+    def track(config, *args, **kwargs):
+        return ParallelSMA(config).track_pair(*args, **kwargs).field
 
 
 class TestOperationCounts:

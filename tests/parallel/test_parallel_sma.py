@@ -1,5 +1,7 @@
 """Tests for the parallel SMA driver (the paper's core validation)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,27 @@ class TestParallelEqualsSequential:
             segmented.field.u,
             segmented.field.v,
         )
+
+
+    @pytest.mark.parametrize("search", ["exhaustive", "pruned"])
+    def test_segment_size_changes_no_byte(
+        self, translation_frames, small_semifluid_config, machine, search
+    ):
+        """Segments change the memory footprint only: the field and every
+        ledger charge are byte-identical for any segment size."""
+        f0, f1 = translation_frames
+        runs = [
+            ParallelSMA(
+                small_semifluid_config, machine=machine, segment_rows=rows, search=search
+            ).track_pair(f0, f1, dt_seconds=60.0)
+            for rows in (None, 1, 2)
+        ]
+        assert [run.segments_processed for run in runs] == [1, 5, 3]
+        ref = runs[0]
+        for run in runs[1:]:
+            for name in ("u", "v", "error", "params"):
+                assert getattr(run.field, name).tobytes() == getattr(ref.field, name).tobytes()
+            assert json.dumps(run.ledger.snapshot()) == json.dumps(ref.ledger.snapshot())
 
 
 class TestPhaseBreakdown:
