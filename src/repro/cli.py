@@ -67,6 +67,7 @@ from .data.datasets import (
     hurricane_frederic,
     hurricane_luis,
 )
+from .kernels import KERNEL_BACKENDS
 from .maspar.machine import GODDARD_MP2
 from .params import FREDERIC_CONFIG, GOES9_CONFIG, LUIS_CONFIG
 
@@ -105,11 +106,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "solves; 'pyramid' is approximate coarse-to-fine (continuous model only)",
     )
     track.add_argument(
-        "--backend", choices=("auto", "numpy", "native", "device"), default="auto",
+        "--backend", choices=KERNEL_BACKENDS, default="auto",
         help="kernel backend: 'auto' picks the native C kernel when available "
-        "(bit-identical to 'numpy'); 'native' requires it; 'device' runs "
-        "hypothesis chunks through the array-API path (torch/cupy when "
-        "importable, NumPy otherwise) -- tolerance-equivalent, not bitwise",
+        "(bit-identical to 'numpy'); 'native' requires it",
     )
     track.add_argument("--out", type=str, default=None, help="save the field (.npz)")
     track.add_argument(
@@ -147,9 +146,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "solves; the approximate pyramid schedule is not streamable)",
     )
     stream.add_argument(
-        "--backend", choices=("auto", "numpy", "native"), default="auto",
-        help="kernel backend (bit-identical set only; the tolerance-"
-        "equivalent device backend is not streamable)",
+        "--backend", choices=KERNEL_BACKENDS, default="auto",
+        help="kernel backend (all bit-identical)",
     )
     stream.add_argument(
         "--inject-faults", type=str, default=None, metavar="SPEC",
@@ -343,8 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "pruned schedule's saving)",
     )
     profile.add_argument(
-        "--backend", choices=("auto", "numpy", "native"), default="auto",
-        help="kernel backend for the profiled run (bit-identical set only)",
+        "--backend", choices=KERNEL_BACKENDS, default="auto",
+        help="kernel backend for the profiled run (all bit-identical)",
     )
     _add_obs_arguments(profile)
 
@@ -393,9 +391,9 @@ def _add_serve_tuning_arguments(parser: argparse.ArgumentParser) -> None:
         "(result-cache keys include the mode)",
     )
     parser.add_argument(
-        "--backend", choices=("auto", "numpy", "native"), default="auto",
+        "--backend", choices=KERNEL_BACKENDS, default="auto",
         help="default kernel backend for jobs that do not name one "
-        "(result-cache keys include it; the device backend is not servable)",
+        "(result-cache keys include it)",
     )
     parser.add_argument(
         "--lease-seconds", type=float, default=15.0, metavar="S",

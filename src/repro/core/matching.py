@@ -32,8 +32,7 @@ chunk of hypotheses:
    computes certificate bounds when asked, and solves the template
    systems (one box-sum sweep, ONE batched Gaussian elimination) -- on
    host kernels (native C field build, box sum and solve when the
-   library is loaded, bit-identical to NumPy/SciPy), or on the
-   array-API :class:`repro.kernels.device.DeviceBackend`;
+   library is loaded, bit-identical to NumPy/SciPy);
 2. a *schedule* picks the chunks and, per chunk, the pixels to solve;
 3. one flat-index *merge* keeps the per-pixel minimum of (error,
    rank in :func:`hypothesis_order`), so tie-breaks are deterministic
@@ -318,13 +317,12 @@ class _HostEvaluator:
             delta_y = _stack([d[0] for d in deltas])
             delta_x = _stack([d[1] for d in deltas])
             p_a, q_a = _gather_after(self.shifted_after, volume, delta_y, delta_x)
-        return self._pointwise(prepared.geo_before, p_a, q_a), delta_y, delta_x
-
-    def _pointwise(self, geo_b: SurfaceGeometry, p_a, q_a):
-        return pointwise_fields(
+        geo_b = prepared.geo_before
+        pw = pointwise_fields(
             geo_b.p[None], geo_b.q[None], p_a, q_a, geo_b.e[None], geo_b.g[None],
             prefer_native=self.prefer_native,
         )
+        return pw, delta_y, delta_x
 
     def certificate_bounds(self, pw, grid: "_CertificateGrid"):
         """Grid-shaped ``(lb, |c|)`` of one staged hypothesis.  ``lb`` is
@@ -360,30 +358,6 @@ class _HostEvaluator:
             acc, ridge=self.ridge, prefer_native=self.prefer_native, pixels=pixels
         )
         return solution.error, solution.params
-
-
-class _DeviceEvaluator(_HostEvaluator):
-    """The same stages on :class:`~repro.kernels.device.DeviceBackend`.
-
-    Only the semi-fluid gather, the schedule and the merge stay on host.
-    Approximate by contract: within the tolerance of
-    :mod:`repro.kernels.digest`; near-ties may pick another hypothesis.
-    """
-
-    def __init__(self, prepared: PreparedFrames, ridge: float, device) -> None:
-        super().__init__(prepared, ridge, prefer_native=False)
-        self.device = device
-
-    def _pointwise(self, geo_b, p_a, q_a):
-        return self.device.stage_chunk(geo_b.p, geo_b.q, geo_b.e, geo_b.g, p_a, q_a)
-
-    def certificate_bounds(self, pw, grid):
-        return self.device.certificate_bounds(pw, grid.m, grid.gy, grid.gx, self.ridge)
-
-    def solve(self, pw, pixels=None):
-        return self.device.solve_template(
-            pw, self.prepared.config.n_zt, self.ridge, survivors=pixels
-        )
 
 
 class _CertificateGrid:
@@ -628,18 +602,12 @@ def track_dense(
     ``pyramid_levels`` decimations and a ``pyramid_refine`` half-width
     fine window for ``"pyramid"``.  ``ledger`` receives the GE solves
     actually performed, under ``"Hypothesis matching"``.  ``backend``
-    is one of :data:`repro.kernels.KERNEL_BACKENDS`: ``"auto"``,
-    ``"numpy"`` and ``"native"`` are bit-identical; the opt-in
-    ``"device"`` path is within the tolerance of :mod:`repro.kernels.digest`.
+    is one of :data:`repro.kernels.KERNEL_BACKENDS` (``"auto"``,
+    ``"numpy"``, ``"native"``), all bit-identical.
     """
     if search not in SEARCH_MODES:
         raise ValueError(
             f"unknown search mode {search!r} (choose from {', '.join(SEARCH_MODES)})"
-        )
-    if backend == "device" and search == "pyramid":
-        raise ValueError(
-            "backend='device' supports search='exhaustive' and 'pruned'; "
-            "stacking two approximate paths (device + pyramid) is not supported"
         )
     resolved = resolve_backend(backend)
     with TRACER.span("hypothesis_search", search=search, backend=resolved.resolved):
@@ -649,10 +617,7 @@ def track_dense(
                 resolved.prefer_native,
             )
         else:
-            if resolved.is_device:
-                evaluator = _DeviceEvaluator(prepared, ridge, resolved.device)
-            else:
-                evaluator = _HostEvaluator(prepared, ridge, resolved.prefer_native)
+            evaluator = _HostEvaluator(prepared, ridge, resolved.prefer_native)
             grid = None
             if search == "pruned":
                 # None for a template too small for certificates:
@@ -681,7 +646,7 @@ def _pyramid_search(
         raise ValueError(
             "search='pyramid' supports the continuous model only: the "
             "semi-fluid score volume is resolution-specific and cannot "
-            "be decimated (use search='pruned' for an exact speedup)"
+            "be decimated (search='exhaustive' and 'pruned' are the exact schedules)"
         )
     if prepared.z_before is None or prepared.z_after is None:
         raise ValueError(

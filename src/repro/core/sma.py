@@ -137,9 +137,8 @@ class SMAnalyzer:
         Kernel backend forwarded to
         :func:`repro.core.matching.track_dense` -- ``"auto"`` (default:
         native C kernel when available, NumPy otherwise, bit-identical
-        either way), ``"numpy"`` (pin the reference path), ``"native"``
-        (require the C kernel) or ``"device"`` (opt-in array-API chunk
-        path, tolerance-equivalent rather than bit-identical).
+        either way), ``"numpy"`` (pin the reference path) or
+        ``"native"`` (require the C kernel).
     """
 
     def __init__(

@@ -1,24 +1,10 @@
-"""Digest + tolerance harness for comparing kernel backends.
+"""Digest for comparing kernel backends byte for byte.
 
-Two contracts coexist in :mod:`repro.kernels`:
-
-* **bit-identity** -- the ``numpy`` and ``native`` backends (and the
-  ``auto`` resolution between them) must produce byte-for-byte equal
-  products.  :func:`field_digest` collapses a dense match result into a
-  short stable digest so a single string equality check enforces it
-  (the same digest is used by serve's result cache keys and the search
-  benchmark).
-* **documented tolerance** -- the opt-in ``device`` backend runs a
-  different operation schedule (cumulative-sum box windows, functional
-  elimination), so its floats may differ in the last ulps and an error
-  near-tie may flip a pixel's winning integer displacement.
-  :func:`compare_results` measures exactly that: elementwise error /
-  parameter deviations against :data:`DEVICE_RTOL` / :data:`DEVICE_ATOL`
-  plus the fraction of displacement flips, each of which must be an
-  error tie within tolerance.
-
-CI's backend-matrix job runs both checks: digests for the bitwise
-backends, :func:`compare_results` for the device path.
+The ``numpy`` and ``native`` backends (and the ``auto`` resolution
+between them) must produce byte-for-byte equal products.
+:func:`field_digest` collapses a dense match product into a short
+stable digest so a single string equality check enforces it (the same
+digest is used by serve's result cache keys and the search benchmark).
 """
 
 from __future__ import annotations
@@ -26,18 +12,6 @@ from __future__ import annotations
 import hashlib
 
 import numpy as np
-
-#: Documented tolerance of the device backend relative to the NumPy
-#: reference: per-pixel template errors and motion parameters agree to
-#: ``atol + rtol * |reference|``.  Integer displacements may differ only
-#: at pixels whose competing hypothesis errors tie within the same
-#: tolerance.
-DEVICE_RTOL = 1e-6
-DEVICE_ATOL = 1e-9
-
-#: Maximum fraction of pixels whose winning displacement may flip at
-#: near-ties before :func:`compare_results` reports failure.
-DEVICE_MAX_FLIP_FRACTION = 0.01
 
 
 def field_digest(u, v, params, error) -> str:
@@ -53,72 +27,3 @@ def field_digest(u, v, params, error) -> str:
 def result_digest(result) -> str:
     """Digest of any object with ``u``/``v``/``params``/``error`` arrays."""
     return field_digest(result.u, result.v, result.params, result.error)
-
-
-def compare_results(
-    reference,
-    candidate,
-    rtol: float = DEVICE_RTOL,
-    atol: float = DEVICE_ATOL,
-    max_flip_fraction: float = DEVICE_MAX_FLIP_FRACTION,
-) -> dict:
-    """Measure a candidate backend's deviation from the reference result.
-
-    Both arguments expose ``u``/``v``/``params``/``error`` arrays (and
-    optionally ``valid``; deviations are measured on valid pixels when
-    present).  Returns a JSON-ready report whose ``within_tolerance``
-    bool is the pass/fail verdict of the documented device contract:
-
-    * ``error`` and, at agreeing pixels, ``params`` within
-      ``atol + rtol * |reference|``;
-    * displacement flips confined to error near-ties, and rarer than
-      ``max_flip_fraction``.
-    """
-    ref_err = np.asarray(reference.error, dtype=np.float64)
-    cand_err = np.asarray(candidate.error, dtype=np.float64)
-    if ref_err.shape != cand_err.shape:
-        raise ValueError(f"shape mismatch: {ref_err.shape} vs {cand_err.shape}")
-    valid = getattr(reference, "valid", None)
-    mask = (
-        np.ones(ref_err.shape, dtype=bool)
-        if valid is None
-        else np.asarray(valid, dtype=bool)
-    )
-
-    tol = atol + rtol * np.abs(ref_err)
-    err_dev = np.abs(cand_err - ref_err)
-    error_ok = bool(np.all(err_dev[mask] <= tol[mask]))
-
-    same_uv = (np.asarray(reference.u) == np.asarray(candidate.u)) & (
-        np.asarray(reference.v) == np.asarray(candidate.v)
-    )
-    flips = mask & ~same_uv
-    n_valid = int(mask.sum())
-    flip_fraction = float(flips.sum()) / n_valid if n_valid else 0.0
-    # A flip is benign when the two backends picked hypotheses whose
-    # errors tie within tolerance -- both are legitimate minima.
-    flips_are_ties = bool(np.all(err_dev[flips] <= tol[flips]))
-
-    agree = mask & same_uv
-    ref_params = np.asarray(reference.params, dtype=np.float64)
-    cand_params = np.asarray(candidate.params, dtype=np.float64)
-    params_dev = np.abs(cand_params - ref_params)
-    params_tol = atol + rtol * np.abs(ref_params)
-    params_ok = bool(np.all(params_dev[agree] <= params_tol[agree]))
-
-    bitwise = result_digest(reference) == result_digest(candidate)
-    return {
-        "bitwise_equal": bitwise,
-        "error_max_abs_dev": float(err_dev[mask].max()) if n_valid else 0.0,
-        "params_max_abs_dev": float(params_dev[agree].max()) if agree.any() else 0.0,
-        "flip_fraction": flip_fraction,
-        "flips_are_ties": flips_are_ties,
-        "within_tolerance": bool(
-            error_ok
-            and params_ok
-            and flips_are_ties
-            and flip_fraction <= max_flip_fraction
-        ),
-        "rtol": rtol,
-        "atol": atol,
-    }

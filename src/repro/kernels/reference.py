@@ -14,10 +14,7 @@ means *the* bits, not merely close ones:
   running sums for the box sum -- and are bitwise cross-checked on load;
 * the pruned search schedule uses :func:`strided_window_sums` only to
   form *bounds*, never field values, so its different summation order is
-  covered by an explicit slack;
-* the opt-in device backend (:mod:`repro.kernels.device`) is the single
-  tolerance-contract exception, and its tolerance is measured against
-  this module by the digest harness in :mod:`repro.kernels.digest`.
+  covered by an explicit slack.
 
 The public wrappers in ``repro.core`` re-export these names, so existing
 import sites keep working; new code should import from

@@ -41,7 +41,7 @@ from ..core.matching import (
 )
 from ..core.prep import FramePreparationCache
 from ..core.sma import Frame, pair_dt
-from ..kernels import BITWISE_BACKENDS, resolve_backend
+from ..kernels import KERNEL_BACKENDS, resolve_backend
 from ..maspar.cost import CostLedger
 from ..maspar.machine import MachineConfig, scaled_machine
 from ..maspar.mapping import HierarchicalMapping, mapping_for
@@ -132,11 +132,8 @@ class ParallelSMA:
         machine promises products identical to the sequential
         reference, and the pyramid schedule is approximate.
     backend:
-        Kernel backend -- one of the *bit-identical* backends
-        (``"auto"``, ``"numpy"``, ``"native"``).  ``"device"`` is
-        rejected for the same reason as the pyramid schedule: the
-        simulated machine promises products identical to the
-        sequential reference.
+        Kernel backend -- ``"auto"``, ``"numpy"`` or ``"native"``
+        (:data:`repro.kernels.KERNEL_BACKENDS`), all bit-identical.
     """
 
     def __init__(
@@ -156,11 +153,9 @@ class ParallelSMA:
                 "(the parallel run must stay bit-identical to the reference; "
                 "the approximate pyramid schedule is track_dense-only)"
             )
-        if backend not in BITWISE_BACKENDS:
+        if backend not in KERNEL_BACKENDS:
             raise ValueError(
-                f"ParallelSMA supports backend in {BITWISE_BACKENDS}, got {backend!r} "
-                "(the parallel run must stay bit-identical to the reference; "
-                "the tolerance-equivalent device backend is track_dense-only)"
+                f"ParallelSMA supports backend in {KERNEL_BACKENDS}, got {backend!r}"
             )
         self.config = config
         self.machine = machine

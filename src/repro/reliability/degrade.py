@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.sma import Frame
-from ..kernels import BITWISE_BACKENDS
+from ..kernels import KERNEL_BACKENDS
 from ..maspar.cost import CostLedger
 from ..maspar.machine import MachineConfig, scaled_machine
 from ..maspar.memory import PEMemoryError
@@ -82,9 +82,8 @@ class DegradationLadder:
         Hypothesis schedule for the SMA rungs: ``"exhaustive"`` or
         ``"pruned"`` (bit-identical results, fewer GE charges).
     backend:
-        Kernel backend for the SMA rungs; restricted to the
-        bit-identical set (``"auto"``, ``"numpy"``, ``"native"``) for
-        the same reason as ``search``.
+        Kernel backend for the SMA rungs: ``"auto"``, ``"numpy"`` or
+        ``"native"`` (:data:`repro.kernels.KERNEL_BACKENDS`).
     """
 
     def __init__(
@@ -101,10 +100,9 @@ class DegradationLadder:
                 f"DegradationLadder supports search='exhaustive' or 'pruned', "
                 f"got {search!r} (streamed products must stay bit-identical)"
             )
-        if backend not in BITWISE_BACKENDS:
+        if backend not in KERNEL_BACKENDS:
             raise ValueError(
-                f"DegradationLadder supports backend in {BITWISE_BACKENDS}, "
-                f"got {backend!r} (streamed products must stay bit-identical)"
+                f"DegradationLadder supports backend in {KERNEL_BACKENDS}, got {backend!r}"
             )
         self.config = config
         self.hs_iterations = hs_iterations

@@ -125,7 +125,7 @@ class StreamingRunner:
         self.pixel_km = pixel_km
         self.workers = workers
         self.search = search
-        # DegradationLadder validates backend against the bit-identical set.
+        # DegradationLadder validates backend against KERNEL_BACKENDS.
         self.backend = backend
         # Pool frame transport ("pickle" or "shm") -- results are
         # bit-identical either way, so the checkpoint fingerprint does

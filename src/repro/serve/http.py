@@ -59,6 +59,7 @@ import numpy as np
 
 from ..core.field import MotionField
 from ..core.prep import FramePreparationCache
+from ..kernels import KERNEL_BACKENDS
 from ..maspar.cost import CostLedger
 from ..maspar.machine import GODDARD_MP2
 from ..obs.events import (
@@ -78,7 +79,6 @@ from ..reliability.retry import PHASE_RECOVERY, RetryPolicy
 from .cache import ResultCache
 from .slo import SLOConfig, SLOTracker
 from .jobs import (
-    SERVABLE_BACKENDS,
     SERVABLE_SEARCH_MODES,
     Job,
     JobRequest,
@@ -132,11 +132,9 @@ class ServeApp:
                 f"unknown search_mode {search_mode!r} "
                 f"(choose from {', '.join(SERVABLE_SEARCH_MODES)})"
             )
-        if backend not in SERVABLE_BACKENDS:
+        if backend not in KERNEL_BACKENDS:
             raise ValueError(
-                f"unknown backend {backend!r} "
-                f"(choose from {', '.join(SERVABLE_BACKENDS)}; served products "
-                "promise bit-identity, so the device backend is not servable)"
+                f"unknown backend {backend!r} (choose from {', '.join(KERNEL_BACKENDS)})"
             )
         from ..parallel.pairs import resolve_transport
 

@@ -28,6 +28,8 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 
+from ..kernels import KERNEL_BACKENDS
+
 #: Dataset keys the serving layer accepts (mirrors ``repro.cli``).
 SERVABLE_DATASETS = ("florida", "frederic", "luis")
 
@@ -48,11 +50,6 @@ ACTIVE_STATES = ("pending", "running", "retrying")
 #: Hypothesis schedules a served job may request.  Pyramid is refused:
 #: served products promise bit-identity with the reference pipeline.
 SERVABLE_SEARCH_MODES = ("exhaustive", "pruned")
-
-#: Kernel backends a served job may request.  These are exactly the
-#: bit-identical backends (:data:`repro.kernels.BITWISE_BACKENDS`);
-#: ``"device"`` is refused for the same reason pyramid is.
-SERVABLE_BACKENDS = ("auto", "numpy", "native")
 
 
 class JobValidationError(ValueError):
@@ -104,11 +101,10 @@ class JobRequest:
                 f"(choose from {', '.join(SERVABLE_SEARCH_MODES)}; the approximate "
                 "pyramid schedule is not servable)"
             )
-        if self.backend not in SERVABLE_BACKENDS:
+        if self.backend not in KERNEL_BACKENDS:
             raise JobValidationError(
                 f"unknown backend {self.backend!r} "
-                f"(choose from {', '.join(SERVABLE_BACKENDS)}; the "
-                "tolerance-equivalent device backend is not servable)"
+                f"(choose from {', '.join(KERNEL_BACKENDS)})"
             )
         for name in ("size", "frames", "seed", "pair", "search", "template"):
             if not isinstance(getattr(self, name), int):

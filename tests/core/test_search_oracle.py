@@ -17,10 +17,8 @@ and is checked against the exhaustive ``backend="numpy"`` result of
   on a crop of 2,745 pixels, one more than a multiple of 8, so the
   native solve's 4- and 8-system lane groups straddle hypotheses and
   end short;
-* the approximate rows keep their documented bounds: the device backend
-  through :func:`repro.kernels.digest.compare_results`, the pyramid
-  schedule through its mean endpoint error (its flips are real motion
-  differences, not error ties, so the device flip rule does not apply).
+* the approximate pyramid rows keep their documented bound on the mean
+  endpoint error.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from repro.core.matching import (
     prepare_frames,
     track_dense,
 )
-from repro.kernels.digest import compare_results
 from repro.maspar.machine import scaled_machine
 from repro.obs.metrics import METRICS
 from repro.parallel.parallel_sma import ParallelSMA
@@ -63,7 +60,7 @@ PYRAMID_MAX_MEAN_EPE = 0.5
 class Row:
     """One oracle row: ``run(case) -> (result, matching GE solves)``.
 
-    ``kind`` is ``"exact"``, ``"device"`` or ``"pyramid"``; ``pruned``
+    ``kind`` is ``"exact"`` or ``"pyramid"``; ``pruned``
     rows must report skipped solves, the others the exhaustive count.
     """
 
@@ -183,8 +180,6 @@ def _rows() -> list[Row]:
                         f"{model}-parallel-{search}{suffix}", model,
                         _parallel(search, backend, segment_rows), pruned=search == "pruned",
                     ))
-            rows.append(Row(f"{model}-device-{search}", model, _dense(search, "device"),
-                            kind="device", pruned=search == "pruned"))
             for backend in ("numpy", "auto"):
                 for runner, label in ((_dense, "dense"), (_parallel, "parallel")):
                     rows.append(Row(
@@ -217,9 +212,6 @@ def test_oracle_row(row, cases):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), (
                     f"{row.id}: {name} differs from exhaustive numpy"
                 )
-    elif row.kind == "device":
-        report = compare_results(reference, result)
-        assert report["within_tolerance"], report
     else:
         valid = reference.valid
         epe = np.hypot(result.u - reference.u, result.v - reference.v)[valid]

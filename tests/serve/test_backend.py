@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.core.sma import Frame
+from repro.kernels import KERNEL_BACKENDS
 from repro.params import GOES9_CONFIG
 from repro.serve.cache import result_key
 from repro.serve.http import ServeApp
-from repro.serve.jobs import SERVABLE_BACKENDS, JobRequest, JobValidationError
+from repro.serve.jobs import JobRequest, JobValidationError
 
 
 @pytest.fixture
@@ -27,14 +28,14 @@ def _run_one(app, request, priority=0):
 
 class TestRequestValidation:
     def test_backend_accepted(self):
-        for backend in SERVABLE_BACKENDS:
+        for backend in KERNEL_BACKENDS:
             request = JobRequest(dataset="florida", backend=backend)
             assert request.backend == backend
             assert request.canonical()["backend"] == backend
 
-    def test_device_refused(self):
-        with pytest.raises(JobValidationError, match="device"):
-            JobRequest(dataset="florida", backend="device")
+    def test_unknown_backend_refused_by_constructor(self):
+        with pytest.raises(JobValidationError, match="unknown backend 'cuda'"):
+            JobRequest(dataset="florida", backend="cuda")
 
     def test_unknown_backend_refused(self):
         with pytest.raises(JobValidationError, match="backend"):
@@ -57,9 +58,9 @@ class TestResultKey:
 
 
 class TestServerDefault:
-    def test_app_rejects_device_default(self, tmp_path):
-        with pytest.raises(ValueError, match="backend"):
-            ServeApp(str(tmp_path / "bad"), workers=0, backend="device")
+    def test_app_rejects_unknown_default(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown backend 'gpu'"):
+            ServeApp(str(tmp_path / "bad"), workers=0, backend="gpu")
 
     def test_submit_injects_server_default(self, tmp_path):
         app = ServeApp(str(tmp_path / "state"), workers=0, backend="numpy")

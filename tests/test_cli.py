@@ -197,26 +197,11 @@ class TestBackendFlag:
         assert rc == 0
         assert "RMSE vs truth" in capsys.readouterr().out
 
-    def test_track_with_device_backend(self, monkeypatch, capsys):
-        from repro.kernels.device import reset_device_backend
-
-        monkeypatch.setenv("REPRO_DEVICE_LIB", "numpy")
-        reset_device_backend()
-        try:
-            rc = main([
-                "track", "florida", "--size", "64", "--search", "2",
-                "--template", "3", "--backend", "device",
-            ])
-        finally:
-            reset_device_backend()
-        assert rc == 0
-        assert "RMSE vs truth" in capsys.readouterr().out
-
-    def test_serve_refuses_device_backend(self):
-        # bit-identity is part of the serving contract, so the parser
-        # itself keeps "device" out of the serve command's choices
+    def test_serve_refuses_unknown_backend(self, capsys):
+        # the parser keeps names outside KERNEL_BACKENDS out of serve
         with pytest.raises(SystemExit):
-            main(["serve", "--backend", "device", "--workers", "0"])
+            main(["serve", "--backend", "gpu", "--workers", "0"])
+        assert "invalid choice: 'gpu'" in capsys.readouterr().err
 
 
 class TestSubpixelFlag:
