@@ -67,9 +67,11 @@ from ..kernels.reference import (  # noqa: F401  (re-exported API)
     N_TRIU,
     PARAM_NAMES,
     TRIU_INDICES,
-    box_sum_stack,
+    SplitSums,
+    box_sum_planes,
     pointwise_fields,
     residual_rows,
+    varying_planes,
 )
 from .linalg import gaussian_eliminate
 
@@ -129,7 +131,9 @@ def solve_accumulated(
 ) -> MotionSolution:
     """Minimize the accumulated template error (Step 2 of Section 2.2).
 
-    ``fields`` are template-summed packed fields.  A tiny ridge term
+    ``fields`` are template-summed packed fields: one ``(..., 28)``
+    array, or the hypothesis search's varying and invariant sums as a
+    :class:`~repro.kernels.reference.SplitSums`.  A tiny ridge term
     stabilizes near-degenerate patches without perturbing
     well-conditioned solutions; set ``ridge=0`` for the strict paper
     formulation.  ``pixels`` (flat indices over the leading axes)
@@ -137,7 +141,7 @@ def solve_accumulated(
     ``prefer_native`` (``backend="numpy"`` pins it False) and the
     compiled library loaded, the whole solve runs in the fused native
     kernel, bit-identical to the NumPy steps below and reading
-    ``fields`` through its strides, at ``pixels`` too, without a copy.
+    ``fields`` through their strides, at ``pixels`` too, without a copy.
     """
     if prefer_native:
         from ..native import native_available, native_solve_packed
@@ -145,6 +149,8 @@ def solve_accumulated(
         if native_available():
             theta, error, singular = native_solve_packed(fields, ridge, pixels)
             return MotionSolution(params=theta, error=error, singular=singular)
+    if isinstance(fields, SplitSums):
+        fields = fields.packed()
     if pixels is not None:
         fields = np.asarray(fields).reshape(-1, N_FIELDS)[pixels]
     h, grad, c = unpack_fields(fields)
@@ -159,62 +165,52 @@ def solve_accumulated(
     return MotionSolution(params=theta, error=error, singular=singular)
 
 
-def stack_pointwise_fields(
-    p, q, p_after, q_after, e, g, prefer_native: bool = True
-) -> np.ndarray:
-    """:func:`pointwise_fields` of one before frame against stacked after planes.
+def stack_varying_fields(p, q, e, g, p_after, q_after, prefer_native: bool = True) -> np.ndarray:
+    """:func:`~repro.kernels.reference.varying_planes`: the 18
+    hypothesis-varying fields of ``(H, W)`` before planes against
+    ``(n, H, W)`` after planes, as a contiguous ``(n, 18, H, W)`` stack.
 
-    With ``prefer_native``, ``(1, H, W)`` before planes, ``(n, H, W)``
-    after planes and the compiled library loaded, the fields are built
-    by the native kernel into a channels-first ``(n, 28, H, W)`` buffer
-    and returned as its channels-last ``(n, H, W, 28)`` view -- the
-    layout :func:`stack_box_sum` sums without a copy.  Bit-identical to
-    the NumPy path, which every other shape and caller takes.
+    With ``prefer_native``, float64 planes and the compiled library
+    loaded, the native kernel builds it -- bit-identical to the NumPy
+    path, which every other input takes.
     """
-    if prefer_native and _planes(p, q, e, g) and _planes(p_after, q_after):
-        shape = np.shape(p)
-        if shape[0] == 1 and np.shape(p_after)[1:] == shape[1:]:
+    if prefer_native and _float_planes(2, p, q, e, g) and _float_planes(3, p_after, q_after):
+        if np.shape(p_after)[1:] == np.shape(p):
             from ..native import native_available, native_pointwise_planes
 
             if native_available():
-                planes = native_pointwise_planes(p[0], q[0], e[0], g[0], p_after, q_after)
-                return np.moveaxis(planes, 1, 3)
-    return pointwise_fields(p, q, p_after, q_after, e, g)
+                return native_pointwise_planes(p, q, e, g, p_after, q_after)
+    return varying_planes(p, q, e, g, p_after, q_after)
 
 
-def _planes(*arrays) -> bool:
-    """True for equally shaped 3-D float64 arrays."""
+def _float_planes(ndim: int, *arrays) -> bool:
+    """True for equally shaped ``ndim``-D float64 arrays."""
     return all(
-        isinstance(a, np.ndarray) and a.ndim == 3 and a.dtype == np.float64
+        isinstance(a, np.ndarray) and a.ndim == ndim and a.dtype == np.float64
         and a.shape == arrays[0].shape
         for a in arrays
     )
 
 
-def stack_box_sum(
-    fields: np.ndarray, half_width: int, prefer_native: bool = True
-) -> np.ndarray:
-    """:func:`~repro.kernels.reference.box_sum_stack` of ``(n, H, W, 28)`` fields.
+def stack_box_sum(planes: np.ndarray, half_width: int, prefer_native: bool = True) -> np.ndarray:
+    """:func:`~repro.kernels.reference.box_sum_planes` of a ``(..., H, W)`` stack.
 
-    With ``prefer_native``, a channels-last view of a channels-first
-    buffer (what :func:`stack_pointwise_fields` returns) and a trusted
-    native box sum, the planes are summed in place by the native kernel,
-    bit-identical to SciPy's ``uniform_filter``; anything else takes the
-    SciPy path.  Either way the result is a channels-last view of
-    channels-first sums.
+    With ``prefer_native``, a contiguous float64 stack (what
+    :func:`stack_varying_fields` returns) and a trusted native box sum,
+    the planes are summed by the native kernel, bit-identical to
+    SciPy's ``uniform_filter``; anything else takes the SciPy path.
+    Either way the result is a contiguous stack of the same shape.
     """
     if (
-        prefer_native and half_width > 0 and isinstance(fields, np.ndarray)
-        and fields.ndim == 4 and fields.dtype == np.float64
+        prefer_native and half_width > 0 and isinstance(planes, np.ndarray)
+        and planes.ndim >= 2 and planes.dtype == np.float64 and planes.flags.c_contiguous
     ):
-        planes = np.moveaxis(fields, 3, 1)
-        if planes.flags.c_contiguous:
-            from ..native import native_box_sum_available, native_box_sum_planes
+        from ..native import native_box_sum_available, native_box_sum_planes
 
-            if native_box_sum_available():
-                side = 2 * half_width + 1
-                return np.moveaxis(native_box_sum_planes(planes, side, side), 1, 3)
-    return box_sum_stack(fields, half_width)
+        if native_box_sum_available():
+            side = 2 * half_width + 1
+            return native_box_sum_planes(planes, side, side)
+    return box_sum_planes(planes, half_width)
 
 
 def estimate_from_samples(

@@ -27,12 +27,16 @@ Every :func:`track_dense` schedule -- and the row-segmented schedule of
 one hypothesis driver, :func:`_search`, which repeats three steps per
 chunk of hypotheses:
 
-1. an *evaluator* builds the chunk's pointwise normal-equation fields
-   (one :func:`~repro.core.continuous.stack_pointwise_fields` call),
-   computes certificate bounds when asked, and solves the template
-   systems (one box-sum sweep, ONE batched Gaussian elimination) -- on
-   host kernels (native C field build, box sum and solve when the
-   library is loaded, bit-identical to NumPy/SciPy);
+1. an *evaluator* builds the chunk's hypothesis-varying pointwise
+   normal-equation fields (one
+   :func:`~repro.core.continuous.stack_varying_fields` call), computes
+   certificate bounds when asked, and solves the template systems (one
+   box-sum sweep, ONE batched Gaussian elimination) -- on host kernels
+   (native C field build, box sum and solve when the library is loaded,
+   bit-identical to NumPy/SciPy).  The 10 packed fields no hypothesis
+   changes (:data:`~repro.kernels.reference.INVARIANT_FIELDS`) are
+   built and summed once per frame pair, and the solve reads them next
+   to each hypothesis's 18 varying sums;
 2. a *schedule* picks the chunks and, per chunk, the pixels to solve;
 3. one flat-index *merge* keeps the per-pixel minimum of (error,
    rank in :func:`hypothesis_order`), so tie-breaks are deterministic
@@ -69,17 +73,21 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..kernels import resolve_backend
-from ..kernels.reference import strided_window_sums
+from ..kernels.reference import (
+    VARYING_FIELDS,
+    SplitSums,
+    invariant_planes,
+    strided_window_sums,
+)
 from ..obs.metrics import METRICS
 from ..obs.tracing import TRACER
 from ..params import NeighborhoodConfig
 from .continuous import (
-    N_FIELDS,
     estimate_from_samples,
     solve_accumulated,
 )
 from .continuous import stack_box_sum as _kernel_box_sum_stack
-from .continuous import stack_pointwise_fields as pointwise_fields
+from .continuous import stack_varying_fields as pointwise_fields
 from .prep import FramePreparationCache, prepare_frame
 from .semifluid import (
     ScoreVolume,
@@ -286,6 +294,9 @@ class _HostEvaluator:
     ``solve_accumulated`` (the names ``bench/layers.py`` times; the
     first two are the native-or-NumPy dispatchers of
     :mod:`repro.core.continuous`), each told ``prefer_native``.
+    Per hypothesis they build and sum only the 18 varying fields; the
+    10 invariant ones are built and box-summed here, once per frame
+    pair, and every solve reads them as a second base (outer stride 0).
     Certificates and template sums accumulate the same pointwise
     fields, which is what makes the bound exact.
     """
@@ -298,12 +309,22 @@ class _HostEvaluator:
         self.shifted_after = None
         if prepared.volume is not None and prepared.config.n_ss > 0:
             self.shifted_after = _shifted_geometry_stack(prepared.geo_after, prepared.volume)
+        self._invariant_acc = _kernel_box_sum_stack(
+            self._invariant_planes(), prepared.config.n_zt, prefer_native=prefer_native
+        )
+        self._certificate = None  # (grid, its invariant window sums)
+
+    def _invariant_planes(self) -> np.ndarray:
+        """The pair's 10 hypothesis-invariant planes ``(10, H, W)``."""
+        geo_b = self.prepared.geo_before
+        return invariant_planes(geo_b.p, geo_b.q, geo_b.e, geo_b.g)
 
     def stage(self, chunk: list[tuple[int, int]]):
-        """``(pointwise fields, delta_y, delta_x)`` of a hypothesis chunk.
+        """``(varying fields, delta_y, delta_x)`` of a hypothesis chunk.
 
-        The fields stack to ``(n, H, W, 28)``; the ``(n, H, W)`` semi-fluid
-        deltas are None for the continuous model.
+        The fields are a contiguous ``(n, 18, H, W)`` stack, plane ``j``
+        holding packed field ``VARYING_FIELDS[j]``; the ``(n, H, W)``
+        semi-fluid deltas are None for the continuous model.
         """
         prepared = self.prepared
         delta_y = delta_x = None
@@ -319,8 +340,7 @@ class _HostEvaluator:
             p_a, q_a = _gather_after(self.shifted_after, volume, delta_y, delta_x)
         geo_b = prepared.geo_before
         pw = pointwise_fields(
-            geo_b.p[None], geo_b.q[None], p_a, q_a, geo_b.e[None], geo_b.g[None],
-            prefer_native=self.prefer_native,
+            geo_b.p, geo_b.q, geo_b.e, geo_b.g, p_a, q_a, prefer_native=self.prefer_native
         )
         return pw, delta_y, delta_x
 
@@ -328,17 +348,19 @@ class _HostEvaluator:
         """Grid-shaped ``(lb, |c|)`` of one staged hypothesis.  ``lb`` is
         zero where singular: E(0) = c is NOT a lower bound on the minimum.
 
-        The window sums run over the fields' ``(28, H, W)`` view, which
-        is contiguous when the fields are a native channels-first build;
-        the solve reads the sums' channels-last view through its strides.
+        The window sums run over the hypothesis's 18 varying planes; the
+        invariant planes' sums are taken once per grid, on its first
+        call, and read as the solve's second base.
         """
-        planes = np.moveaxis(pw[0], 2, 0)
-        tmp = strided_window_sums(planes, 2, grid.gx.size, CERT_STRIDE, grid.m)
-        acc = strided_window_sums(tmp, 1, grid.gy.size, CERT_STRIDE, grid.m)
+        if self._certificate is None or self._certificate[0] is not grid:
+            self._certificate = (grid, grid.window_sums(self._invariant_planes()))
+        acc = grid.window_sums(pw[0])
         solution = solve_accumulated(
-            np.moveaxis(acc, 0, -1), ridge=self.ridge, prefer_native=self.prefer_native
+            SplitSums(acc, self._certificate[1]), ridge=self.ridge,
+            prefer_native=self.prefer_native,
         )
-        return np.where(solution.singular, 0.0, solution.error), np.abs(acc[N_FIELDS - 1])
+        # c, the last packed field, is the last varying one.
+        return np.where(solution.singular, 0.0, solution.error), np.abs(acc[-1])
 
     def solve(self, pw, pixels: np.ndarray | None = None):
         """Template ``(error, params)``: ``(n, H, W[, 6])``, or ``(s[, 6])`` at ``pixels``.
@@ -346,16 +368,18 @@ class _HostEvaluator:
         The box sum covers the full image on purpose: its running-sum
         rounding depends on the distance from the array origin, so
         cropping to the selected pixels would change bits.  The solve
-        reads the selected pixels where they lie.  The last box
-        sum is kept alive until the next one: freeing it lets the
-        allocator hand its pages back to the OS and fault them in again
-        per hypothesis (2-3x the minor page faults, measured at 96 px).
+        reads the selected pixels where they lie, in the varying sums
+        and the pair's invariant sums.  The last box sum is kept alive
+        until the next one: freeing it lets the allocator hand its pages
+        back to the OS and fault them in again per hypothesis (2-3x the
+        minor page faults, measured at 96 px).
         """
         acc = self._last_acc = _kernel_box_sum_stack(
             pw, self.prepared.config.n_zt, prefer_native=self.prefer_native
         )
         solution = solve_accumulated(
-            acc, ridge=self.ridge, prefer_native=self.prefer_native, pixels=pixels
+            SplitSums(acc, self._invariant_acc), ridge=self.ridge,
+            prefer_native=self.prefer_native, pixels=pixels,
         )
         return solution.error, solution.params
 
@@ -407,6 +431,11 @@ class _CertificateGrid:
         if grid.gy.size == 0 or grid.gx.size == 0:
             return None
         return grid
+
+    def window_sums(self, planes: np.ndarray) -> np.ndarray:
+        """Certificate-window sums ``(k, gy, gx)`` of ``(k, H, W)`` planes."""
+        tmp = strided_window_sums(planes, 2, self.gx.size, CERT_STRIDE, self.m)
+        return strided_window_sums(tmp, 1, self.gy.size, CERT_STRIDE, self.m)
 
     @property
     def systems(self) -> int:
@@ -476,9 +505,9 @@ def _exhaustive(
     prepared: PreparedFrames, batch_bytes: int, grid: _CertificateGrid | None = None
 ) -> _Exhaustive:
     """Exhaustive schedule whose chunks stack at most ``batch_bytes`` of
-    fields; pruned, one hypothesis per chunk, when given a ``grid``."""
+    varying fields; pruned, one hypothesis per chunk, when given a ``grid``."""
     h, w = prepared.geo_before.shape
-    size = max(1, int(batch_bytes) // max(h * w * N_FIELDS * 8, 1))
+    size = max(1, int(batch_bytes) // max(h * w * len(VARYING_FIELDS) * 8, 1))
     return _Exhaustive(hypothesis_order(prepared.config.n_zs), size, grid)
 
 

@@ -39,24 +39,30 @@ from .digest import field_digest, result_digest
 from .reference import (
     A1_ZERO_COLUMNS,
     A2_ZERO_COLUMNS,
+    INVARIANT_FIELDS,
     N_FIELDS,
     N_PARAMS,
     N_TRIU,
     PARAM_NAMES,
     SINGULAR_TOLERANCE,
     TRIU_INDICES,
+    VARYING_FIELDS,
+    SplitSums,
     box_sum,
+    box_sum_planes,
     box_sum_rect,
-    box_sum_stack,
     eliminate,
+    invariant_planes,
     pointwise_fields,
     residual_rows,
     strided_window_sums,
+    varying_planes,
 )
 
 __all__ = [
     "A1_ZERO_COLUMNS",
     "A2_ZERO_COLUMNS",
+    "INVARIANT_FIELDS",
     "KERNEL_BACKENDS",
     "N_FIELDS",
     "N_PARAMS",
@@ -64,17 +70,21 @@ __all__ = [
     "PARAM_NAMES",
     "SINGULAR_TOLERANCE",
     "TRIU_INDICES",
+    "VARYING_FIELDS",
     "ResolvedBackend",
+    "SplitSums",
     "box_sum",
+    "box_sum_planes",
     "box_sum_rect",
-    "box_sum_stack",
     "eliminate",
     "field_digest",
+    "invariant_planes",
     "pointwise_fields",
     "residual_rows",
     "resolve_backend",
     "result_digest",
     "strided_window_sums",
+    "varying_planes",
 ]
 
 #: Backend names accepted by every entry point that takes a backend.
@@ -89,7 +99,7 @@ class ResolvedBackend:
     path actually taken (``"numpy"`` or ``"native"``).  ``prefer_native``
     is handed to the hypothesis evaluator's three native-or-NumPy
     dispatchers --
-    :func:`repro.core.continuous.stack_pointwise_fields`,
+    :func:`repro.core.continuous.stack_varying_fields`,
     :func:`~repro.core.continuous.stack_box_sum` and
     :func:`~repro.core.continuous.solve_accumulated` -- so False
     (``backend="numpy"``) keeps the whole chain on NumPy/SciPy.

@@ -23,6 +23,8 @@ import sites keep working; new code should import from
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy import ndimage
 
@@ -50,6 +52,19 @@ N_FIELDS = N_TRIU + N_PARAMS + 1  # 28
 #: logic.
 A1_ZERO_COLUMNS: tuple[int, ...] = (1, 5)
 A2_ZERO_COLUMNS: tuple[int, ...] = (2, 4)
+
+#: Packed fields that do not depend on the after-motion surface.  Only
+#: columns 0 and 3 of either design row read ``p'`` or ``q'``, so the H
+#: entries among columns (1, 2, 4, 5) depend on the before frame alone:
+#: four structural zeros -- H(1,2), H(1,4), H(2,5), H(4,5) -- and
+#: H(1,1) = w2 p^2, H(1,5) = -w2 p, H(2,2) = w1 q^2, H(2,4) = -w1 q,
+#: H(4,4) = w1, H(5,5) = w2.  The hypothesis search sums these once per
+#: frame pair; a test re-derives both sets from pointwise_fields output.
+INVARIANT_FIELDS: tuple[int, ...] = (6, 7, 9, 10, 11, 13, 14, 18, 19, 20)
+#: The other 18 packed fields, in packed order: summed per hypothesis.
+VARYING_FIELDS: tuple[int, ...] = tuple(
+    k for k in range(N_FIELDS) if k not in INVARIANT_FIELDS
+)
 
 #: Pivot magnitudes below this are treated as singular.
 SINGULAR_TOLERANCE = 1e-12
@@ -152,6 +167,68 @@ def pointwise_fields(p, q, p_after, q_after, e, g) -> np.ndarray:
     return fields
 
 
+def varying_planes(p, q, e, g, p_after, q_after) -> np.ndarray:
+    """The :data:`VARYING_FIELDS` of :func:`pointwise_fields`, channels-first.
+
+    ``(H, W)`` before planes against ``(n, H, W)`` after planes give a
+    contiguous ``(n, 18, H, W)`` stack, plane ``j`` holding field
+    ``VARYING_FIELDS[j]``.
+    """
+    fields = pointwise_fields(p, q, p_after, q_after, e, g)
+    return np.ascontiguousarray(np.moveaxis(fields[..., VARYING_FIELDS], -1, -3))
+
+
+def invariant_planes(p, q, e, g) -> np.ndarray:
+    """The :data:`INVARIANT_FIELDS` of :func:`pointwise_fields` of an
+    ``(H, W)`` before frame, as a contiguous ``(10, H, W)`` stack.
+
+    No after plane reaches them, so the before planes stand in for it.
+    Each field is :func:`pointwise_fields`' own product, computed alone:
+    every invariant H entry keeps one design row or none.  Built a band
+    of image rows at a time, so the design-row temporaries stay small;
+    each pixel's fields do not depend on its neighbours.
+    """
+    p, q, e, g = (np.asarray(a, dtype=np.float64) for a in (p, q, e, g))
+    out = np.empty((len(INVARIANT_FIELDS),) + p.shape)
+    rows = 16
+    for y in range(0, p.shape[0], rows):
+        band = slice(y, y + rows)
+        a1, _, a2, _ = residual_rows(p[band], q[band], p[band], q[band])
+        wa1 = (1.0 / (e[band] * e[band]))[..., None] * a1
+        wa2 = (1.0 / (g[band] * g[band]))[..., None] * a2
+        for plane, k in zip(out[:, band], INVARIANT_FIELDS):
+            i, j = TRIU_INDICES[k]
+            if i not in A1_ZERO_COLUMNS and j not in A1_ZERO_COLUMNS:
+                np.multiply(wa1[..., i], a1[..., j], out=plane)
+            elif i not in A2_ZERO_COLUMNS and j not in A2_ZERO_COLUMNS:
+                np.multiply(wa2[..., i], a2[..., j], out=plane)
+            else:
+                plane[...] = 0.0
+    return out
+
+
+class SplitSums(NamedTuple):
+    """Packed template sums held as two bases, the hypothesis search's layout.
+
+    ``varying`` is ``(..., 18, *S)`` -- a hypothesis stack of sums, or
+    one hypothesis's -- plane ``j`` holding field ``VARYING_FIELDS[j]``;
+    ``invariant`` is ``(10, *S)``, shared by every hypothesis of the
+    frame pair, plane ``j`` holding field ``INVARIANT_FIELDS[j]``.  The
+    systems are the varying stack's leading shape plus ``S``.
+    """
+
+    varying: np.ndarray
+    invariant: np.ndarray
+
+    def packed(self) -> np.ndarray:
+        """The ``(..., *S, 28)`` packed array the two bases stand for."""
+        varying = np.moveaxis(self.varying, self.varying.ndim - self.invariant.ndim, -1)
+        packed = np.empty(varying.shape[:-1] + (N_FIELDS,), dtype=np.float64)
+        packed[..., VARYING_FIELDS] = varying
+        packed[..., INVARIANT_FIELDS] = np.moveaxis(self.invariant, 0, -1)
+        return packed
+
+
 def box_sum_rect(field: np.ndarray, half_y: int, half_x: int) -> np.ndarray:
     """Box sum over a rectangular ``(2half_y+1) x (2half_x+1)`` window.
 
@@ -177,33 +254,25 @@ def box_sum(field: np.ndarray, half_width: int) -> np.ndarray:
     return box_sum_rect(field, half_width, half_width)
 
 
-def box_sum_stack(fields: np.ndarray, half_width: int) -> np.ndarray:
-    """Box sum over the image axes of a ``(n, H, W, 28)`` stack.
+def box_sum_planes(planes: np.ndarray, half_width: int) -> np.ndarray:
+    """Box sum of every ``(H, W)`` plane of a ``(..., H, W)`` stack.
 
-    One separable uniform-filter sweep (a cumulative sliding sum per
-    axis in the scipy implementation) shared by every hypothesis and
-    every packed field -- arithmetic per (n, k) slice identical to
-    :func:`box_sum` on that slice, hence bit-identical to summing the
-    slices one at a time.
-
-    The result is a channels-last *view* of channels-first sums (not
-    contiguous); the fused native solve reads it through its strides.
-    Input that already is such a view (a native field build) is
-    filtered without the channels-first copy.
+    One separable uniform-filter sweep over the last two axes (a
+    cumulative sliding sum per axis in the scipy implementation, rows
+    then columns) shared by every hypothesis and every field; each
+    plane's arithmetic is that of :func:`box_sum` on it alone, whatever
+    else is stacked with it, so summing a stack is bit-identical to
+    summing its planes one at a time.
     """
+    planes = np.asarray(planes, dtype=np.float64)
     if half_width == 0:
-        return fields.astype(np.float64, copy=True)
+        return planes.copy()
     side = 2 * half_width + 1
-    # Filter a channels-first copy: scipy's 1-d kernel walks each image
-    # line with the identical running-sum arithmetic regardless of
-    # memory layout (same axis order: rows then columns), so the result
-    # is bit-for-bit the same while the inner loop becomes contiguous.
-    stacked = np.ascontiguousarray(np.moveaxis(np.asarray(fields, dtype=np.float64), 3, 1))
     summed = ndimage.uniform_filter(
-        stacked, size=(1, 1, side, side), mode="constant", cval=0.0
+        planes, size=(1,) * (planes.ndim - 2) + (side, side), mode="constant", cval=0.0
     )
     summed *= float(side * side)
-    return np.moveaxis(summed, 1, 3)
+    return summed
 
 
 def strided_window_sums(

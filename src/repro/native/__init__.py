@@ -13,17 +13,21 @@ or SciPy path it shadows:
 
 * :func:`native_gauss_eliminate` -- :func:`repro.core.linalg.gaussian_eliminate`;
 * :func:`native_solve_packed` -- :func:`repro.core.continuous.solve_accumulated`,
-  fused: it reads the 28 packed box sums through their strides (all of
-  them, or the flat pixel indices it is given), builds each 6x6 system,
-  solves it and evaluates the minimized error in one pass, with none of
-  the reference's full-array temporaries.  On x86 CPUs with AVX2 or
-  AVX-512F it solves 4 or 8 systems in lockstep, one per vector lane;
-  :func:`native_solve_lanes` reports the width;
+  fused: it reads the 28 packed box sums in place through a per-field
+  table of (base, outer stride) -- one strided array, or the
+  hypothesis search's varying stack plus the frame pair's invariant
+  sums at outer stride 0 -- for every system or the flat pixel indices
+  it is given, builds each 6x6 system, solves it and evaluates the
+  minimized error in one pass, with none of the reference's full-array
+  temporaries.  On x86 CPUs with AVX2 or AVX-512F it solves 4 or 8
+  systems in lockstep, one per vector lane; :func:`native_solve_lanes`
+  reports the width;
 * :func:`native_pointwise_planes` --
-  :func:`repro.kernels.reference.pointwise_fields` of one before frame
-  against a stack of after planes, written channels-first;
+  :func:`repro.kernels.reference.varying_planes`: the 18
+  hypothesis-varying fields of one before frame against a stack of
+  after planes, written channels-first;
 * :func:`native_box_sum_planes` -- the SciPy ``uniform_filter`` box sum
-  of :func:`repro.kernels.reference.box_sum_stack`, plane by plane.
+  of :func:`repro.kernels.reference.box_sum_planes`, plane by plane.
 
 The contract holds because
 
@@ -35,8 +39,10 @@ The contract holds because
   adversarial inputs (random, singular, NaN, infinity, signed zeros,
   denormals, windows longer than the image) before the library is ever
   trusted -- the template solve at every lane width the CPU runs, one
-  system at a time included; any mismatch or build failure quietly
-  disables it.
+  system at a time included, on one array and on a two-base split, in
+  full and through an index list; the field build's plane set against
+  :data:`repro.kernels.reference.VARYING_FIELDS`; any mismatch or build
+  failure quietly disables it.
 
 The box sum is the one exception to that all-or-nothing rule.  It
 answers to SciPy's *internal* running-sum arithmetic, which a SciPy
@@ -74,10 +80,20 @@ import logging
 import os
 import subprocess
 import tempfile
+from math import prod
 from pathlib import Path
 
 import numpy as np
 
+from ..kernels.reference import (
+    INVARIANT_FIELDS,
+    TRIU_INDICES,
+    VARYING_FIELDS,
+    SplitSums,
+    box_sum_planes,
+    pointwise_fields,
+    varying_planes,
+)
 from ..obs.log import get_logger, log_event
 from ..obs.metrics import METRICS
 from ..obs.tracing import TRACER
@@ -101,6 +117,12 @@ _SOURCE = _HERE / "gauss.c"
 _BUILD_DIR = _HERE / "_build"
 #: Packed normal-equation fields per pixel (repro.kernels.reference.N_FIELDS).
 _N_FIELDS = 28
+_STEP = np.dtype(np.float64).itemsize
+
+#: One entry per packed field: ``solve_packed``'s plane bases, and its
+#: outer strides or ``pointwise_varying_fields``' field indices.
+_FieldAddresses = ctypes.c_void_p * _N_FIELDS
+_FieldInts = ctypes.c_ssize_t * _N_FIELDS
 
 _CFLAGS = ["-O3", "-fPIC", "-shared", "-ffp-contract=off", "-fno-fast-math"]
 
@@ -193,49 +215,60 @@ def _self_check(lib: ctypes.CDLL) -> None:
 
     from ..core.continuous import solve_accumulated
 
-    # Channels-last view of a channels-first buffer: the layout the box
-    # sum hands over, read through its strides -- in full, and through
-    # an index list that puts every special row in every lane position.
+    # Channels-last view of a channels-first buffer, read through its
+    # strides, and the hypothesis search's two-base split of the same
+    # rows -- in full, and through an index list that puts every
+    # special row in every lane position.
     packed = np.moveaxis(np.ascontiguousarray(adversarial_packed().T), 0, -1)
+    split = adversarial_split()
     pixels = adversarial_pixels()
-    runs = [(None, (), slice(None))]  # the dispatched width first
+    runs = [(packed, None, (), slice(None))]  # the dispatched width first
     for lanes in _lane_widths(lib):
-        runs += [(lanes, (None, lanes), slice(None)), (lanes, (pixels, lanes), pixels)]
+        for fields in (packed, split):
+            runs += [(fields, lanes, (None, lanes), slice(None))]
+            runs += [(fields, lanes, (pixels, lanes), pixels)]
     for ridge in (1e-9, 0.0):
         with np.errstate(all="ignore"):
-            ref = solve_accumulated(packed, ridge=ridge, prefer_native=False)
-        for lanes, extra, at in runs:
+            refs = {id(f): solve_accumulated(f, ridge=ridge, prefer_native=False)
+                    for f in (packed, split)}
+        for fields, lanes, extra, at in runs:
+            ref = refs[id(fields)]
             with np.errstate(all="ignore"):
-                nat = _call_solve_packed(lib, packed, ridge, *extra)
+                nat = _call_solve_packed(lib, fields, ridge, *extra)
             if not (
-                same_bits(ref.params[at], nat[0]) and same_bits(ref.error[at], nat[1])
-                and np.array_equal(ref.singular[at], nat[2])
+                same_bits(ref.params.reshape(-1, 6)[at], nat[0].reshape(-1, 6))
+                and same_bits(ref.error.reshape(-1)[at], nat[1].reshape(-1))
+                and np.array_equal(ref.singular.reshape(-1)[at], nat[2].reshape(-1))
             ):
                 width = "" if lanes is None else f" at {lanes} lanes"
+                layout = "" if fields is packed else " on the two-base split"
                 raise AssertionError(
-                    f"native template solve disagrees with NumPy reference{width}"
+                    f"native template solve disagrees with NumPy reference{layout}{width}"
                 )
 
-    from ..kernels.reference import pointwise_fields
-
+    written = _FieldInts()
+    count = lib.pointwise_varying_fields(written)
+    if tuple(written[:count]) != VARYING_FIELDS:
+        raise AssertionError(
+            f"native pointwise fields write fields {tuple(written[:count])}, "
+            f"not VARYING_FIELDS {VARYING_FIELDS}"
+        )
     p, q, e, g, p_after, q_after = adversarial_planes()
     with np.errstate(all="ignore"):
-        ref = pointwise_fields(p[None], q[None], p_after, q_after, e[None], g[None])
+        ref = varying_planes(p, q, e, g, p_after, q_after)
         nat = _call_pointwise_planes(lib, p, q, e, g, p_after, q_after)
-    if not same_bits(ref, np.moveaxis(nat, 1, 3)):
+    if not same_bits(ref, nat):
         raise AssertionError("native pointwise fields disagree with NumPy reference")
 
 
 def _box_sum_check(lib: ctypes.CDLL) -> str | None:
     """Why the box sum disagrees with SciPy on adversarial planes, or None."""
-    from ..kernels.reference import box_sum_stack
-
     stack = adversarial_box_stack()
     for half in (1, 2, 4):
         with np.errstate(all="ignore"):
-            ref = box_sum_stack(np.moveaxis(stack, 1, 3), half)
+            ref = box_sum_planes(stack, half)
             nat = _call_box_sum_planes(lib, stack, 2 * half + 1, 2 * half + 1)
-        if not same_bits(ref, np.moveaxis(nat, 1, 3)):
+        if not same_bits(ref, nat):
             import scipy
 
             return (
@@ -263,8 +296,6 @@ def adversarial_packed(m: int = 128, seed: int = 20261017) -> np.ndarray:
     all-zero, rank-deficient, NaN, +-inf, signed-zero, negative and
     denormal ``c`` rows.
     """
-    from ..kernels.reference import TRIU_INDICES, pointwise_fields
-
     rng = np.random.default_rng(seed)
     samples = rng.normal(size=(4, m, 9)) * np.exp(rng.normal(scale=2.0, size=(4, m, 1)))
     e, g = 1.0 + samples[0] ** 2, 1.0 + samples[1] ** 2
@@ -287,6 +318,27 @@ def adversarial_packed(m: int = 128, seed: int = 20261017) -> np.ndarray:
     fields[10] *= 1e300
     fields[11, 27] = np.nan
     return fields
+
+
+def adversarial_split(m: int = 128, outer: int = 2, seed: int = 20261017):
+    """:func:`adversarial_packed` rows as the hypothesis search's two bases.
+
+    A :class:`~repro.kernels.reference.SplitSums` of ``(outer, m //
+    outer)`` systems: a contiguous varying stack ``(outer, 18, m //
+    outer)`` holding every row's varying fields, and invariant sums
+    ``(10, m // outer)`` -- read at outer stride 0 -- holding those of
+    the first ``m // outer`` rows (of at least 12 generated, so the
+    special rows exist).  So the first outer level reproduces those
+    rows exactly, specials included, and the others pair their varying
+    fields with another row's invariant ones.
+    """
+    rows = adversarial_packed(max(m, 12), seed)[:m]
+    inner = m // outer
+    varying = rows[:, VARYING_FIELDS].reshape(outer, inner, len(VARYING_FIELDS))
+    invariant = rows[:inner, INVARIANT_FIELDS].T
+    return SplitSums(
+        np.ascontiguousarray(varying.transpose(0, 2, 1)), np.ascontiguousarray(invariant)
+    )
 
 
 def adversarial_pixels(specials: int = 12, m: int = 128, width: int = 8) -> np.ndarray:
@@ -373,43 +425,87 @@ def _call_kernel(
     )
 
 
-def _packed_layout(fields: np.ndarray) -> tuple[int, int, int, int, int] | None:
-    """``(outer, outer_stride, inner, pixel_stride, field_stride)`` in doubles.
+def _packed_bases(fields):
+    """The systems' shape and ``(array, field axis, packed indices)`` per base.
 
-    Axis 0 is the outer level; the axes between it and the 28 fields
-    must walk one strided run -- true of any contiguous array, a box
-    sum's channels-last view and a gathered survivor subset.  None means
-    a copy is needed.
+    One base for a ``(..., 28)`` array; two for a
+    :class:`~repro.kernels.reference.SplitSums`, whose invariant base
+    lacks the varying stack's leading axes.
     """
-    step = fields.itemsize
-    if any(s % step for s in fields.strides):
-        return None
-    axes = [(n, s) for n, s in zip(fields.shape[1:-1], fields.strides[1:-1]) if n != 1]
-    if any(outer != n * inner for (_, outer), (n, inner) in zip(axes, axes[1:])):
-        return None
-    inner = int(np.prod(fields.shape[1:-1], dtype=np.int64))
-    pixel_stride = axes[-1][1] if axes else 0
+    if isinstance(fields, SplitSums):
+        varying = np.asarray(fields.varying, dtype=np.float64)
+        invariant = np.asarray(fields.invariant, dtype=np.float64)
+        axis = varying.ndim - invariant.ndim
+        if not (
+            axis >= 0 and varying.shape[axis] == len(VARYING_FIELDS)
+            and invariant.shape[0] == len(INVARIANT_FIELDS)
+            and varying.shape[axis + 1 :] == invariant.shape[1:]
+        ):
+            raise ValueError(
+                f"expected (..., 18, *S) varying and (10, *S) invariant sums, got "
+                f"{varying.shape} and {invariant.shape}"
+            )
+        shape = varying.shape[:axis] + varying.shape[axis + 1 :]
+        return shape, [(varying, axis, VARYING_FIELDS), (invariant, 0, INVARIANT_FIELDS)]
+    fields = np.asarray(fields, dtype=np.float64)
+    if fields.ndim == 0 or fields.shape[-1] != _N_FIELDS:
+        raise ValueError(f"expected 28 packed fields, got shape {fields.shape}")
+    return fields.shape[:-1], [(fields, fields.ndim - 1, range(_N_FIELDS))]
+
+
+def _solve_table(shape: tuple[int, ...], bases):
+    """``solve_packed``'s ``(base, outer_stride, outer, inner, pixel_stride)``.
+
+    Axis 0 of the systems is the outer level, with each base's own
+    stride (0 where a base lacks it: the invariant sums under a
+    hypothesis stack); the axes after it must walk one strided run with
+    one pixel stride in every base -- true of any contiguous array, a
+    box sum's channels-last view, a gathered survivor subset and the
+    search's two bases.  Fewer than two system axes are one outer
+    level.  Strides are in doubles.  None means a copy is needed.
+    """
+    ndim = max(len(shape), 2)
+    shape = (1,) * (ndim - len(shape)) + tuple(shape)
+    addresses = [0] * _N_FIELDS
+    outer_strides = [0] * _N_FIELDS
+    pixel_stride = None
+    for array, axis, packed in bases:
+        strides = array.strides
+        if any(s % _STEP for s in strides):
+            return None
+        strides = (0,) * (ndim + 1 - len(strides)) + strides[:axis] + strides[axis + 1 :]
+        axes = [(n, s) for n, s in zip(shape[1:], strides[1:]) if n != 1]
+        if any(outer != n * inner for (_, outer), (n, inner) in zip(axes, axes[1:])):
+            return None
+        stride = axes[-1][1] // _STEP if axes else 0
+        if pixel_stride not in (None, stride):
+            return None
+        pixel_stride = stride
+        data, field_stride = array.ctypes.data, array.strides[axis]
+        for j, k in enumerate(packed):
+            addresses[k] = data + j * field_stride
+            outer_strides[k] = strides[0] // _STEP
     return (
-        fields.shape[0], fields.strides[0] // step, inner, pixel_stride // step,
-        fields.strides[-1] // step,
+        _FieldAddresses(*addresses), _FieldInts(*outer_strides),
+        shape[0], prod(shape[1:]), pixel_stride,
     )
 
 
 def _call_solve_packed(
-    lib: ctypes.CDLL, fields: np.ndarray, ridge: float, pixels=None, lanes: int = 0
+    lib: ctypes.CDLL, fields, ridge: float, pixels=None, lanes: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``solve_packed`` on ``fields``, or on ``fields.reshape(-1, 28)[pixels]``.
+    """``solve_packed`` on ``fields``, or at flat indices ``pixels`` over them.
 
-    ``lanes`` picks the kernel body: 0 the widest the CPU runs, else 1,
-    4 or 8 (the self-check and the tests pin each width in turn).
+    ``fields`` is one ``(..., 28)`` array or a
+    :class:`~repro.kernels.reference.SplitSums`.  ``lanes`` picks the
+    kernel body: 0 the widest the CPU runs, else 1, 4 or 8 (the
+    self-check and the tests pin each width in turn).
     """
-    fields = np.asarray(fields, dtype=np.float64)
-    if fields.ndim == 0 or fields.shape[-1] != 28:
-        raise ValueError(f"expected 28 packed fields, got shape {fields.shape}")
-    m = int(np.prod(fields.shape[:-1], dtype=np.int64))
+    shape, bases = _packed_bases(fields)
+    m = prod(shape)
     index = None
     if pixels is None:
-        batch_shape = fields.shape[:-1]
+        batch_shape = shape
     else:
         index = np.asarray(pixels)
         if index.dtype.kind not in "iu":
@@ -418,20 +514,18 @@ def _call_solve_packed(
             raise IndexError(f"pixel index out of range for {m} systems")
         batch_shape = index.shape
         index = np.ascontiguousarray(np.where(index < 0, index + m, index).ravel(), dtype=np.intp)
-    count = int(np.prod(batch_shape, dtype=np.int64))
+    count = prod(batch_shape)
     theta = np.empty((count, 6), dtype=np.float64)
     error = np.empty(count, dtype=np.float64)
     singular = np.empty(count, dtype=np.uint8)
     if count:
-        if fields.ndim == 1:
-            fields = fields[None]
-        layout = _packed_layout(fields)
-        if layout is None:
-            fields = np.ascontiguousarray(fields)
-            layout = _packed_layout(fields)
+        table = _solve_table(shape, bases)
+        if table is None:
+            packed = fields.packed() if len(bases) > 1 else bases[0][0]
+            shape, bases = _packed_bases(np.ascontiguousarray(packed))
+            table = _solve_table(shape, bases)
         status = lib.solve_packed(
-            _doubles(fields),
-            *(ctypes.c_ssize_t(v) for v in layout),
+            *table,
             None if index is None else index.ctypes.data_as(ctypes.POINTER(ctypes.c_ssize_t)),
             ctypes.c_ssize_t(count),
             ctypes.c_double(ridge),
@@ -465,7 +559,7 @@ def _call_pointwise_planes(
     ):
         raise ValueError("expected (H, W) before planes and (n, H, W) after planes")
     n = after[0].shape[0]
-    out = np.empty((n, _N_FIELDS) + shape, dtype=np.float64)
+    out = np.empty((n, len(VARYING_FIELDS)) + shape, dtype=np.float64)
     if out.size:
         lib.pointwise_planes(
             *(_doubles(a) for a in before), *(_doubles(a) for a in after),
@@ -523,8 +617,9 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
         ]
         lib.solve_packed.restype = ctypes.c_int
         lib.solve_packed.argtypes = [
-            ctypes.POINTER(ctypes.c_double),
-            *[ctypes.c_ssize_t] * 5,
+            _FieldAddresses,
+            _FieldInts,
+            *[ctypes.c_ssize_t] * 3,
             ctypes.POINTER(ctypes.c_ssize_t),
             ctypes.c_ssize_t,
             ctypes.c_double,
@@ -535,6 +630,8 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
         ]
         lib.solve_lane_widths.restype = ctypes.c_int
         lib.solve_lane_widths.argtypes = []
+        lib.pointwise_varying_fields.restype = ctypes.c_int
+        lib.pointwise_varying_fields.argtypes = [_FieldInts]
         lib.pointwise_planes.restype = ctypes.c_int
         lib.pointwise_planes.argtypes = [
             *[ctypes.POINTER(ctypes.c_double)] * 6,
@@ -638,15 +735,17 @@ def native_gauss_eliminate(
 
 
 def native_solve_packed(
-    fields: np.ndarray, ridge: float, pixels=None
+    fields, ridge: float, pixels=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(params, error, singular)`` of ``(..., 28)`` packed template sums.
+    """``(params, error, singular)`` of packed template sums.
 
-    Bit-identical to ``solve_accumulated(fields, ridge, prefer_native=False)``;
-    with ``pixels`` (flat indices over the leading axes) to solving
-    ``fields.reshape(-1, 28)[pixels]``, without gathering it.  Any
-    strided float64 layout is read in place.  Caller must check
-    availability first.
+    ``fields`` is one ``(..., 28)`` array or a
+    :class:`~repro.kernels.reference.SplitSums` (a varying and an
+    invariant base).  Bit-identical to ``solve_accumulated(fields,
+    ridge, prefer_native=False)``; with ``pixels`` (flat indices over
+    the systems) to solving those systems alone, without gathering
+    them.  Strided float64 bases that share one pixel walk are read in
+    place.  Caller must check availability first.
     """
     lib, reason = _load()
     if lib is None:
@@ -665,12 +764,13 @@ def native_solve_lanes() -> int:
 
 
 def native_pointwise_planes(p, q, e, g, p_after, q_after) -> np.ndarray:
-    """``(n, 28, H, W)`` pointwise fields of ``(H, W)`` before planes and
-    ``(n, H, W)`` after planes.
+    """``(n, 18, H, W)`` hypothesis-varying pointwise fields of ``(H, W)``
+    before planes and ``(n, H, W)`` after planes.
 
-    Channels-first; its ``np.moveaxis(out, 1, 3)`` view is bit-identical
-    to ``pointwise_fields(p[None], q[None], p_after, q_after, e[None],
-    g[None])``.  Caller must check :func:`native_available` first.
+    Channels-first, plane ``j`` holding field ``VARYING_FIELDS[j]``;
+    bit-identical to ``varying_planes(p, q, e, g, p_after, q_after)`` of
+    :mod:`repro.kernels.reference`.  Caller must check
+    :func:`native_available` first.
     """
     lib, reason = _load()
     if lib is None:

@@ -150,14 +150,21 @@ int gauss_eliminate(double *a, double *b, double *x, unsigned char *singular,
 /* The template solve of repro.core.continuous.solve_accumulated, fused.
  *
  * Reads packed 28-field sums (21 upper-triangle entries of the
- * symmetric 6x6 H, 6 gradient entries, the constant c) in place.  The
- * systems are numbered flat over outer * inner: system (o, p) starts at
- * fields + o * outer_stride + p * pixel_stride and its k-th field sits
- * k * field_stride further on (strides in doubles), so a channels-last
- * view of channels-first box sums is read without a copy.  With a
- * pixels list the call solves only the count systems it names, in list
- * order (any order, duplicates allowed); without one it solves all of
- * them.  Per system it replays the NumPy reference:
+ * symmetric 6x6 H, 6 gradient entries, the constant c) in place,
+ * through a per-field table.  The systems are numbered flat over
+ * outer * inner; field k of system (o, p) sits at
+ *
+ *   base[k][o * outer_stride[k] + p * pixel_stride]      (in doubles)
+ *
+ * so the fields may live in different buffers: the hypothesis search
+ * hands over a varying stack, one plane per hypothesis, and the
+ * hypothesis-invariant sums of the frame pair with outer stride 0.  An
+ * array that holds all 28 fields (a channels-last view of
+ * channels-first box sums, say) is a table with one base spread by its
+ * field stride and one outer stride.  With a pixels list the call
+ * solves only the count systems it names, in list order (any order,
+ * duplicates allowed); without one it solves all of them.  Per system
+ * it replays the NumPy reference:
  *
  *   - h = H + ridge * I over EVERY entry (off the diagonal that adds
  *     ridge * 0.0, which turns a -0.0 entry into +0.0), skipped when
@@ -181,27 +188,41 @@ int gauss_eliminate(double *a, double *b, double *x, unsigned char *singular,
  * cannot run. */
 enum { N_PARAMS = 6, N_TRIU = 21, N_FIELDS = 28, MAX_LANES = 8 };
 
-/* Solves n systems, the l-th starting at fields + off[l]; contiguous
- * says off[l] == off[0] + l for every lane of a full group. */
-typedef void (*solve_group_fn)(const double *fields, const ptrdiff_t *off, int contiguous,
-                               ptrdiff_t field_stride, double ridge, ptrdiff_t n,
-                               double *theta, double *error, unsigned char *singular);
+/* Where a group's systems sit: lane l is system (outer[l], pixel[l] /
+ * pixel_stride).  SAME_OUTER: every lane shares outer[0], whose planes
+ * start at field[k]; CONTIGUOUS: moreover pixel[l] == pixel[0] + l for
+ * every lane of a full group. */
+enum { MIXED, SAME_OUTER, CONTIGUOUS };
+typedef struct {
+    const double *const *base;
+    const ptrdiff_t *outer_stride;
+    const double *field[N_FIELDS];
+    ptrdiff_t outer[MAX_LANES], pixel[MAX_LANES];
+    int mode;
+} lane_group;
 
-static void solve_one(const double *fields, const ptrdiff_t *off, int contiguous,
-                      ptrdiff_t field_stride, double ridge, ptrdiff_t n, double *theta,
+/* Field k of the group's first system. */
+static inline const double *field_at(const lane_group *g, int k)
+{
+    return g->field[k] + g->pixel[0];
+}
+
+/* Solves the first n systems of a group. */
+typedef void (*solve_group_fn)(const lane_group *g, double ridge, ptrdiff_t n, double *theta,
+                               double *error, unsigned char *singular);
+
+static void solve_one(const lane_group *g, double ridge, ptrdiff_t n, double *theta,
                       double *error, unsigned char *singular)
 {
     enum { N = N_PARAMS };
     const double diag = ridge * 1.0;
     const double offd = ridge * 0.0;
-    const double *f = fields + off[0];
     double a[N * N], b[N], grad[N];
-    ptrdiff_t idx = 0;
-    (void)contiguous;
+    int idx = 0;
     (void)n;
     for (ptrdiff_t i = 0; i < N; i++)
         for (ptrdiff_t j = i; j < N; j++, idx++) {
-            double v = f[idx * field_stride];
+            double v = *field_at(g, idx);
             a[i * N + j] = v;
             a[j * N + i] = v;
         }
@@ -209,11 +230,11 @@ static void solve_one(const double *fields, const ptrdiff_t *off, int contiguous
         for (ptrdiff_t i = 0; i < N; i++)
             for (ptrdiff_t j = 0; j < N; j++)
                 a[i * N + j] = a[i * N + j] + (i == j ? diag : offd);
-    for (ptrdiff_t k = 0; k < N; k++) {
-        grad[k] = f[(N_TRIU + k) * field_stride];
+    for (int k = 0; k < N; k++) {
+        grad[k] = *field_at(g, N_TRIU + k);
         b[k] = -grad[k];
     }
-    double c = f[(N_TRIU + N) * field_stride];
+    double c = *field_at(g, N_TRIU + N);
     singular[0] = solve_system(a, b, theta, N);
     double e = c + einsum_dot(theta, grad, N);
     error[0] = e < 0.0 ? 0.0 : e;
@@ -251,10 +272,10 @@ int solve_lane_widths(void)
     return lane_widths;
 }
 
-int solve_packed(const double *fields, ptrdiff_t outer, ptrdiff_t outer_stride,
-                 ptrdiff_t inner, ptrdiff_t pixel_stride, ptrdiff_t field_stride,
-                 const ptrdiff_t *pixels, ptrdiff_t count, double ridge, double *theta,
-                 double *error, unsigned char *singular, int lanes)
+int solve_packed(const double *const *base, const ptrdiff_t *outer_stride, ptrdiff_t outer,
+                 ptrdiff_t inner, ptrdiff_t pixel_stride, const ptrdiff_t *pixels,
+                 ptrdiff_t count, double ridge, double *theta, double *error,
+                 unsigned char *singular, int lanes)
 {
     solve_group_fn group = solve_one;
     if (lanes == 0)
@@ -268,17 +289,19 @@ int solve_packed(const double *fields, ptrdiff_t outer, ptrdiff_t outer_stride,
         group = solve_group8;
 #endif
     ptrdiff_t total = pixels ? count : outer * inner;
-    ptrdiff_t off[MAX_LANES];
+    lane_group g = {.base = base, .outer_stride = outer_stride};
+    ptrdiff_t planes_at = -1; /* the outer index g.field points into */
     ptrdiff_t o = 0, p = 0; /* the next system when every one is solved */
     for (ptrdiff_t s = 0; s < total; s += lanes) {
         ptrdiff_t n = total - s < lanes ? total - s : lanes;
         for (ptrdiff_t l = 0; l < n; l++) {
             if (pixels) {
                 ptrdiff_t flat = pixels[s + l];
-                off[l] = outer == 1 ? flat * pixel_stride
-                                    : flat / inner * outer_stride + flat % inner * pixel_stride;
+                g.outer[l] = outer == 1 ? 0 : flat / inner;
+                g.pixel[l] = (outer == 1 ? flat : flat % inner) * pixel_stride;
             } else {
-                off[l] = o * outer_stride + p * pixel_stride;
+                g.outer[l] = o;
+                g.pixel[l] = p * pixel_stride;
                 if (++p == inner) {
                     p = 0;
                     o++;
@@ -286,43 +309,72 @@ int solve_packed(const double *fields, ptrdiff_t outer, ptrdiff_t outer_stride,
             }
         }
         /* Idle lanes of a short group re-solve the first system. */
-        int contiguous = n == lanes;
+        int same = 1, contiguous = n == lanes;
         for (ptrdiff_t l = 1; l < lanes; l++) {
-            if (l >= n)
-                off[l] = off[0];
-            contiguous &= off[l] == off[0] + l;
+            if (l >= n) {
+                g.outer[l] = g.outer[0];
+                g.pixel[l] = g.pixel[0];
+            }
+            same &= g.outer[l] == g.outer[0];
+            contiguous &= g.pixel[l] == g.pixel[0] + l;
         }
-        group(fields, off, contiguous, field_stride, ridge, n, theta + s * N_PARAMS, error + s,
-              singular + s);
+        g.mode = !same ? MIXED : contiguous ? CONTIGUOUS : SAME_OUTER;
+        if (same && g.outer[0] != planes_at) {
+            planes_at = g.outer[0];
+            for (int k = 0; k < N_FIELDS; k++)
+                g.field[k] = base[k] + planes_at * outer_stride[k];
+        }
+        group(&g, ridge, n, theta + s * N_PARAMS, error + s, singular + s);
     }
     return 0;
 }
 
-/* The per-pixel normal-equation fields of
+/* The hypothesis-varying per-pixel normal-equation fields of
  * repro.kernels.reference.pointwise_fields, written channels-first.
  *
  * Inputs are the before-motion planes p, q, e, g (hw doubles each) and
- * n after-motion planes p', q' (n * hw doubles each); out receives
- * n * 28 planes of hw doubles, hypothesis-major.  Per pixel the
- * reference arithmetic is replayed term for term:
+ * n after-motion planes p', q' (n * hw doubles each).  Only columns 0
+ * and 3 of the residual rows read p' or q', so an H entry whose columns
+ * both avoid them depends on the before frame alone; the caller sums
+ * those once per frame pair.  out receives, per hypothesis, the other
+ * N_VARYING fields -- every H entry touching column 0 or 3, the
+ * gradient and c, in packed order -- as planes of hw doubles.  Per
+ * pixel the reference arithmetic is replayed term for term:
  *
  *   - residual rows a1 = (p', 0, q, p'-p, -1, 0), r1 = p'-p and
  *     a2 = (q'-q, p, 0, q', 0, -1), r2 = q'-q,
  *   - w1 = 1/(e*e), w2 = 1/(g*g), wa = w * a column by column (a -1
  *     column is a multiply by -1.0, not a negation), w1r1 = w1 * r1,
  *   - H entry (i, j) = wa1_i * a1_j + wa2_i * a2_j, dropping a row
- *     whose column i or j is a structural zero, and +0.0 where both
- *     rows drop; gradient k likewise from w1r1 * a1_k and w2r2 * a2_k;
- *     c = w1r1 * r1 + w2r2 * r2.
+ *     whose column i or j is a structural zero (none of the varying
+ *     entries drops both); gradient k likewise from w1r1 * a1_k and
+ *     w2r2 * a2_k; c = w1r1 * r1 + w2r2 * r2.
  *
- * The 28 output planes sit hw doubles apart, so writing them from a
- * per-pixel loop touches 28 distant cache lines per pixel.  Instead a
+ * The output planes sit hw doubles apart, so writing them from a
+ * per-pixel loop touches 18 distant cache lines per pixel.  Instead a
  * tile of TILE pixels is staged column by column and every field is
  * written as one contiguous run of the tile.  Returns 0. */
-enum { TILE = 128 };
+enum { TILE = 128, N_VARYING = 18 };
 
 static int a1_zero(int k) { return k == 1 || k == 5; }
 static int a2_zero(int k) { return k == 2 || k == 4; }
+static int reads_after(int k) { return k == 0 || k == 3; }
+
+/* Writes the packed indices of the fields pointwise_planes emits, in
+ * emission order, to fields (N_FIELDS long); returns their count.  The
+ * loader checks them against repro.kernels.reference.VARYING_FIELDS
+ * before it trusts the field build. */
+int pointwise_varying_fields(ptrdiff_t *fields)
+{
+    ptrdiff_t count = 0, idx = 0;
+    for (int i = 0; i < N_PARAMS; i++)
+        for (int j = i; j < N_PARAMS; j++, idx++)
+            if (reads_after(i) || reads_after(j))
+                fields[count++] = idx;
+    for (; idx < N_FIELDS; idx++)
+        fields[count++] = idx;
+    return (int)count;
+}
 
 int pointwise_planes(const double *p, const double *q, const double *e, const double *g,
                      const double *p_after, const double *q_after, ptrdiff_t n,
@@ -351,7 +403,7 @@ int pointwise_planes(const double *p, const double *q, const double *e, const do
         for (ptrdiff_t h = 0; h < n; h++) {
             const double *pa = p_after + h * hw + s;
             const double *qa = q_after + h * hw + s;
-            double *dst = out + h * N_FIELDS * hw + s;
+            double *f = out + h * N_VARYING * hw + s;
             for (ptrdiff_t t = 0; t < len; t++) {
                 double dp = pa[t] - p[s + t];
                 double dq = qa[t] - q[s + t];
@@ -366,27 +418,24 @@ int pointwise_planes(const double *p, const double *q, const double *e, const do
                 w1r1[t] = w1[t] * dp;
                 w2r2[t] = w2[t] * dq;
             }
-            ptrdiff_t idx = 0;
             for (int i = 0; i < N_PARAMS; i++)
-                for (int j = i; j < N_PARAMS; j++, idx++) {
+                for (int j = i; j < N_PARAMS; j++) {
+                    if (!reads_after(i) && !reads_after(j))
+                        continue;
                     int keep1 = !a1_zero(i) && !a1_zero(j);
                     int keep2 = !a2_zero(i) && !a2_zero(j);
-                    double *f = dst + idx * hw;
                     if (keep1 && keep2)
                         for (ptrdiff_t t = 0; t < len; t++)
                             f[t] = wa1[i][t] * a1[j][t] + wa2[i][t] * a2[j][t];
                     else if (keep1)
                         for (ptrdiff_t t = 0; t < len; t++)
                             f[t] = wa1[i][t] * a1[j][t];
-                    else if (keep2)
-                        for (ptrdiff_t t = 0; t < len; t++)
-                            f[t] = wa2[i][t] * a2[j][t];
                     else
                         for (ptrdiff_t t = 0; t < len; t++)
-                            f[t] = 0.0;
+                            f[t] = wa2[i][t] * a2[j][t];
+                    f += hw;
                 }
-            for (int k = 0; k < N_PARAMS; k++, idx++) {
-                double *f = dst + idx * hw;
+            for (int k = 0; k < N_PARAMS; k++, f += hw) {
                 if (!a1_zero(k) && !a2_zero(k))
                     for (ptrdiff_t t = 0; t < len; t++)
                         f[t] = w1r1[t] * a1[k][t] + w2r2[t] * a2[k][t];
@@ -397,7 +446,6 @@ int pointwise_planes(const double *p, const double *q, const double *e, const do
                     for (ptrdiff_t t = 0; t < len; t++)
                         f[t] = w2r2[t] * a2[k][t];
             }
-            double *f = dst + idx * hw;
             for (ptrdiff_t t = 0; t < len; t++)
                 f[t] = w1r1[t] * a1[3][t] + w2r2[t] * a2[0][t];
         }
@@ -405,7 +453,7 @@ int pointwise_planes(const double *p, const double *q, const double *e, const do
     return 0;
 }
 
-/* Template box sums of repro.kernels.reference.box_sum_stack, on
+/* Template box sums of repro.kernels.reference.box_sum_planes, on
  * channels-first planes.
  *
  * Replays SciPy's uniform_filter(..., mode="constant", cval=0.0) on
@@ -570,9 +618,12 @@ int box_sum_planes(const double *in, double *out, ptrdiff_t planes, ptrdiff_t h,
  *     lane 0, odd terms into lane 1, from +0.0, one combining add);
  *   - singular zeroing and the clamp as blends.
  *
- * A contiguous group loads each field as one vector; any other stride,
- * a short group and an index list load lane by lane.  Compiled for
- * LANE_TARGET only, and called only when the CPU supports it. */
+ * A contiguous group loads each field as one vector; any other group
+ * loads lane by lane, from one field pointer when its lanes share an
+ * outer index.  All 28 fields are loaded up front behind one branch on
+ * the group's mode: a branch per field load cost about a tenth of the
+ * solve.  Compiled for LANE_TARGET only, and called only when the CPU
+ * supports it. */
 
 #define LANE_CAT_(name, w) name##w
 #define LANE_CAT(name, w) LANE_CAT_(name, w)
@@ -595,34 +646,37 @@ LANE_FN vd LANE_CAT(splat, LANES)(double x)
     return v;
 }
 
-LANE_FN vd LANE_CAT(load, LANES)(const double *fields, const ptrdiff_t *off, int contiguous,
-                                 ptrdiff_t at)
+/* The 28 fields of a group's systems, one vector each. */
+LANE_FN void LANE_CAT(load_fields, LANES)(const lane_group *g, vd *f)
 {
-    vd v;
-    if (contiguous) {
-        memcpy(&v, fields + off[0] + at, sizeof v);
-        return v;
+    if (g->mode == CONTIGUOUS) {
+        for (int k = 0; k < N_FIELDS; k++)
+            memcpy(&f[k], field_at(g, k), sizeof f[k]);
+    } else if (g->mode == SAME_OUTER) {
+        for (int k = 0; k < N_FIELDS; k++)
+            for (int l = 0; l < LANES; l++)
+                f[k][l] = g->field[k][g->pixel[l]];
+    } else {
+        for (int k = 0; k < N_FIELDS; k++)
+            for (int l = 0; l < LANES; l++)
+                f[k][l] = g->base[k][g->outer[l] * g->outer_stride[k] + g->pixel[l]];
     }
-    for (int l = 0; l < LANES; l++)
-        v[l] = fields[off[l] + at];
-    return v;
 }
 
 #define SPLAT LANE_CAT(splat, LANES)
-#define LOAD(at) LANE_CAT(load, LANES)(fields, off, contiguous, (at))
 
 static __attribute__((target(LANE_TARGET))) void
-LANE_CAT(solve_group, LANES)(const double *fields, const ptrdiff_t *off, int contiguous,
-                             ptrdiff_t field_stride, double ridge, ptrdiff_t n, double *theta,
+LANE_CAT(solve_group, LANES)(const lane_group *g, double ridge, ptrdiff_t n, double *theta,
                              double *error, unsigned char *singular)
 {
     enum { N = N_PARAMS };
     const vd zero = SPLAT(0.0), one = SPLAT(1.0), tol = SPLAT(SINGULAR_TOLERANCE);
     const vm none = (vm)(zero != zero); /* every lane false */
-    vd a[N][N], b[N], grad[N], x[N];
+    vd a[N][N], b[N], grad[N], x[N], f[N_FIELDS];
+    LANE_CAT(load_fields, LANES)(g, f);
     for (int i = 0, idx = 0; i < N; i++)
         for (int j = i; j < N; j++, idx++)
-            a[i][j] = a[j][i] = LOAD(idx * field_stride);
+            a[i][j] = a[j][i] = f[idx];
     if (ridge != 0.0) {
         const vd diag = SPLAT(ridge * 1.0), offd = SPLAT(ridge * 0.0);
         for (int i = 0; i < N; i++)
@@ -630,10 +684,10 @@ LANE_CAT(solve_group, LANES)(const double *fields, const ptrdiff_t *off, int con
                 a[i][j] = a[i][j] + (i == j ? diag : offd);
     }
     for (int k = 0; k < N; k++) {
-        grad[k] = LOAD((N_TRIU + k) * field_stride);
+        grad[k] = f[N_TRIU + k];
         b[k] = -grad[k];
     }
-    const vd c = LOAD((N_TRIU + N) * field_stride);
+    const vd c = f[N_TRIU + N];
 
     /* Both sweeps are unrolled in full so that every a[i][j] is a
      * fixed register or spill slot, not an indexed stack array. */
@@ -706,7 +760,6 @@ LANE_CAT(solve_group, LANES)(const double *fields, const ptrdiff_t *off, int con
     }
 }
 
-#undef LOAD
 #undef SPLAT
 #undef VABS
 #undef BLEND

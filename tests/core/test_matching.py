@@ -120,7 +120,7 @@ class TestSemifluidTracking:
     def test_semifluid_equals_continuous_when_nss_zero(self, translation_frames, monkeypatch):
         """Section 2.3: 'When N_ss = 0 then F_semi reduces to F_cont'."""
         from repro.core import matching
-        from repro.kernels import box_sum_stack
+        from repro.kernels import box_sum_planes
 
         f0, f1 = translation_frames
         cfg_cont = NeighborhoodConfig(n_w=2, n_zs=2, n_zt=3, n_ss=0)
@@ -133,10 +133,10 @@ class TestSemifluidTracking:
         forced = (np.full(f0.shape, -1, dtype=np.int64), np.full(f0.shape, 2, dtype=np.int64))
         monkeypatch.setattr(matching, "semifluid_displacements", lambda *args: forced)
         pw_sf, _, _ = matching._HostEvaluator(prep, ridge=1e-9).stage([(-1, 2)])
-        fields_sf = box_sum_stack(pw_sf, cfg_sf0.n_zt)
+        fields_sf = box_sum_planes(pw_sf, cfg_sf0.n_zt)
         prep_c = prepare_frames(f0, f1, cfg_cont)
         pw_c, _, _ = matching._HostEvaluator(prep_c, ridge=1e-9).stage([(-1, 2)])
-        fields_c = box_sum_stack(pw_c, cfg_cont.n_zt)
+        fields_c = box_sum_planes(pw_c, cfg_cont.n_zt)
         np.testing.assert_allclose(fields_sf, fields_c, atol=1e-12)
 
     def test_separate_intensity_channel(self, translation_frames):

@@ -21,15 +21,25 @@ from repro.core.continuous import (
     N_FIELDS,
     solve_accumulated,
     stack_box_sum,
-    stack_pointwise_fields,
+    stack_varying_fields,
 )
 from repro.core.linalg import gaussian_eliminate
 from repro.core.matching import _HostEvaluator, hypothesis_order, track_dense
-from repro.kernels.reference import box_sum_stack, pointwise_fields
+from repro.kernels.reference import (
+    INVARIANT_FIELDS,
+    VARYING_FIELDS,
+    SplitSums,
+    box_sum_planes,
+    invariant_planes,
+    pointwise_fields,
+    varying_planes,
+)
 from repro.native import (
     adversarial_box_stack,
     adversarial_packed,
+    adversarial_pixels,
     adversarial_planes,
+    adversarial_split,
     native_available,
     native_box_sum_available,
     native_box_sum_planes,
@@ -369,15 +379,83 @@ class TestLaneSolve:
             _assert_lanes_match(fields[::2], ridge, np.arange(0, 60, 7))
 
     def test_luis_box_sums(self, prepared_continuous):
-        """Box sums of one real hypothesis, in full and at survivors."""
+        """Box sums of one real hypothesis, in full and at survivors: the
+        varying sums next to the pair's invariant ones, and packed."""
         evaluator = _HostEvaluator(prepared_continuous, 1e-9)
         pw, _, _ = evaluator.stage([hypothesis_order(prepared_continuous.config.n_zs)[3]])
         evaluator.solve(pw)
-        acc = evaluator._last_acc
-        survivors = np.flatnonzero(np.random.default_rng(33).random(acc[0, ..., 0].size) < 0.3)
+        split = SplitSums(evaluator._last_acc, evaluator._invariant_acc)
+        packed = split.packed()
+        survivors = np.flatnonzero(np.random.default_rng(33).random(packed[..., 0].size) < 0.3)
         for ridge in (1e-9, 0.0):
-            _assert_lanes_match(acc, ridge)
-            _assert_lanes_match(acc, ridge, survivors)
+            for fields in (split, packed):
+                _assert_lanes_match(fields, ridge)
+                _assert_lanes_match(fields, ridge, survivors)
+
+
+@needs_native
+class TestTwoBaseSolve:
+    """``solve_packed`` through its per-field table: a varying stack and
+    invariant sums at outer stride 0, against the NumPy reference on the
+    packed array they stand for, at every lane width."""
+
+    @pytest.mark.parametrize("ridge", [1e-9, 0.0])
+    def test_adversarial_split(self, ridge):
+        from repro import native
+
+        split = adversarial_split()
+        _, outer_strides, outer, inner, pixel_stride = native._solve_table(
+            *native._packed_bases(split)
+        )
+        assert (outer, inner, pixel_stride) == (2, 64, 1)
+        assert [outer_strides[k] for k in INVARIANT_FIELDS] == [0] * len(INVARIANT_FIELDS)
+        assert {outer_strides[k] for k in VARYING_FIELDS} == {len(VARYING_FIELDS) * 64}
+        ref = _assert_lanes_match(split, ridge)
+        # The first outer level is the adversarial rows themselves.
+        packed = _assert_lanes_match(adversarial_packed(), ridge)
+        assert same_bits(ref.error[0], packed.error[:64])
+        assert same_bits(ref.params[0], packed.params[:64])
+
+    @pytest.mark.parametrize("ridge", [1e-9, 0.0])
+    def test_specials_in_every_lane(self, ridge):
+        """Index lists that put every special row in every lane position,
+        with groups inside one outer level and across both."""
+        split = adversarial_split()
+        pixels = adversarial_pixels()
+        _assert_lanes_match(split, ridge, pixels)
+        _assert_lanes_match(split, ridge, pixels[::-1])
+        _assert_lanes_match(split, ridge, np.array([-1, 0, 127, 64, 63, 5, 5, -128]))
+
+    @pytest.mark.parametrize("outer,inner", [(1, 1), (1, 13), (3, 1), (3, 7), (4, 32)])
+    def test_shapes_and_tails(self, outer, inner):
+        split = adversarial_split(outer * inner, outer, seed=outer * 100 + inner)
+        for ridge in (1e-9, 0.0):
+            _assert_lanes_match(split, ridge)
+            _assert_lanes_match(split, ridge, np.arange(outer * inner)[::-1])
+
+    def test_strided_varying_base(self):
+        """A varying base read through a pixel stride other than 1, and
+        planes that share no pixel walk (copied, same bits)."""
+        rng = np.random.default_rng(34)
+        varying = rng.normal(size=(2, len(VARYING_FIELDS), 6, 10))
+        invariant = rng.normal(size=(len(INVARIANT_FIELDS), 6, 10)) ** 2
+        for ridge in (1e-9, 0.0):
+            _assert_lanes_match(SplitSums(varying[..., ::2], invariant[..., ::2]), ridge)
+            _assert_lanes_match(SplitSums(varying[..., ::2], invariant[..., :5]), ridge)
+            _assert_lanes_match(
+                SplitSums(varying[..., 1:, :], invariant[:, 1:]), ridge, np.arange(0, 100, 3)
+            )
+
+    def test_base_shapes_checked(self):
+        varying, invariant = adversarial_split()
+        for bad in (
+            SplitSums(varying[:, 1:], invariant),
+            SplitSums(varying, invariant[1:]),
+            SplitSums(varying, invariant[:, 1:]),
+            SplitSums(varying[0, 0], invariant),
+        ):
+            with pytest.raises(ValueError, match="varying and"):
+                native_solve_packed(bad, 1e-9)
 
 
 def _random_planes(n: int, h: int, w: int, seed: int):
@@ -391,8 +469,8 @@ def _assert_pointwise_matches(p, q, e, g, p_after, q_after):
     with np.errstate(all="ignore"):
         ref = pointwise_fields(p[None], q[None], p_after, q_after, e[None], g[None])
         planes = native_pointwise_planes(p, q, e, g, p_after, q_after)
-    assert planes.shape == (p_after.shape[0], N_FIELDS) + p.shape
-    assert same_bits(ref, np.moveaxis(planes, 1, 3))
+    assert planes.shape == (p_after.shape[0], len(VARYING_FIELDS)) + p.shape
+    assert same_bits(ref[..., VARYING_FIELDS], np.moveaxis(planes, 1, 3))
 
 
 @needs_native
@@ -417,29 +495,43 @@ class TestPointwisePlanes:
 
     def test_semifluid_gathered_after_planes(self, prepared_semifluid):
         chunk = hypothesis_order(prepared_semifluid.config.n_zs)[:3]
-        native_pw, dy, _ = _HostEvaluator(prepared_semifluid, 1e-9).stage(chunk)
-        numpy_pw, dy_np, _ = _HostEvaluator(prepared_semifluid, 1e-9, False).stage(chunk)
+        native = _HostEvaluator(prepared_semifluid, 1e-9)
+        numpy = _HostEvaluator(prepared_semifluid, 1e-9, False)
+        native_pw, dy, _ = native.stage(chunk)
+        numpy_pw, dy_np, _ = numpy.stage(chunk)
         assert dy is not None and np.array_equal(dy, dy_np)
-        assert np.moveaxis(native_pw, 3, 1).flags.c_contiguous  # the native build
-        assert numpy_pw.flags.c_contiguous  # the NumPy build
+        shape = (3, len(VARYING_FIELDS)) + prepared_semifluid.geo_before.shape
+        assert native_pw.shape == numpy_pw.shape == shape
+        assert native_pw.flags.c_contiguous and numpy_pw.flags.c_contiguous
         assert same_bits(native_pw, numpy_pw)
+        assert same_bits(native._invariant_acc, numpy._invariant_acc)
 
     def test_dispatch_shapes(self):
-        """Only (1, H, W) before and (n, H, W) after planes go native."""
+        """Only float64 (H, W) before and (n, H, W) after planes go native;
+        every other input takes the NumPy path, with the same bits."""
         p, q, e, g, p_after, q_after = _random_planes(2, 6, 8, seed=1)
-        stacked = stack_pointwise_fields(p[None], q[None], p_after, q_after, e[None], g[None])
-        assert np.moveaxis(stacked, 3, 1).flags.c_contiguous
-        flat = stack_pointwise_fields(p, q, p_after[0], q_after[0], e, g)
-        assert flat.flags.c_contiguous and flat.shape == (6, 8, N_FIELDS)
-        assert same_bits(stacked[0], flat)
+        calls = []
+        from repro import native
+
+        real = native.native_pointwise_planes
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(native, "native_pointwise_planes", lambda *a: calls.append(1) or real(*a))
+            stacked = stack_varying_fields(p, q, e, g, p_after, q_after)
+            assert calls == [1]
+            lists = stack_varying_fields(p, q, e, g, p_after.tolist(), q_after)
+            numpy = stack_varying_fields(p, q, e, g, p_after, q_after, prefer_native=False)
+            assert calls == [1]
+        for planes in (stacked, lists, numpy):
+            assert planes.flags.c_contiguous and planes.shape == (2, len(VARYING_FIELDS), 6, 8)
+            assert same_bits(planes, varying_planes(p, q, e, g, p_after, q_after))
 
 
 def _assert_box_sum_matches(planes, half_width):
     side = 2 * half_width + 1
     with np.errstate(all="ignore"):
-        ref = box_sum_stack(np.moveaxis(planes, 1, 3), half_width)
+        ref = box_sum_planes(planes, half_width)
         got = native_box_sum_planes(planes, side, side)
-    assert same_bits(ref, np.moveaxis(got, 1, 3))
+    assert same_bits(ref, got)
 
 
 @needs_native
@@ -486,12 +578,15 @@ class TestBoxSumPlanes:
 
     def test_dispatch_reads_channels_first_in_place(self):
         planes = native_pointwise_planes(*_random_planes(2, 12, 14, seed=6))
-        fields = np.moveaxis(planes, 1, 3)
-        via_dispatch = stack_box_sum(fields, 2)
-        assert np.moveaxis(via_dispatch, 3, 1).flags.c_contiguous
-        assert same_bits(via_dispatch, box_sum_stack(fields, 2))
-        # A channels-last buffer takes the SciPy path, with the same bits.
-        assert same_bits(stack_box_sum(np.ascontiguousarray(fields), 2), via_dispatch)
+        via_dispatch = stack_box_sum(planes, 2)
+        assert via_dispatch.flags.c_contiguous and via_dispatch.shape == planes.shape
+        assert same_bits(via_dispatch, box_sum_planes(planes, 2))
+        # A strided stack takes the SciPy path, with the same bits.
+        assert same_bits(stack_box_sum(planes[:, ::2], 2), via_dispatch[:, ::2])
+        # The evaluator's invariant planes: one (10, H, W) stack per pair.
+        p, q, e, g, _, _ = _random_planes(1, 12, 14, seed=7)
+        invariant = invariant_planes(p, q, e, g)
+        assert same_bits(stack_box_sum(invariant, 3), box_sum_planes(invariant, 3))
 
 
 @needs_native
@@ -707,16 +802,39 @@ class TestLoadRetry:
         real_solve = native.native_solve_packed
 
         def spy(fields, ridge, pixels=None):
-            solves.append(fields.shape)
+            solves.append(len(fields))
             return real_solve(fields, ridge, pixels)
 
         monkeypatch.setattr(native, "native_solve_packed", spy)
-        planes = native.native_pointwise_planes(*_random_planes(1, 10, 12, seed=3))
-        fields = np.moveaxis(planes, 1, 3)
-        summed = stack_box_sum(fields, 2)  # the SciPy path, same bits
-        assert same_bits(summed, box_sum_stack(fields, 2))
-        solve_accumulated(summed)
-        assert solves == [summed.shape]
+        p, q, e, g, p_after, q_after = _random_planes(1, 10, 12, seed=3)
+        planes = native.native_pointwise_planes(p, q, e, g, p_after, q_after)
+        summed = stack_box_sum(planes, 2)  # the SciPy path, same bits
+        assert same_bits(summed, box_sum_planes(planes, 2))
+        invariant = stack_box_sum(invariant_planes(p, q, e, g), 2)
+        solve_accumulated(SplitSums(summed, invariant))
+        assert len(solves) == 1
+
+    def test_native_solve_with_scipy_box_sum_keeps_reference_bits(
+        self, monkeypatch, prepared_continuous, prepared_semifluid
+    ):
+        """The mixed fallback: field build and two-base solve native, box
+        sum SciPy -- exhaustive and pruned, both models, reference bits."""
+        from repro import native
+
+        real = native._call_box_sum_planes
+
+        def off_by_one_ulp(lib, planes, side_y, side_x):
+            return np.nextafter(real(lib, planes, side_y, side_x), np.inf)
+
+        monkeypatch.setattr(native, "_call_box_sum_planes", off_by_one_ulp)
+        assert native.native_available() and not native.native_box_sum_available()
+        for prepared in (prepared_continuous, prepared_semifluid):
+            for search in ("exhaustive", "pruned"):
+                mixed = track_dense(prepared, search=search, backend="auto")
+                reference = track_dense(prepared, search=search, backend="numpy")
+                for name in ("u", "v", "params", "error"):
+                    assert same_bits(getattr(mixed, name), getattr(reference, name)), name
+                assert mixed.ge_solves == reference.ge_solves
 
     def test_reset_clears_the_outcome(self, monkeypatch):
         from repro import native

@@ -19,14 +19,20 @@ from repro.extensions.adaptive import box_sum_rect as adaptive_box_sum_rect
 from repro.kernels.reference import (
     A1_ZERO_COLUMNS,
     A2_ZERO_COLUMNS,
+    INVARIANT_FIELDS,
+    N_FIELDS,
     N_PARAMS,
+    VARYING_FIELDS,
+    SplitSums,
     box_sum,
+    box_sum_planes,
     box_sum_rect,
-    box_sum_stack,
     eliminate,
+    invariant_planes,
     pointwise_fields,
     residual_rows,
     strided_window_sums,
+    varying_planes,
 )
 
 
@@ -77,13 +83,12 @@ class TestBoxSumConsolidation:
 
     def test_stack_matches_per_slice(self):
         rng = np.random.default_rng(10)
-        fields = rng.normal(size=(3, 16, 18, 5))
-        stacked = box_sum_stack(fields, 2)
-        for n in range(3):
-            for k in range(5):
-                np.testing.assert_array_equal(
-                    stacked[n, :, :, k], box_sum(fields[n, :, :, k], 2)
-                )
+        planes = rng.normal(size=(3, 5, 16, 18))
+        for half_width in (0, 2):
+            stacked = box_sum_planes(planes, half_width)
+            for n in range(3):
+                for k in range(5):
+                    assert stacked[n, k].tobytes() == box_sum(planes[n, k], half_width).tobytes()
 
 
 class TestStridedWindowSums:
@@ -166,3 +171,47 @@ class TestStructuralZeroColumns:
 
     def test_core_reexport_is_the_kernel(self):
         assert continuous_pointwise_fields is pointwise_fields
+
+
+class TestInvariantFields:
+    """Satellite: derive the per-pair / per-hypothesis split from
+    pointwise_fields output, so a residual_rows layout change cannot
+    silently corrupt the fields the search sums once per frame pair."""
+
+    def test_split_derived_from_pointwise_fields(self):
+        rng = np.random.default_rng(16)
+        p, q = rng.normal(size=(2, 13, 17))
+        e, g = 1.0 + p * p, 1.0 + q * q
+        # Several random after-surfaces against the one before-surface.
+        p_after, q_after = rng.normal(size=(2, 5, 13, 17))
+        fields = pointwise_fields(p, q, p_after, q_after, e, g)
+        invariant = tuple(
+            k for k in range(N_FIELDS) if (fields[..., k] == fields[:1, ..., k]).all()
+        )
+        varying = tuple(k for k in range(N_FIELDS) if k not in invariant)
+        assert invariant == INVARIANT_FIELDS
+        assert varying == VARYING_FIELDS
+        assert len(invariant) == 10 and len(varying) == 18
+        # Four of the invariant fields are the structural zeros.
+        zeros = tuple(k for k in range(N_FIELDS) if not fields[..., k].any())
+        assert zeros == (7, 9, 14, 19) and set(zeros) <= set(INVARIANT_FIELDS)
+
+    def test_split_planes_are_the_packed_fields(self):
+        rng = np.random.default_rng(17)
+        # 40 rows: invariant_planes builds in row bands, one of them short.
+        p, q = rng.normal(size=(2, 40, 9))
+        e, g = 1.0 + p * p, 1.0 + q * q
+        # Specials in the before planes and weights: the invariant
+        # fields must replay pointwise_fields' products bit for bit.
+        specials = [np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324]
+        for plane in (p, q, e, g):
+            plane.flat[rng.choice(plane.size, len(specials), replace=False)] = specials
+        p_after, q_after = rng.normal(size=(2, 3, 40, 9))
+        fields = pointwise_fields(p, q, p_after, q_after, e, g)
+        varying = varying_planes(p, q, e, g, p_after, q_after)
+        invariant = invariant_planes(p, q, e, g)
+        assert varying.shape == (3, 18, 40, 9) and varying.flags.c_contiguous
+        assert invariant.shape == (10, 40, 9) and invariant.flags.c_contiguous
+        assert SplitSums(varying, invariant).packed().tobytes() == fields.tobytes()
+        # One hypothesis's window sums pair with the invariant ones too.
+        assert SplitSums(varying[0], invariant).packed().tobytes() == fields[0].tobytes()
