@@ -115,11 +115,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--subpixel", action="store_true",
         help="apply parabolic sub-pixel refinement (extensions.subpixel)",
     )
-    track.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="shard the sequence's pairs over N processes "
-        "(bit-identical to the sequential path)",
-    )
     _add_obs_arguments(track)
 
     winds = sub.add_parser("winds", help="wind statistics from a saved field")
@@ -363,7 +358,7 @@ def _add_serve_tuning_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--pool-workers", type=int, default=None, metavar="N",
         help="shard sequence jobs' pairs over N processes "
-        "(the PR-2 fork pool; bit-identical to sequential)",
+        "(the streaming runner's pool; bit-identical to sequential)",
     )
     parser.add_argument(
         "--queue-depth", type=int, default=64, metavar="N",
@@ -545,23 +540,14 @@ def _parse_fault_spec(spec: str, seed: int, n_frames: int):
 def _cmd_track(args: argparse.Namespace) -> int:
     _arm_observability(args)
     factory = DATASET_FACTORIES[args.dataset]
-    n_frames = max(args.pair + 2, 2)
-    if args.workers is not None and args.workers > 1:
-        # Give the pool at least one pair per worker (frames are
-        # generated deterministically per index, so the requested
-        # pair's field is unaffected).
-        n_frames = max(n_frames, args.workers + 1)
-    dataset: Dataset = factory(size=args.size, n_frames=n_frames, seed=args.seed)
+    dataset: Dataset = factory(
+        size=args.size, n_frames=max(args.pair + 2, 2), seed=args.seed
+    )
     config = dataset.config.replace(n_zs=args.search, n_zt=args.template)
     analyzer = SMAnalyzer(
         config, pixel_km=dataset.pixel_km, search=args.search_mode, backend=args.backend
     )
-    if args.workers is not None and args.workers > 1:
-        # Sequence driver: all pairs sharded over the pool, bit-identical
-        # to the direct call; report the requested pair.
-        field = analyzer.track_sequence(dataset.frames, workers=args.workers)[args.pair]
-    else:
-        field = analyzer.track_pair(dataset.frames[args.pair], dataset.frames[args.pair + 1])
+    field = analyzer.track_pair(dataset.frames[args.pair], dataset.frames[args.pair + 1])
     if args.subpixel:
         from .core.matching import prepare_frames, track_dense
         from .extensions.subpixel import refine

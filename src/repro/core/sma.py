@@ -245,9 +245,7 @@ class SMAnalyzer:
     def track_sequence(
         self,
         frames: Sequence[Frame] | Iterable[np.ndarray],
-        workers: int | None = None,
         reuse_preparations: bool = True,
-        transport: str = "pickle",
     ) -> list[MotionField]:
         """Motion fields for every consecutive pair of a sequence.
 
@@ -257,23 +255,14 @@ class SMAnalyzer:
         ``reuse_preparations`` shares the per-frame surface fit and
         discriminant between the two pairs each interior frame belongs
         to, halving the sequence's surface-fit Gaussian eliminations;
-        results are bit-identical with and without it.  ``workers > 1``
-        shards the independent pairs over a process pool (each worker
-        holds its own preparation cache); outputs are returned in pair
-        order and are bit-identical to the sequential run.
-        ``transport`` selects how pooled workers receive frames:
-        ``"pickle"`` (default) or ``"shm"`` (a zero-copy shared-memory
-        ring; see :mod:`repro.bus`) -- both bit-identical.
+        results are bit-identical with and without it.  To shard the
+        pairs over a process pool, use
+        :class:`~repro.reliability.stream.StreamingRunner` with
+        ``workers``.
         """
         frame_list = [f if isinstance(f, Frame) else Frame(np.asarray(f)) for f in frames]
         if len(frame_list) < 2:
             raise ValueError("a sequence needs at least two frames")
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be a positive integer")
-        if workers is not None and workers > 1:
-            from ..parallel.pairs import track_pairs_in_pool
-
-            return track_pairs_in_pool(self, frame_list, workers, transport=transport)
         cache = FramePreparationCache(max_frames=4) if reuse_preparations else None
         return [
             self.track_pair(frame_list[m], frame_list[m + 1], cache=cache)

@@ -6,32 +6,25 @@ shard perfectly.  This module is the multi-core analogue of the paper's
 observation that the MasPar keeps all PEs busy because every pixel (and
 every pair) runs the same schedule on private data.
 
-Workers are plain ``multiprocessing`` pool processes.  Each worker holds
-its own :class:`~repro.core.prep.FramePreparationCache`, so a worker that
-receives adjacent pairs still fits shared frames once.  Because the
-per-pair computation is a pure function of the two frames, the pool
-returns fields bit-identical to the sequential path, in pair order,
-regardless of worker count or scheduling.
+:class:`LadderPool` is the one pair pool.  The streaming runner's
+``workers`` mode (and through it ``repro stream --workers`` and serve
+``kind: "sequence"`` jobs with ``pool_workers``) hands it one pair at a
+time; each worker runs the pair under its own
+:class:`~repro.reliability.degrade.DegradationLadder` and
+:class:`~repro.core.prep.FramePreparationCache`, and the runner merges
+results strictly in pair order, so the run is bit-identical to the
+sequential path regardless of worker count or scheduling.
 
-Two frame **transports** are supported:
+Two frame **transports** are supported, bit-identical to each other:
 
-``pickle`` (default, the bit-identity reference)
-    Tasks ride the pool's pipe.  On fork platforms the frame list is
-    staged in a module global *before* the pool forks, so workers
-    inherit every frame copy-on-write and tasks carry only indices --
-    no frame is ever re-pickled, fixing the old per-pair payload tax.
-    Workers additionally memoize frames per-process by content
-    fingerprint, so even the non-fork fallback (frames embedded in
-    tasks) canonicalizes each distinct frame once.
+``pickle`` (default)
+    Tasks carry the frame arrays through the pool's pipe.
 
 ``shm``
-    Frames are published once into a named shared-memory
-    :class:`~repro.bus.ring.FrameRing` (with their fitted preparation
-    planes) and dense fields return through a
-    :class:`~repro.bus.ring.ResultRing`; tasks and results carry only
-    slot indices plus scalar metadata.  Bit-identical to ``pickle`` --
-    the planes are the same float64 bytes, and workers seed their
-    preparation caches from the ring instead of refitting.
+    Each distinct frame is published once into a named shared-memory
+    :class:`~repro.bus.ring.FrameRing` and the dense planes return
+    through a :class:`~repro.bus.ring.ResultRing`; tasks and results
+    carry only slot indices plus scalar metadata.
 
 Top-level functions only: pool workers import this module by name, so
 the task callables must be picklable module attributes.
@@ -43,26 +36,17 @@ import itertools
 import multiprocessing
 import os
 import time
-from typing import TYPE_CHECKING, Sequence
 
-from ..obs import absorb_payload, worker_init, worker_payload
+from ..obs import absorb_payload  # noqa: F401  (unused; bench/layers.py wraps this name)
+from ..obs import worker_init, worker_payload
 from ..obs.metrics import METRICS
 from ..obs.tracing import TRACER
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.field import MotionField
-    from ..core.sma import Frame, SMAnalyzer
-
-#: Frame transports the pools accept.
+#: Frame transports the pool accepts.
 TRANSPORTS = ("pickle", "shm")
 
 #: Per-worker state, populated by the pool initializer.
 _WORKER_STATE: dict = {}
-
-#: Frames staged for fork inheritance: set in the parent immediately
-#: before the pool forks, so children share the list copy-on-write and
-#: tasks address frames by index instead of re-pickling them.
-_POOL_FRAMES: Sequence | None = None
 
 _RING_COUNTER = itertools.count()
 
@@ -82,233 +66,6 @@ def _pool_context() -> multiprocessing.context.BaseContext:
     """Prefer fork (cheap, inherits the loaded native kernel) when present."""
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context("fork" if "fork" in methods else None)
-
-
-def _start_method(ctx) -> str:
-    return getattr(ctx, "_name", None) or ctx.get_start_method()
-
-
-def _frame_bytes(frame) -> int:
-    surface = frame.surface.nbytes
-    return surface + (frame.intensity.nbytes if frame.intensity is not None else 0)
-
-
-def _init_pair_worker(
-    config,
-    pixel_km: float,
-    ridge: float,
-    tracing: bool = False,
-    search: str = "exhaustive",
-    backend: str = "auto",
-    frame_ring: str | None = None,
-    result_ring: str | None = None,
-) -> None:
-    from ..core.prep import FramePreparationCache
-    from ..core.sma import SMAnalyzer
-
-    worker_init(tracing)
-    _WORKER_STATE.clear()
-    _WORKER_STATE["analyzer"] = SMAnalyzer(
-        config, pixel_km=pixel_km, ridge=ridge, search=search, backend=backend
-    )
-    _WORKER_STATE["cache"] = FramePreparationCache(max_frames=4)
-    _WORKER_STATE["frame_memo"] = {}
-    if frame_ring is not None:
-        from ..bus.ring import FrameRing, ResultRing
-
-        _WORKER_STATE["frame_ring"] = FrameRing.attach(frame_ring, timeout=10.0)
-        _WORKER_STATE["result_ring"] = ResultRing.attach(result_ring, timeout=10.0)
-
-
-def _memoized_frame(fingerprint: str, frame):
-    """Per-worker frame memo: one canonicalized Frame per distinct content."""
-    memo = _WORKER_STATE["frame_memo"]
-    cached = memo.get(fingerprint)
-    if cached is not None:
-        METRICS.inc("pool.frame_memo.hit")
-        return cached
-    if len(memo) >= 8:
-        memo.pop(next(iter(memo)))
-    memo[fingerprint] = frame
-    return frame
-
-
-def _ring_frame(seq: int):
-    """Read frame ``seq`` from the attached ring, seeding the prep cache.
-
-    Batch rings are sized to the whole sequence, so slots are never
-    overwritten and the zero-copy view is stable for the worker's
-    lifetime -- the frame bytes are mapped, not transferred.
-    """
-    ring = _WORKER_STATE["frame_ring"]
-    memo = _WORKER_STATE["frame_memo"]
-    key = f"seq:{seq}"
-    cached = memo.get(key)
-    if cached is not None:
-        METRICS.inc("pool.frame_memo.hit")
-        return cached
-    bus_frame = ring.read_frame(seq, copy=False)
-    if bus_frame.preparation is not None:
-        _WORKER_STATE["cache"].seed(bus_frame.preparation)
-    METRICS.inc("bus.bytes_avoided", ring.slot_bytes)
-    if len(memo) >= 8:
-        memo.pop(next(iter(memo)))
-    memo[key] = bus_frame.frame
-    return bus_frame.frame
-
-
-def _track_pair_task(task: tuple) -> tuple:
-    """One pair on any transport.
-
-    Task shapes: ``("idx", m)`` fork-inherited frames, ``("obj", m,
-    fp_before, before, fp_after, after)`` frames embedded (non-fork
-    fallback), ``("shm", m, seq_before, seq_after)`` ring slots.
-    """
-    kind, index = task[0], task[1]
-    if kind == "idx":
-        before, after = _POOL_FRAMES[index], _POOL_FRAMES[index + 1]
-    elif kind == "obj":
-        before = _memoized_frame(task[2], task[3])
-        after = _memoized_frame(task[4], task[5])
-    else:
-        before, after = _ring_frame(task[2]), _ring_frame(task[3])
-    with TRACER.span("pair", pair=index):
-        field = _WORKER_STATE["analyzer"].track_pair(
-            before, after, cache=_WORKER_STATE["cache"]
-        )
-    if kind == "shm":
-        seq = _WORKER_STATE["result_ring"].publish_field(index, field)
-        return index, ("seq", seq, field.metadata), worker_payload()
-    return index, ("field", field, None), worker_payload()
-
-
-def track_pairs_in_pool(
-    analyzer: "SMAnalyzer",
-    frame_list: Sequence["Frame"],
-    workers: int,
-    transport: str = "pickle",
-) -> list["MotionField"]:
-    """All consecutive-pair fields of ``frame_list``, computed in a pool.
-
-    Returns the same list :meth:`SMAnalyzer.track_sequence` would build
-    sequentially -- same order, bit-identical contents -- on either
-    transport.
-    """
-    resolve_transport(transport)
-    if transport == "shm":
-        return _track_pairs_shm(analyzer, frame_list, workers)
-    return _track_pairs_pickle(analyzer, frame_list, workers)
-
-
-def _track_pairs_pickle(
-    analyzer: "SMAnalyzer", frame_list: Sequence["Frame"], workers: int
-) -> list["MotionField"]:
-    global _POOL_FRAMES
-    from ..core.prep import frame_fingerprint
-
-    n_tasks = len(frame_list) - 1
-    ctx = _pool_context()
-    fork = _start_method(ctx) == "fork"
-    if fork:
-        tasks = [("idx", m) for m in range(n_tasks)]
-        _POOL_FRAMES = list(frame_list)
-        # Every task after the first two frames rides the pipe payload-free.
-        for frame in frame_list:
-            METRICS.inc("pool.frame_bytes_avoided", _frame_bytes(frame))
-    else:  # pragma: no cover - non-fork platforms
-        fps = [
-            frame_fingerprint(f.surface, f.intensity, analyzer.config)
-            for f in frame_list
-        ]
-        tasks = [
-            ("obj", m, fps[m], frame_list[m], fps[m + 1], frame_list[m + 1])
-            for m in range(n_tasks)
-        ]
-    results: list = [None] * n_tasks
-    try:
-        with ctx.Pool(
-            processes=min(workers, n_tasks),
-            initializer=_init_pair_worker,
-            initargs=(
-                analyzer.config,
-                analyzer.pixel_km,
-                analyzer.ridge,
-                TRACER.enabled,
-                analyzer.search,
-                analyzer.backend,
-            ),
-        ) as pool:
-            for index, (_, field, _), payload in pool.imap_unordered(
-                _track_pair_task, tasks
-            ):
-                results[index] = field
-                absorb_payload(payload)
-    finally:
-        _POOL_FRAMES = None
-    return results
-
-
-def _track_pairs_shm(
-    analyzer: "SMAnalyzer", frame_list: Sequence["Frame"], workers: int
-) -> list["MotionField"]:
-    from ..bus.ring import FrameRing, ResultRing
-    from ..core.prep import FramePreparationCache
-
-    n_tasks = len(frame_list) - 1
-    height, width = frame_list[0].shape
-    has_intensity = any(f.intensity is not None for f in frame_list)
-    name = _ring_name("pairs")
-    frame_ring = FrameRing.create_frames(
-        name,
-        capacity=len(frame_list),
-        height=height,
-        width=width,
-        intensity=has_intensity,
-        prep=True,
-    )
-    result_ring = ResultRing.create_results(
-        f"{name}-out",
-        capacity=min(n_tasks, 2 * workers + 2),
-        height=height,
-        width=width,
-        params=True,
-    )
-    results: list = [None] * n_tasks
-    try:
-        cache = FramePreparationCache(max_frames=4)
-        for frame in frame_list:
-            # Same lookup prepare_frames() performs, so the fingerprint
-            # (and the fitted planes) match what a worker would compute.
-            prep = cache.get(frame.surface, frame.intensity, analyzer.config)
-            frame_ring.publish_frame(frame, preparation=prep, pixel_km=analyzer.pixel_km)
-        tasks = [("shm", m, m, m + 1) for m in range(n_tasks)]
-        with _pool_context().Pool(
-            processes=min(workers, n_tasks),
-            initializer=_init_pair_worker,
-            initargs=(
-                analyzer.config,
-                analyzer.pixel_km,
-                analyzer.ridge,
-                TRACER.enabled,
-                analyzer.search,
-                analyzer.backend,
-                name,
-                f"{name}-out",
-            ),
-        ) as pool:
-            for index, (_, seq, metadata), payload in pool.imap_unordered(
-                _track_pair_task, tasks
-            ):
-                _, field = result_ring.read_field(seq, metadata=metadata)
-                result_ring.mark_consumed(seq)
-                results[index] = field
-                absorb_payload(payload)
-    finally:
-        frame_ring.unlink()
-        frame_ring.close()
-        result_ring.unlink()
-        result_ring.close()
-    return results
 
 
 def _init_ladder_worker(

@@ -15,10 +15,11 @@ reimplementing it:
   :class:`~repro.reliability.degrade.DegradationLadder`: a request that
   cannot run at the planned segment size degrades (re-plan ->
   Horn-Schunck -> interpolation) instead of killing the worker,
-* sequence jobs shard their independent pairs over the PR-2 fork pool
-  (:func:`~repro.parallel.pairs.track_pairs_in_pool`) when the server
-  is configured with ``pool_workers > 1`` -- bit-identical to the
-  sequential path,
+* sequence jobs run through the
+  :class:`~repro.reliability.stream.StreamingRunner`, which shards their
+  independent pairs over its :class:`~repro.parallel.pairs.LadderPool`
+  when the server is configured with ``pool_workers > 1`` --
+  bit-identical to the sequential path,
 * every computed pair's :class:`~repro.maspar.cost.CostLedger` merges
   into the server-wide ledger, so ``GET /metrics`` reports modeled
   MasPar seconds and first-class Gaussian-elimination counts for the
@@ -47,11 +48,8 @@ import threading
 import time
 from collections import OrderedDict
 
-import numpy as np
-
 from ..core.field import MotionField
 from ..core.matching import valid_mask
-from ..core.sma import SMAnalyzer
 from ..data.datasets import Dataset
 from ..obs.log import get_logger, log_context, log_event
 from ..obs.metrics import METRICS
@@ -60,6 +58,7 @@ from ..parallel.memory_plan import max_feasible_segment_rows
 from ..parallel.parallel_sma import machine_for_image
 from ..reliability.degrade import DegradationLadder
 from ..reliability.injection import ChaosWorkerCrash, ServeChaosPlan
+from ..reliability.stream import StreamingRunner
 from .cache import result_key
 from .jobs import Job, JobRequest
 
@@ -449,41 +448,20 @@ class WorkerPool:
         search_mode: str = "exhaustive",
         backend: str = "auto",
     ) -> tuple[MotionField, int]:
-        """Mean field over all pairs; fork-pool sharded when configured."""
-        analyzer = SMAnalyzer(
-            config, pixel_km=pixel_km, search=search_mode, backend=backend
-        )
-        fields = analyzer.track_sequence(
-            frames,
-            workers=self.app.pool_workers,
-            transport=getattr(self.app, "transport", "pickle"),
-        )
-        shape = frames[0].shape
-        n = len(fields)
-        sum_u = np.zeros(shape, dtype=np.float64)
-        sum_v = np.zeros(shape, dtype=np.float64)
-        sum_error = np.zeros(shape, dtype=np.float64)
-        for f in fields:
-            sum_u += f.u
-            sum_v += f.v
-            sum_error += f.error
-        dts = []
-        for m in range(n):
-            dt = frames[m + 1].time_seconds - frames[m].time_seconds
-            dts.append(dt if dt > 0 else 1.0)
-        field = MotionField(
-            u=sum_u / n,
-            v=sum_v / n,
-            valid=valid_mask(shape, config),
-            error=sum_error / n,
-            dt_seconds=float(np.mean(dts)),
+        """Mean field over all pairs through the streaming runner (pool
+        sharded when configured); the job's rung is the worst pair's."""
+        result = StreamingRunner(
+            config,
             pixel_km=pixel_km,
-            metadata={
-                "model": "semi-fluid" if config.is_semifluid else "continuous",
-                "config": config.name,
-                "pairs": n,
-                "search": search_mode,
-                "backend": backend,
-            },
-        )
-        return field, 0
+            hs_iterations=self.app.hs_iterations,
+            workers=self.app.pool_workers,
+            transport=self.app.transport,
+            search=search_mode,
+            backend=backend,
+        ).run(frames)
+        if result.report.degraded_pairs:
+            METRICS.inc("serve.jobs.degraded")
+        self.app.merge_ledger(result.ledger)
+        field = result.field
+        field.metadata.update(search=search_mode, backend=backend)
+        return field, max(o.rung for o in result.report.outcomes)

@@ -9,23 +9,11 @@ import pytest
 
 from repro.bus import IngestDaemon, RingFrameSource, SyntheticSource, list_segments
 from repro.core.prep import FramePreparationCache, prepare_frame
-from repro.core.sma import Frame, SMAnalyzer
+from repro.core.sma import Frame
 from repro.data import hurricane_luis
 from repro.parallel.pairs import resolve_transport
 from repro.params import SMALL_CONFIG
 from repro.reliability import StreamingRunner
-
-
-def _assert_fields_equal(got, want):
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        for attr in ("u", "v", "error", "valid"):
-            np.testing.assert_array_equal(getattr(a, attr), getattr(b, attr))
-        if b.params is not None:
-            np.testing.assert_array_equal(a.params, b.params)
-        assert a.dt_seconds == b.dt_seconds
-        assert a.pixel_km == b.pixel_km
-        assert a.metadata == b.metadata
 
 
 def test_resolve_transport_validates():
@@ -36,16 +24,37 @@ def test_resolve_transport_validates():
 
 
 @pytest.mark.parametrize("transport", ["pickle", "shm"])
-def test_pool_transport_matches_sequential(transport):
-    ds = hurricane_luis(size=40, n_frames=5, seed=3)
-    analyzer = SMAnalyzer(ds.config.replace(n_zs=2, n_zt=3), pixel_km=ds.pixel_km)
-    sequential = analyzer.track_sequence(ds.frames)
-    pooled = analyzer.track_sequence(ds.frames, workers=2, transport=transport)
-    _assert_fields_equal(pooled, sequential)
-    assert list_segments() == []  # batch rings are torn down with the pool
+def test_pool_transport_matches_sequential(transport, tmp_path):
+    """A pooled serve sequence job equals the unpooled product."""
+    from repro.serve.http import ServeApp
+    from repro.serve.jobs import JobRequest
+
+    request = JobRequest(
+        dataset="luis", size=40, frames=5, seed=3, search=2, template=3,
+        kind="sequence",
+    )
+    products = []
+    for pool_workers in (None, 2):
+        app = ServeApp(
+            str(tmp_path / f"state-{pool_workers}"), workers=0,
+            pool_workers=pool_workers, transport=transport,
+        )
+        try:
+            job, _ = app.queue.submit(request)
+            app.pool.execute(app.queue.claim(timeout=0))
+            products.append(app.cache.get(app.queue.get(job.id).result_key, record=False))
+        finally:
+            app.queue.close()
+    sequential, pooled = products
+    for attr in ("u", "v", "error", "valid"):
+        assert getattr(pooled, attr).tobytes() == getattr(sequential, attr).tobytes()
+    assert pooled.dt_seconds == sequential.dt_seconds
+    assert pooled.metadata == sequential.metadata
+    assert list_segments() == []  # the pool's rings are torn down with it
 
 
-def test_shm_transport_semifluid_stereo_matches_sequential():
+@pytest.mark.parametrize("transport", ["pickle", "shm"])
+def test_streaming_semifluid_stereo_matches_sequential(transport):
     rng = np.random.default_rng(11)
     base = rng.normal(size=(3, 40, 40)).cumsum(axis=1).cumsum(axis=2)
     intens = rng.normal(size=(3, 40, 40)).cumsum(axis=2)
@@ -53,10 +62,16 @@ def test_shm_transport_semifluid_stereo_matches_sequential():
         Frame(surface=base[i], intensity=intens[i], time_seconds=60.0 * i)
         for i in range(3)
     ]
-    analyzer = SMAnalyzer(SMALL_CONFIG)
-    sequential = analyzer.track_sequence(frames)
-    pooled = analyzer.track_sequence(frames, workers=2, transport="shm")
-    _assert_fields_equal(pooled, sequential)
+    sequential = StreamingRunner(SMALL_CONFIG).run(frames)
+    pooled = StreamingRunner(SMALL_CONFIG, workers=2, transport=transport).run(frames)
+    assert pooled.field.metadata["model"] == "semi-fluid"
+    for attr in ("u", "v", "error", "valid"):
+        assert (
+            getattr(pooled.field, attr).tobytes()
+            == getattr(sequential.field, attr).tobytes()
+        )
+    assert pooled.ledger.snapshot() == sequential.ledger.snapshot()
+    assert list_segments() == []
 
 
 @pytest.mark.parametrize("transport", ["pickle", "shm"])

@@ -53,26 +53,6 @@ class TestTrackSequence:
         for a, b in zip(with_cache, without):
             assert _field_bytes(a) == _field_bytes(b)
 
-    def test_workers_are_bit_identical(self, small_config):
-        frames = _sequence()
-        analyzer = SMAnalyzer(small_config)
-        sequential = analyzer.track_sequence(frames)
-        pooled = analyzer.track_sequence(frames, workers=2)
-        for a, b in zip(sequential, pooled):
-            assert _field_bytes(a) == _field_bytes(b)
-            assert a.dt_seconds == b.dt_seconds
-
-    def test_workers_one_is_sequential(self, small_config):
-        frames = _sequence(n=3)
-        analyzer = SMAnalyzer(small_config)
-        assert [
-            _field_bytes(f) for f in analyzer.track_sequence(frames, workers=1)
-        ] == [_field_bytes(f) for f in analyzer.track_sequence(frames)]
-
-    def test_workers_validated(self, small_config):
-        with pytest.raises(ValueError, match="workers"):
-            SMAnalyzer(small_config).track_sequence(_sequence(n=2), workers=0)
-
     def test_explicit_cache_matches_cacheless_pair(self, small_config):
         f0, f1 = translated_pair(size=24, dx=1, dy=0, seed=2)
         analyzer = SMAnalyzer(small_config)
@@ -125,6 +105,16 @@ class TestStreamingReuse:
             frames, resume=True
         )
         assert self._snap(uninterrupted) == self._snap(resumed)
+
+    def test_workers_one_is_sequential(self, small_config):
+        frames = _sequence(n=3)
+        assert self._snap(StreamingRunner(small_config, workers=1).run(frames)) == (
+            self._snap(StreamingRunner(small_config).run(frames))
+        )
+
+    def test_workers_validated(self, small_config):
+        with pytest.raises(ValueError, match="workers"):
+            StreamingRunner(small_config, workers=0)
 
     def test_workers_incompatible_with_faults(self, small_config):
         from repro.reliability.faults import FaultPlan

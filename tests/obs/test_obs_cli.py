@@ -64,25 +64,6 @@ class TestTrackTrace:
         # tracing was switched back off after the export
         assert not TRACER.enabled
 
-    def test_track_fork_pool_merges_worker_lanes(self, tmp_path, capsys):
-        trace = str(tmp_path / "out.json")
-        rc = main([
-            "track", "florida", "--size", "64", "--search", "2",
-            "--template", "3", "--workers", "2", "--trace", trace,
-        ])
-        assert rc == 0
-        payload = load_chrome_trace(trace)
-        pair_spans = [
-            e for e in payload["traceEvents"]
-            if e["ph"] == "X" and e["name"] == "pair"
-        ]
-        # one event per worker pair span, no duplicates
-        pairs = sorted(e["args"]["pair"] for e in pair_spans)
-        assert pairs == sorted(set(pairs))
-        assert len(pairs) >= 2
-        # spans from more than one worker process in the single merged trace
-        assert len({e["pid"] for e in pair_spans}) >= 2
-
     def test_track_metrics_export(self, tmp_path, capsys):
         metrics = str(tmp_path / "metrics.json")
         rc = main([
@@ -129,3 +110,22 @@ class TestStreamObservability:
         rc = main(["stream", "luis", "--size", "64", "--frames", "4"])
         assert rc == 0
         assert "Gaussian eliminations" in capsys.readouterr().out
+
+    def test_stream_pool_merges_worker_lanes(self, tmp_path, capsys):
+        trace = str(tmp_path / "out.json")
+        rc = main([
+            "stream", "florida", "--size", "64", "--frames", "4", "--search", "2",
+            "--template", "3", "--workers", "2", "--trace", trace,
+        ])
+        assert rc == 0
+        payload = load_chrome_trace(trace)
+        pair_spans = [
+            e for e in payload["traceEvents"]
+            if e["ph"] == "X" and e["name"] == "pair"
+        ]
+        # one event per worker pair span, no duplicates
+        pairs = sorted(e["args"]["pair"] for e in pair_spans)
+        assert pairs == sorted(set(pairs))
+        assert len(pairs) >= 2
+        # spans from more than one worker process in the single merged trace
+        assert len({e["pid"] for e in pair_spans}) >= 2

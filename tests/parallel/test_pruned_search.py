@@ -1,7 +1,7 @@
 """Certificate-bound pruning on the simulated machine and its plumbing.
 
 The parallel driver, the degradation ladder, the streaming runner and
-the fork pools all promise products bit-identical to the sequential
+the ladder pool all promise products bit-identical to the sequential
 reference; ``search="pruned"`` must keep that promise while the ledger
 records measurably fewer Gaussian eliminations.
 """

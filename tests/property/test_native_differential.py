@@ -5,8 +5,11 @@ past the field build's 128-pixel tile), non-contiguous views, negative
 and duplicate index lists, NaN / +-inf / signed-zero / denormal inputs
 and every lane width the CPU runs; each native result must carry the
 reference's bits (:func:`repro.native.same_bits`).  The entry points are
-the ones the hypothesis search calls per hypothesis: the 18-plane field
-build, the box sum over the varying stack and the two-base solve.
+the ones the hypothesis search calls per hypothesis -- the 18-plane field
+build, the box sum over the varying stack and the two-base solve -- and
+the batched elimination behind :func:`repro.core.linalg.gaussian_eliminate`
+at every order up to 8.  The box sum is fuzzed at square sides only:
+no caller hands the native box sum a rectangular window.
 Derandomized with a bounded example count, so the suite is repeatable.
 """
 
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro import native
 from repro.core.continuous import solve_accumulated, stack_box_sum, stack_varying_fields
+from repro.core.linalg import gaussian_eliminate
 from repro.kernels.reference import (
     INVARIANT_FIELDS,
     VARYING_FIELDS,
@@ -53,11 +57,12 @@ def planted(draw, shape, scale: float = 2.0):
     rng = np.random.default_rng(seed)
     size = int(np.prod(shape))
     values = rng.normal(size=size) * 10.0 ** rng.uniform(-scale, scale, size=size)
-    for at, value in draw(
-        st.lists(st.tuples(st.integers(0, max(size - 1, 0)), st.sampled_from(SPECIALS)),
-                 max_size=4)
-    ):
-        values[at] = value
+    if size:
+        for at, value in draw(
+            st.lists(st.tuples(st.integers(0, size - 1), st.sampled_from(SPECIALS)),
+                     max_size=4)
+        ):
+            values[at] = value
     values = values.reshape(shape)
     if draw(st.booleans()):  # a non-contiguous view of the same values
         wide = np.zeros(shape[:-1] + (2 * shape[-1],))
@@ -156,3 +161,32 @@ class TestTwoBaseSolve:
         assert same_bits(ref.params, params) and same_bits(ref.error, error)
         assert np.array_equal(ref.singular, singular)
         assert same_bits(one_base[0], params) and same_bits(one_base[1], error)
+
+
+@st.composite
+def linear_systems(draw):
+    """``(..., n, n)`` matrices and ``(..., n)`` right-hand sides of order
+    ``n`` in 1..8 over leading batch axes that may hold no system at all;
+    half the draws shift the diagonal by 4, so fewer systems are singular."""
+    n = draw(st.sampled_from(range(1, 9)))
+    batch = tuple(draw(st.lists(st.sampled_from([0, 1, 2, 3, 5]), max_size=2)))
+    matrices = draw(planted(batch + (n, n)))
+    if draw(st.booleans()):
+        diagonal = np.arange(n)
+        matrices[..., diagonal, diagonal] += 4.0  # in place: a view stays a view
+    return matrices, draw(planted(batch + (n,)))
+
+
+class TestGaussEliminate:
+    @settings(FUZZ, max_examples=150)
+    @given(linear_systems())
+    def test_gauss_eliminate(self, system):
+        matrices, rhs = system
+        with np.errstate(all="ignore"):
+            ref_x, ref_singular = gaussian_eliminate(matrices, rhs, prefer_native=False)
+            got_x, got_singular = native.native_gauss_eliminate(matrices, rhs)
+            dispatched_x, dispatched_singular = gaussian_eliminate(matrices, rhs)
+        assert ref_x.shape == rhs.shape and ref_singular.shape == rhs.shape[:-1]
+        assert same_bits(ref_x, got_x) and same_bits(ref_x, dispatched_x)
+        assert np.array_equal(ref_singular, got_singular)
+        assert np.array_equal(ref_singular, dispatched_singular)

@@ -1,5 +1,6 @@
 """Worker pool execution: compute, cache-serve, failure isolation."""
 
+import dataclasses
 import os
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from repro.core.sma import SMAnalyzer
 from repro.data.datasets import florida_thunderstorm
+from repro.obs.metrics import METRICS
+from repro.reliability.stream import StreamingRunner
 from repro.serve import workers as workers_module
 from repro.serve.http import ServeApp
 from repro.serve.jobs import JobRequest
@@ -171,6 +174,42 @@ class TestSequenceExecution:
         fields = SMAnalyzer(config, pixel_km=ds.pixel_km).track_sequence(ds.frames)
         expected_u = (fields[0].u + fields[1].u) / 2
         np.testing.assert_array_equal(served.u, expected_u)
+
+    def test_sequence_job_merges_its_ledger(self, app):
+        request = JobRequest(dataset="florida", size=48, frames=3, kind="sequence")
+        before = app.ledger.gaussian_eliminations()
+        _run_one(app, request)
+
+        ds = florida_thunderstorm(size=48, n_frames=3, seed=0)
+        config = ds.config.replace(n_zs=2, n_zt=3)
+        run = StreamingRunner(config, pixel_km=ds.pixel_km).run(ds.frames)
+        assert run.ledger.gaussian_eliminations() > 0
+        assert app.ledger.gaussian_eliminations() - before == (
+            run.ledger.gaussian_eliminations()
+        )
+
+    def test_degraded_pair_counts_as_degraded_job(self, app, monkeypatch):
+        """A pair whose machine has no PE memory to spare falls to
+        Horn-Schunck (rung 2); the job reports that worst rung and counts
+        once in serve.jobs.degraded."""
+        real = StreamingRunner._machine_for_pair
+
+        def starve_pair_one(self, pair, shape, machine, report):
+            machine = real(self, pair, shape, machine, report)
+            if pair == 1:
+                machine = dataclasses.replace(machine, pe_memory_bytes=1)
+            return machine
+
+        monkeypatch.setattr(StreamingRunner, "_machine_for_pair", starve_pair_one)
+        degraded_before = METRICS.counter("serve.jobs.degraded")
+        job = _run_one(
+            app, JobRequest(dataset="florida", size=48, frames=4, kind="sequence")
+        )
+        assert job.state == "done"
+        assert job.rung == 2
+        served = app.cache.get(job.result_key, record=False)
+        assert served.metadata["degraded_pairs"] == 1
+        assert METRICS.counter("serve.jobs.degraded") - degraded_before == 1
 
 
 class TestFailureIsolation:
