@@ -154,6 +154,18 @@ def max_feasible_segment_rows(
     return 0
 
 
+def planned_segment_rows(
+    config: NeighborhoodConfig, machine: MachineConfig, shape: tuple[int, int]
+) -> int:
+    """Segment size Z a pair of ``shape`` frames is planned with on ``machine``.
+
+    The largest feasible Z, floored at 1: when even ``Z = 1`` does not
+    fit, the degradation ladder takes over from the planned size.
+    """
+    layers = machine.layers_for_image(*shape)
+    return max(1, max_feasible_segment_rows(config, layers, machine))
+
+
 def segments_for(config: NeighborhoodConfig, segment_rows: int) -> int:
     """Number of segments needed to cover the whole search area."""
     side = config.search_window

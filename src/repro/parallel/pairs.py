@@ -115,9 +115,13 @@ def _ladder_pair_task(task: tuple) -> tuple:
 def _ladder_pair_task_shm(task: tuple) -> tuple:
     """Ladder task with frames read from (and planes returned via) rings.
 
-    Live rings *can* lap a slow worker; a missed or torn slot raises and
-    the runner's per-pair fault handling takes over (interpolation rung),
-    exactly like a failed disk fetch.
+    The runner's waves bound the pairs in flight to ``workers``, while
+    the frame ring holds ``4 * workers + 16`` slots and the result ring
+    ``2 * workers + 4``, so no slot is reused while a reader still needs
+    it.  A lapped or torn slot means that invariant broke: the
+    ``SlotMissed`` / ``TornSlot`` it raises propagates out of
+    :meth:`LadderPool.resolve` and aborts the run; the pair is not
+    degraded.
     """
     (index, seq_b, seq_a, machine, planned, dt, fit_images) = task
     ring = _WORKER_STATE["frame_ring"]
@@ -281,7 +285,10 @@ class LadderPool:
             _, seq, (rung, segment_rows, ledger, seconds, detail) = result
             ring_index, u, v, error = self._result_ring.read_planes(seq)
             self._result_ring.mark_consumed(seq)
-            assert ring_index == index
+            if ring_index != index:
+                raise RuntimeError(
+                    f"result slot {seq} holds pair {ring_index}, expected pair {index}"
+                )
             result = RungResult(
                 u=u, v=v, error=error, rung=rung, segment_rows=segment_rows,
                 ledger=ledger, seconds=seconds, detail=detail,

@@ -11,6 +11,7 @@ shown.
 
 from __future__ import annotations
 
+import bisect
 import json
 import time
 from collections import Counter
@@ -78,7 +79,10 @@ class RunReport:
             pair=pair, kind=kind, detail=detail, action=action, frame=frame,
             timestamp=time.monotonic(),
         )
-        self.events.append(event)
+        # Events stay in pair order: a pool wave fetches every pair
+        # before it merges the first, and the report must read as the
+        # sequential run's.
+        bisect.insort(self.events, event, key=lambda e: e.pair)
         return event
 
     def record_outcome(

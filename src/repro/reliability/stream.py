@@ -10,9 +10,9 @@ hardened so that *no single bad frame kills a 490-frame run*:
   ledger under ``"Fault recovery"``,
 * unproducible pairs walk the :class:`~repro.reliability.degrade.DegradationLadder`
   instead of raising,
-* after every pair the full run state is checkpointed atomically, and
-  a killed run resumes to a bit-identical final field, ledger and
-  report.
+* after every pair (every wave of ``workers`` pairs when pooled) the
+  full run state is checkpointed atomically, and a killed run resumes
+  to a bit-identical final field, ledger and report.
 
 The run's product is the time-mean motion field over all pairs (the
 sequence-level wind climatology the forecaster actually wants), plus a
@@ -22,6 +22,7 @@ and every degraded pair.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import time
@@ -40,7 +41,8 @@ from ..obs import absorb_payload
 from ..obs.metrics import METRICS
 from ..obs.tracing import TRACER
 from ..params import NeighborhoodConfig
-from ..parallel.memory_plan import max_feasible_segment_rows, plan as memory_plan
+from ..parallel.memory_plan import plan as memory_plan, planned_segment_rows
+from ..parallel.pairs import LadderPool, resolve_transport
 from ..parallel.parallel_sma import machine_for_image
 from .checkpoint import CheckpointError, StreamState, load_checkpoint, save_checkpoint
 from .degrade import DegradationLadder
@@ -81,17 +83,20 @@ class StreamingRunner:
     fault_plan:
         Optional injected-fault schedule (None streams cleanly).
     checkpoint_path:
-        Where to persist run state after every pair (None disables).
+        Where to persist run state after every wave (None disables).
     workers:
-        Shard independent pairs over a process pool (``> 1``).  The
-        main process still performs every order-sensitive step (disk
-        fetches, ledger charges, report events, checkpoints), so the
-        run's field, ledger and report stay bit-identical to the
-        sequential path.  Incompatible with ``fault_plan``: injected
-        faults thread state (retry RNG, fault counters, prior fields)
-        between consecutive pairs, which a pool cannot honor.  In
-        workers mode checkpoints land at wave boundaries (every
-        ``workers`` pairs) instead of after every pair.
+        Pairs per wave.  Every run walks the pairs in waves: the main
+        process does each pair's order-sensitive half (machine fold,
+        disk fetch, ledger charges) in pair order, the pairs are
+        tracked, and their results merge in pair order, with one
+        checkpoint per wave.  A sequential run (``None`` or ``1``) is a
+        wave of one tracked in process; ``> 1`` tracks each wave's
+        pairs in a process pool, and because everything order-sensitive
+        keeps pair order, the run's field, ledger and report are
+        bit-identical to the sequential run's.  Incompatible with
+        ``fault_plan``: injected faults thread state (retry RNG, fault
+        counters, prior fields) between consecutive pairs, which a pool
+        cannot honor.
     """
 
     def __init__(
@@ -108,8 +113,6 @@ class StreamingRunner:
         backend: str = "auto",
         transport: str = "pickle",
     ) -> None:
-        from ..parallel.pairs import resolve_transport
-
         if workers is not None and workers < 1:
             raise ValueError("workers must be a positive integer")
         if workers is not None and workers > 1 and fault_plan is not None:
@@ -212,49 +215,43 @@ class StreamingRunner:
         """One frame off the disk: read, validate, retry; None if unrecoverable."""
         key = frame_key(frame_idx, channel)
         with TRACER.span("stream.fetch", frame=frame_idx, channel=channel or "surface"):
-            return self._fetch_inner(
-                disk, key, frame_idx, expected_shape, ledger, rng, report, pair
-            )
-
-    def _fetch_inner(
-        self, disk, key, frame_idx, expected_shape, ledger, rng, report, pair
-    ) -> np.ndarray | None:
-        for attempt in range(1, self.retry.max_attempts + 1):
-            last = attempt == self.retry.max_attempts
-            try:
-                with ledger.phase(PHASE_STREAMING):
-                    arr = disk.read_frame(key)
-            except DiskError as exc:
-                report.record_event(
-                    pair, "disk-read-error", str(exc),
-                    "gave-up" if last else "retried", frame=frame_idx,
-                )
-                if last:
+            for attempt in range(1, self.retry.max_attempts + 1):
+                last = attempt == self.retry.max_attempts
+                try:
+                    with ledger.phase(PHASE_STREAMING):
+                        arr = disk.read_frame(key)
+                except DiskError as exc:
+                    report.record_event(
+                        pair, "disk-read-error", str(exc),
+                        "gave-up" if last else "retried", frame=frame_idx,
+                    )
+                    if last:
+                        return None
+                    self.retry.charge_backoff(attempt, ledger, rng)
+                    continue
+                except KeyError as exc:
+                    report.record_event(
+                        pair, "disk-read-error", f"missing frame: {exc}", "gave-up",
+                        frame=frame_idx,
+                    )
                     return None
-                self.retry.charge_backoff(attempt, ledger, rng)
-                continue
-            except KeyError as exc:
-                report.record_event(
-                    pair, "disk-read-error", f"missing frame: {exc}", "gave-up", frame=frame_idx
-                )
-                return None
-            try:
-                validate_frame(arr, expected_shape=expected_shape, name=key)
-            except FrameValidationError as exc:
-                report.record_event(
-                    pair, "corrupt-frame", str(exc),
-                    "gave-up" if last else "retried", frame=frame_idx,
-                )
-                if last:
-                    return None
-                self.retry.charge_backoff(attempt, ledger, rng)
-                continue
-            if attempt > 1:
-                report.record_event(
-                    pair, "recovery", f"{key} read cleanly on attempt {attempt}",
-                    "recovered", frame=frame_idx,
-                )
-            return arr
+                try:
+                    validate_frame(arr, expected_shape=expected_shape, name=key)
+                except FrameValidationError as exc:
+                    report.record_event(
+                        pair, "corrupt-frame", str(exc),
+                        "gave-up" if last else "retried", frame=frame_idx,
+                    )
+                    if last:
+                        return None
+                    self.retry.charge_backoff(attempt, ledger, rng)
+                    continue
+                if attempt > 1:
+                    report.record_event(
+                        pair, "recovery", f"{key} read cleanly on attempt {attempt}",
+                        "recovered", frame=frame_idx,
+                    )
+                return arr
         return None  # pragma: no cover - loop always returns
 
     def _machine_for_pair(self, pair: int, shape, machine, report: RunReport):
@@ -307,9 +304,82 @@ class StreamingRunner:
         full = 4 if self.config.is_semifluid or int_before is not None else 2
         return full // 2
 
+    def _prepare(self, pair, frame, shape, dt, machine, disk, ledger, rng, report):
+        """The order-sensitive half of one pair, done in the main process in
+        pair order: the machine fold, the PE-memory squeeze, the fetch and
+        the fit-images charge.
+
+        Returns the ladder task tuple :meth:`LadderPool.submit` takes, or
+        None when the pair is unusable.
+        """
+        machine_p = self._machine_for_pair(pair, shape, machine, report)
+        planned = planned_segment_rows(self.config, machine_p, shape)
+        if self.fault_plan and pair in self.fault_plan.pe_memory_faults:
+            layers = machine_p.layers_for_image(*shape)
+            budget = memory_plan(self.config, layers, planned).total_bytes
+            machine_p = dataclasses.replace(
+                machine_p, pe_memory_bytes=min(machine_p.pe_memory_bytes, budget - 1)
+            )
+        before, after, int_before, int_after = self._fetch_pair(
+            disk, pair, shape, ledger, rng, report, frame.intensity is not None
+        )
+        if before is None or after is None:
+            return None
+        return (
+            pair, before, after, machine_p, planned, dt, int_before, int_after,
+            self._fit_images_for_pair(pair, int_before),
+        )
+
     @staticmethod
-    def _absorb(pair, result, state, ledger, report, wall_seconds=None) -> None:
-        """Merge one pair's result into the running state, in pair order."""
+    def _last_fields(state) -> tuple:
+        if not state.has_last:
+            return None, None, None
+        return state.last_u, state.last_v, state.last_error
+
+    def _track(self, task, state, prep_cache) -> tuple:
+        """Track one prepared pair in process, chained on the run's last
+        field; returns what :meth:`LadderPool.resolve` returns."""
+        (pair, before, after, machine, planned, dt, int_before, int_after, fit) = task
+        last_u, last_v, last_error = self._last_fields(state)
+        t0 = time.perf_counter()
+        result, steps = self.ladder.track_pair(
+            before,
+            after,
+            machine,
+            planned,
+            dt_seconds=dt,
+            intensity_before=int_before,
+            intensity_after=int_after,
+            last_u=last_u,
+            last_v=last_v,
+            last_error=last_error,
+            prep_cache=prep_cache,
+            fit_images=fit,
+        )
+        return pair, result, steps, time.perf_counter() - t0, None
+
+    def _record(self, pair, tracked, state, ledger, report) -> None:
+        """Merge one pair into the run state, in pair order.
+
+        ``tracked`` is what :meth:`_track` or :meth:`LadderPool.resolve`
+        returned, or None for an unusable pair, which is interpolated
+        from the last good field.  The outcome's ``wall_seconds`` is the
+        pair's compute time, wherever it ran.
+        """
+        if tracked is None:
+            result = DegradationLadder.interpolate(
+                state.sum_u.shape, *self._last_fields(state)
+            )
+            report.record_event(
+                pair, "frame-unusable",
+                "frame pair unrecoverable after retries", "interpolated",
+            )
+            wall = None
+        else:
+            _, result, steps, wall, payload = tracked
+            absorb_payload(payload)
+            for step in steps:
+                report.record_event(pair, step.kind, step.detail, RUNG_NAMES[result.rung])
         state.sum_u += result.u
         state.sum_v += result.v
         state.sum_error += result.error
@@ -320,8 +390,7 @@ class StreamingRunner:
         if result.ledger is not None:
             ledger.merge(result.ledger)
         report.record_outcome(
-            pair, result.rung, result.segment_rows, result.seconds,
-            wall_seconds=wall_seconds,
+            pair, result.rung, result.segment_rows, result.seconds, wall_seconds=wall
         )
         state.pairs_done = pair + 1
 
@@ -358,102 +427,6 @@ class StreamingRunner:
         with TRACER.span("checkpoint.write", pairs_done=state.pairs_done):
             save_checkpoint(checkpoint_file, state)
         METRICS.inc("checkpoint.writes")
-
-    def _run_pool(
-        self,
-        frame_list,
-        state,
-        n_pairs,
-        shape,
-        dts,
-        machine,
-        disk,
-        ledger,
-        rng,
-        report,
-        stop_after,
-        checkpoint_file,
-    ) -> None:
-        """Workers mode: shard pairs over a pool, wave by wave.
-
-        Only runs without a fault plan (enforced at construction), so
-        every pair is independent: the machine is healthy, retries never
-        fire, and the interpolation rung's prior-field dependence is
-        unreachable for frames that staged successfully.  The main
-        process fetches frames and merges results strictly in pair
-        order, so ledger charges and report rows land exactly as the
-        sequential path would place them.  Checkpoints are written at
-        wave boundaries -- at those points the ledger matches the
-        sequential run's checkpoint bit for bit, which keeps resume
-        (sequential or pooled) bit-identical.
-        """
-        from ..parallel.pairs import LadderPool
-
-        processed = 0
-        n_procs = min(self.workers, max(1, n_pairs - state.pairs_done))
-        with LadderPool(
-            self.config,
-            self.ladder.hs_iterations,
-            n_procs,
-            search=self.search,
-            backend=self.backend,
-            transport=self.transport,
-        ) as pool:
-            pair = state.pairs_done
-            while pair < n_pairs:
-                remaining = n_pairs - pair
-                if stop_after is not None:
-                    remaining = min(remaining, stop_after - processed)
-                if remaining <= 0:
-                    break
-                wave = min(self.workers, remaining)
-
-                pending = []
-                for p in range(pair, pair + wave):
-                    machine_p = self._machine_for_pair(p, shape, machine, report)
-                    layers = machine_p.layers_for_image(*shape)
-                    planned = max(
-                        1, max_feasible_segment_rows(self.config, layers, machine_p)
-                    )
-                    has_intensity = frame_list[p].intensity is not None
-                    before, after, int_before, int_after = self._fetch_pair(
-                        disk, p, shape, ledger, rng, report, has_intensity
-                    )
-                    if before is None or after is None:
-                        pending.append((p, None))
-                        continue
-                    task = (
-                        p, before, after, machine_p, planned, dts[p],
-                        int_before, int_after,
-                        self._fit_images_for_pair(p, int_before),
-                    )
-                    pending.append((p, pool.submit(task)))
-
-                for p, handle in pending:
-                    wall = None
-                    if handle is None:
-                        result = DegradationLadder.interpolate(
-                            shape, None, None, None
-                        )
-                        report.record_event(
-                            p, "frame-unusable",
-                            "frame pair unrecoverable after retries", "interpolated",
-                        )
-                    else:
-                        _, result, steps, wall, payload = pool.resolve(handle)
-                        absorb_payload(payload)
-                        for step in steps:
-                            report.record_event(
-                                p, step.kind, step.detail, RUNG_NAMES[result.rung]
-                            )
-                    self._absorb(p, result, state, ledger, report, wall_seconds=wall)
-                    processed += 1
-
-                if checkpoint_file:
-                    self._save_checkpoint(
-                        checkpoint_file, state, ledger, report, rng, disk
-                    )
-                pair += wave
 
     # -- the run --------------------------------------------------------------------
 
@@ -515,83 +488,41 @@ class StreamingRunner:
             disk.restore_fault_state(state.fault_state)
 
         prep_cache = FramePreparationCache(max_frames=4)
-        if self.workers is not None and self.workers > 1:
-            self._run_pool(
-                frame_list, state, n_pairs, shape, dts, machine, disk,
-                ledger, rng, report, stop_after, checkpoint_file,
+        wave_size = self.workers or 1
+        pool = contextlib.nullcontext()
+        if wave_size > 1:
+            pool = LadderPool(
+                self.config,
+                self.ladder.hs_iterations,
+                min(wave_size, max(1, n_pairs - state.pairs_done)),
+                search=self.search,
+                backend=self.backend,
+                transport=self.transport,
             )
-        else:
-            processed_this_call = 0
-            for pair in range(state.pairs_done, n_pairs):
-                if stop_after is not None and processed_this_call >= stop_after:
-                    break
-                machine_p = self._machine_for_pair(pair, shape, machine, report)
-
-                layers = machine_p.layers_for_image(*shape)
-                planned = max(
-                    1, max_feasible_segment_rows(self.config, layers, machine_p)
-                )
-
-                machine_run = machine_p
-                if self.fault_plan and pair in self.fault_plan.pe_memory_faults:
-                    budget = memory_plan(self.config, layers, planned).total_bytes
-                    squeezed = min(machine_p.pe_memory_bytes, budget - 1)
-                    machine_run = dataclasses.replace(
-                        machine_p, pe_memory_bytes=squeezed
+        end = n_pairs if stop_after is None else min(n_pairs, state.pairs_done + stop_after)
+        with pool as pool:
+            while state.pairs_done < end:
+                wave = range(state.pairs_done, min(end, state.pairs_done + wave_size))
+                tasks = [
+                    self._prepare(
+                        p, frame_list[p], shape, dts[p], machine, disk, ledger, rng, report
                     )
-
-                has_intensity = frame_list[pair].intensity is not None
-                pair_span = TRACER.span("stream.pair", pair=pair, ledger=ledger)
-                pair_span.__enter__()
-                t0 = time.perf_counter()
-                try:
-                    before, after, int_before, int_after = self._fetch_pair(
-                        disk, pair, shape, ledger, rng, report, has_intensity
-                    )
-
-                    last_u = state.last_u if state.has_last else None
-                    last_v = state.last_v if state.has_last else None
-                    last_err = state.last_error if state.has_last else None
-                    if before is None or after is None:
-                        result = DegradationLadder.interpolate(
-                            shape, last_u, last_v, last_err
-                        )
-                        report.record_event(
-                            pair, "frame-unusable",
-                            "frame pair unrecoverable after retries", "interpolated",
-                        )
-                    else:
-                        result, steps = self.ladder.track_pair(
-                            before,
-                            after,
-                            machine_run,
-                            planned,
-                            dt_seconds=dts[pair],
-                            intensity_before=int_before,
-                            intensity_after=int_after,
-                            last_u=last_u,
-                            last_v=last_v,
-                            last_error=last_err,
-                            prep_cache=prep_cache,
-                            fit_images=self._fit_images_for_pair(pair, int_before),
-                        )
-                        for step in steps:
-                            report.record_event(
-                                pair, step.kind, step.detail, RUNG_NAMES[result.rung]
-                            )
-                finally:
-                    pair_span.__exit__(None, None, None)
-
-                self._absorb(
-                    pair, result, state, ledger, report,
-                    wall_seconds=time.perf_counter() - t0,
-                )
-                processed_this_call += 1
-
+                    for p in wave
+                ]
+                if pool is not None:
+                    tasks = [None if t is None else pool.submit(t) for t in tasks]
+                for p, task in zip(wave, tasks):
+                    with TRACER.span("stream.pair", pair=p, ledger=ledger):
+                        tracked = None
+                        if task is not None and pool is None:
+                            # In process, at merge time: the pair chains
+                            # on the field the previous pair recorded.
+                            tracked = self._track(task, state, prep_cache)
+                        elif task is not None:
+                            tracked = pool.resolve(task)
+                        self._record(p, tracked, state, ledger, report)
                 if checkpoint_file:
-                    self._save_checkpoint(
-                        checkpoint_file, state, ledger, report, rng, disk
-                    )
+                    self._save_checkpoint(checkpoint_file, state, ledger, report, rng, disk)
 
         return StreamResult(
             field=self._mean_field(state, shape, dts, report, machine),
@@ -608,11 +539,12 @@ class StreamingRunner:
     def run_live(self, source, max_pairs: int | None = None) -> StreamResult:
         """Consume frames from a live ring as they arrive (``ring://NAME``).
 
-        ``source`` is a :class:`~repro.bus.source.RingFrameSource`.  The
-        per-pair computation is exactly :meth:`run`'s sequential path --
-        same ladder, same positional surface-fit charges, same absorb
-        order -- so on an identical frame sequence the per-pair fields
-        (and the mean field) are bit-identical to a batch run.  What
+        ``source`` is a :class:`~repro.bus.source.RingFrameSource`.  Each
+        pair runs :meth:`run`'s per-pair step (:meth:`_track` then
+        :meth:`_record`: same ladder, same positional surface-fit
+        charges, same merge order), so on an identical frame sequence
+        the per-pair fields (and the mean field) are bit-identical to a
+        batch run.  What
         differs is the shell: frames stream from shared memory instead
         of being staged to the disk array, there are no checkpoints
         (the ring is the source of truth; a restarted consumer re-reads
@@ -645,10 +577,7 @@ class StreamingRunner:
                 shape = frame.shape
                 machine = self.machine or machine_for_image(shape)
                 ledger = CostLedger(machine)
-                layers = machine.layers_for_image(*shape)
-                planned = max(
-                    1, max_feasible_segment_rows(self.config, layers, machine)
-                )
+                planned = planned_segment_rows(self.config, machine, shape)
                 state = StreamState.fresh(
                     self._fingerprint(shape, 0) + "|live", 0, shape
                 )
@@ -676,32 +605,14 @@ class StreamingRunner:
             dt = frame.time_seconds - prev.frame.time_seconds
             dts.append(dt if dt > 0 else 1.0)
 
-            t0 = time.perf_counter()
-            with TRACER.span("stream.pair", pair=pair, ledger=ledger):
-                result, steps = self.ladder.track_pair(
-                    prev.frame.surface,
-                    frame.surface,
-                    machine,
-                    planned,
-                    dt_seconds=dts[-1],
-                    intensity_before=prev.frame.intensity,
-                    intensity_after=frame.intensity,
-                    last_u=state.last_u if state.has_last else None,
-                    last_v=state.last_v if state.has_last else None,
-                    last_error=state.last_error if state.has_last else None,
-                    prep_cache=prep_cache,
-                    fit_images=self._fit_images_for_pair(
-                        pair, prev.frame.intensity
-                    ),
-                )
-            for step in steps:
-                report.record_event(
-                    pair, step.kind, step.detail, RUNG_NAMES[result.rung]
-                )
-            self._absorb(
-                pair, result, state, ledger, report,
-                wall_seconds=time.perf_counter() - t0,
+            task = (
+                pair, prev.frame.surface, frame.surface, machine, planned, dts[-1],
+                prev.frame.intensity, frame.intensity,
+                self._fit_images_for_pair(pair, prev.frame.intensity),
             )
+            with TRACER.span("stream.pair", pair=pair, ledger=ledger):
+                tracked = self._track(task, state, prep_cache)
+                self._record(pair, tracked, state, ledger, report)
             METRICS.inc("stream.live.pairs")
             pair += 1
             prev = bus_frame

@@ -50,11 +50,12 @@ from collections import OrderedDict
 
 from ..core.field import MotionField
 from ..core.matching import valid_mask
+from ..core.sma import pair_dt
 from ..data.datasets import Dataset
 from ..obs.log import get_logger, log_context, log_event
 from ..obs.metrics import METRICS
 from ..obs.tracing import TRACER
-from ..parallel.memory_plan import max_feasible_segment_rows
+from ..parallel.memory_plan import planned_segment_rows
 from ..parallel.parallel_sma import machine_for_image
 from ..reliability.degrade import DegradationLadder
 from ..reliability.injection import ChaosWorkerCrash, ServeChaosPlan
@@ -398,11 +399,8 @@ class WorkerPool:
         before, after = frames
         shape = before.shape
         machine = machine_for_image(shape)
-        layers = machine.layers_for_image(*shape)
-        planned = max(1, max_feasible_segment_rows(config, layers, machine))
-        dt = after.time_seconds - before.time_seconds
-        if dt <= 0:
-            dt = 1.0
+        planned = planned_segment_rows(config, machine, shape)
+        dt, dt_metadata = pair_dt(before, after, None)
         ladder = DegradationLadder(
             config,
             hs_iterations=self.app.hs_iterations,
@@ -436,6 +434,7 @@ class WorkerPool:
                 "rung": result.rung,
                 "search": search_mode,
                 "backend": backend,
+                **dt_metadata,
             },
         )
         return field, result.rung

@@ -23,6 +23,28 @@ def test_resolve_transport_validates():
         resolve_transport("carrier-pigeon")
 
 
+def test_resolve_refuses_a_result_slot_of_another_pair():
+    """The shm result ring's pair index is checked even under ``python -O``."""
+    from repro.parallel.pairs import LadderPool
+
+    class StubResultRing:
+        def read_planes(self, seq):
+            plane = np.zeros((2, 2))
+            return 7, plane, plane, plane
+
+        def mark_consumed(self, seq):
+            pass
+
+    class Handle:
+        def get(self):
+            return 3, ("seq", 0, (0, None, None, 0.0, "")), [], 0.0, None
+
+    pool = LadderPool(SMALL_CONFIG, 5, 1, transport="shm")  # no processes until a submit
+    pool._result_ring = StubResultRing()
+    with pytest.raises(RuntimeError, match="holds pair 7, expected pair 3"):
+        pool.resolve(Handle())
+
+
 @pytest.mark.parametrize("transport", ["pickle", "shm"])
 def test_pool_transport_matches_sequential(transport, tmp_path):
     """A pooled serve sequence job equals the unpooled product."""

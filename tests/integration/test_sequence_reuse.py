@@ -106,6 +106,19 @@ class TestStreamingReuse:
         )
         assert self._snap(uninterrupted) == self._snap(resumed)
 
+    def test_unusable_pair_interpolates_the_same_when_pooled(self, small_config):
+        """A pair whose frame fails validation on every read persists the
+        last good field in a pool wave, exactly as the sequential run does."""
+        frames = _sequence(n=6)
+        bad = frames[3].surface.copy()
+        bad[5, 5] = 1e13  # beyond the plausible dynamic range
+        frames[3] = Frame(bad, time_seconds=frames[3].time_seconds)
+        sequential = StreamingRunner(small_config).run(frames)
+        pooled = StreamingRunner(small_config, workers=2).run(frames)
+        assert [o.rung for o in sequential.report.outcomes] == [0, 0, 3, 3, 0]
+        assert self._snap(sequential) == self._snap(pooled)
+        assert sequential.report.to_json() == pooled.report.to_json()
+
     def test_workers_one_is_sequential(self, small_config):
         frames = _sequence(n=3)
         assert self._snap(StreamingRunner(small_config, workers=1).run(frames)) == (

@@ -133,6 +133,45 @@ class TestCheckpointResume:
         assert uninterrupted.report.to_json() == final.report.to_json()
 
 
+class TestResumeMidWave:
+    """A checkpoint taken inside a pool wave resumes bit-identically,
+    whatever the wave size on either side of the resume boundary."""
+
+    @pytest.fixture(scope="class")
+    def luis7(self):
+        return hurricane_luis(size=48, n_frames=7)
+
+    @pytest.fixture(scope="class")
+    def config7(self, luis7):
+        return luis7.config.replace(n_zs=2, n_zt=3)
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, config7, luis7):
+        return run_stream(config7, luis7.frames)
+
+    @pytest.mark.parametrize("first_workers", [None, 2], ids=["sequential", "pooled"])
+    def test_pooled_resume_after_three_pairs(
+        self, first_workers, config7, luis7, uninterrupted, tmp_path
+    ):
+        ck = str(tmp_path / "ck.npz")
+        partial = StreamingRunner(
+            config7, checkpoint_path=ck, workers=first_workers
+        ).run(luis7.frames, stop_after=3)
+        assert partial.pairs_done == 3 and not partial.completed
+
+        resumed = StreamingRunner(config7, checkpoint_path=ck, workers=2).run(
+            luis7.frames, resume=True
+        )
+        assert resumed.resumed and resumed.completed
+        for key in ("u", "v", "error"):
+            assert (
+                getattr(resumed.field, key).tobytes()
+                == getattr(uninterrupted.field, key).tobytes()
+            )
+        assert resumed.ledger.snapshot() == uninterrupted.ledger.snapshot()
+        assert resumed.report.to_json() == uninterrupted.report.to_json()
+
+
 class TestAcceptanceScenario:
     """The ISSUE's acceptance run: 20 Luis frames, one corrupted frame,
     one failed disk read, one forced PEMemoryError -- completes end to

@@ -2,6 +2,7 @@
 
 import dataclasses
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,36 @@ class TestPairExecution:
         assert app.ledger.gaussian_eliminations() == 0
         _run_one(app, JobRequest(dataset="florida", size=48))
         assert app.ledger.gaussian_eliminations() > 0
+
+
+class TestPairTimestamps:
+    """Pair jobs take dt through ``core.sma.pair_dt``, like SMAnalyzer."""
+
+    def _frames(self, after_time):
+        ds = florida_thunderstorm(size=32, n_frames=2, seed=0)
+        before, after = ds.frames
+        frames = [before, dataclasses.replace(after, time_seconds=after_time)]
+        return frames, ds.config.replace(n_zs=2, n_zt=3), ds.pixel_km
+
+    def test_equal_timestamps_warn_and_record_the_substitution(self, app):
+        frames, config, pixel_km = self._frames(after_time=0.0)
+        assert frames[0].time_seconds == 0.0
+        with pytest.warns(RuntimeWarning, match="not increasing"):
+            field, _ = app.pool._compute_pair(frames, config, pixel_km)
+        assert field.dt_seconds == 1.0
+        assert field.metadata["dt_substituted"] is True
+        assert field.metadata["dt_rejected_seconds"] == 0.0
+
+    def test_increasing_timestamps_add_no_key(self, app):
+        frames, config, pixel_km = self._frames(after_time=90.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            field, _ = app.pool._compute_pair(frames, config, pixel_km)
+        assert field.dt_seconds == 90.0
+        assert list(field.metadata) == ["model", "config", "rung", "search", "backend"]
+        reference = SMAnalyzer(config, pixel_km=pixel_km).track_pair(*frames)
+        for key in ("u", "v", "error"):
+            assert getattr(field, key).tobytes() == getattr(reference, key).tobytes()
 
 
 class TestCacheHit:
