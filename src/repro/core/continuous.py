@@ -73,6 +73,7 @@ from ..kernels.reference import (  # noqa: F401  (re-exported API)
     residual_rows,
     varying_planes,
 )
+from ..native import BoundSums, PairKernels
 from .linalg import gaussian_eliminate
 
 
@@ -133,8 +134,10 @@ def solve_accumulated(
 
     ``fields`` are template-summed packed fields: one ``(..., 28)``
     array, or the hypothesis search's varying and invariant sums as a
-    :class:`~repro.kernels.reference.SplitSums`.  A tiny ridge term
-    stabilizes near-degenerate patches without perturbing
+    :class:`~repro.kernels.reference.SplitSums` -- or as the
+    :class:`~repro.native.BoundSums` of a frame pair's bound kernels,
+    whose solve passes only the hypothesis count and ``pixels``.  A tiny
+    ridge term stabilizes near-degenerate patches without perturbing
     well-conditioned solutions; set ``ridge=0`` for the strict paper
     formulation.  ``pixels`` (flat indices over the leading axes)
     solves only ``fields.reshape(-1, N_FIELDS)[pixels]``.  With
@@ -143,6 +146,9 @@ def solve_accumulated(
     kernel, bit-identical to the NumPy steps below and reading
     ``fields`` through their strides, at ``pixels`` too, without a copy.
     """
+    if type(fields) is BoundSums:
+        theta, error, singular = fields.solve(ridge, pixels)
+        return MotionSolution(params=theta, error=error, singular=singular)
     if prefer_native:
         from ..native import native_available, native_solve_packed
 
@@ -165,15 +171,23 @@ def solve_accumulated(
     return MotionSolution(params=theta, error=error, singular=singular)
 
 
-def stack_varying_fields(p, q, e, g, p_after, q_after, prefer_native: bool = True) -> np.ndarray:
+def stack_varying_fields(
+    p, q, e=None, g=None, p_after=None, q_after=None, prefer_native: bool = True
+) -> np.ndarray:
     """:func:`~repro.kernels.reference.varying_planes`: the 18
     hypothesis-varying fields of ``(H, W)`` before planes against
     ``(n, H, W)`` after planes, as a contiguous ``(n, 18, H, W)`` stack.
 
     With ``prefer_native``, float64 planes and the compiled library
     loaded, the native kernel builds it -- bit-identical to the NumPy
-    path, which every other input takes.
+    path, which every other input takes.  Called as
+    ``stack_varying_fields(kernels, offsets)`` with a frame pair's bound
+    :class:`~repro.native.PairKernels`, it builds the fields of the
+    ``(dy, dx)`` hypothesis offsets into the bound stack, reading the
+    pair's after planes at those offsets (:meth:`PairKernels.fields`).
     """
+    if type(p) is PairKernels:
+        return p.fields(q)
     if prefer_native and _float_planes(2, p, q, e, g) and _float_planes(3, p_after, q_after):
         if np.shape(p_after)[1:] == np.shape(p):
             from ..native import native_available, native_pointwise_planes
@@ -192,7 +206,9 @@ def _float_planes(ndim: int, *arrays) -> bool:
     )
 
 
-def stack_box_sum(planes: np.ndarray, half_width: int, prefer_native: bool = True) -> np.ndarray:
+def stack_box_sum(
+    planes: np.ndarray, half_width: int, prefer_native: bool = True, out=None
+) -> np.ndarray:
     """:func:`~repro.kernels.reference.box_sum_planes` of a ``(..., H, W)`` stack.
 
     With ``prefer_native``, a contiguous float64 stack (what
@@ -200,7 +216,13 @@ def stack_box_sum(planes: np.ndarray, half_width: int, prefer_native: bool = Tru
     the planes are summed by the native kernel, bit-identical to
     SciPy's ``uniform_filter``; anything else takes the SciPy path.
     Either way the result is a contiguous stack of the same shape.
+    With ``out``, a frame pair's bound :class:`~repro.native.PairKernels`
+    (built for ``half_width``), an ``(n, 18, H, W)`` stack is summed
+    into ``out.sums`` and the view written is returned
+    (:meth:`PairKernels.box_sums`).
     """
+    if out is not None:
+        return out.box_sums(planes)
     if (
         prefer_native and half_width > 0 and isinstance(planes, np.ndarray)
         and planes.ndim >= 2 and planes.dtype == np.float64 and planes.flags.c_contiguous

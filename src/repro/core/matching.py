@@ -77,8 +77,10 @@ from ..kernels.reference import (
     VARYING_FIELDS,
     SplitSums,
     invariant_planes,
+    merge_best,
     strided_window_sums,
 )
+from ..native import BoundSums, PairKernels, native_available
 from ..obs.metrics import METRICS
 from ..obs.tracing import TRACER
 from ..params import NeighborhoodConfig
@@ -288,17 +290,28 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 class _HostEvaluator:
-    """The driver's evaluation stage on host kernels.
+    """The driver's evaluation stage on host kernels, bound to one frame pair.
 
     ``pointwise_fields`` -> ``_kernel_box_sum_stack`` ->
     ``solve_accumulated`` (the names ``bench/layers.py`` times; the
-    first two are the native-or-NumPy dispatchers of
-    :mod:`repro.core.continuous`), each told ``prefer_native``.
-    Per hypothesis they build and sum only the 18 varying fields; the
-    10 invariant ones are built and box-summed here, once per frame
-    pair, and every solve reads them as a second base (outer stride 0).
-    Certificates and template sums accumulate the same pointwise
-    fields, which is what makes the bound exact.
+    native-or-NumPy dispatchers of :mod:`repro.core.continuous`), each
+    told ``prefer_native``.  Per hypothesis they build and sum only the
+    18 varying fields; the 10 invariant ones are built and box-summed
+    here, once per frame pair, and every solve reads them as a second
+    base (outer stride 0).  Certificates and template sums accumulate the
+    same pointwise fields, which is what makes the bound exact.
+
+    When the native kernels run, ``__init__`` also binds the pair once
+    (:class:`~repro.native.PairKernels`, as ``kernels``): the contiguous
+    before and after planes, output buffers kept for the whole pair and
+    grown to the schedule's largest chunk (the varying stack, its box
+    sums, the solve's outputs) and the solve's field table with its
+    invariant half.  A hypothesis's kernel calls then pass only its
+    offsets and its survivors: the continuous model reads the after
+    planes at the hypothesis offset instead of shifted copies, and the
+    driver's merge runs in C (:func:`_merger`).  ``backend="numpy"`` and
+    an unloaded library leave ``kernels`` None and take the reference
+    path: shifted copies, fresh outputs and the NumPy merge.
     """
 
     def __init__(self, prepared: PreparedFrames, ridge: float, prefer_native: bool = True):
@@ -309,10 +322,19 @@ class _HostEvaluator:
         self.shifted_after = None
         if prepared.volume is not None and prepared.config.n_ss > 0:
             self.shifted_after = _shifted_geometry_stack(prepared.geo_after, prepared.volume)
+        n_zt = prepared.config.n_zt
         self._invariant_acc = _kernel_box_sum_stack(
-            self._invariant_planes(), prepared.config.n_zt, prefer_native=prefer_native
+            self._invariant_planes(), n_zt, prefer_native=prefer_native
         )
         self._certificate = None  # (grid, its invariant window sums)
+        self.kernels = None
+        if prefer_native and native_available():
+            # The semi-fluid model builds its fields from gathered planes.
+            geo_b, geo_a = prepared.geo_before, prepared.geo_after
+            after = (geo_a.p, geo_a.q) if self.shifted_after is None else (None, None)
+            self.kernels = PairKernels(
+                geo_b.p, geo_b.q, geo_b.e, geo_b.g, *after, self._invariant_acc, n_zt
+            )
 
     def _invariant_planes(self) -> np.ndarray:
         """The pair's 10 hypothesis-invariant planes ``(10, H, W)``."""
@@ -323,12 +345,16 @@ class _HostEvaluator:
         """``(varying fields, delta_y, delta_x)`` of a hypothesis chunk.
 
         The fields are a contiguous ``(n, 18, H, W)`` stack, plane ``j``
-        holding packed field ``VARYING_FIELDS[j]``; the ``(n, H, W)``
-        semi-fluid deltas are None for the continuous model.
+        holding packed field ``VARYING_FIELDS[j]`` -- with bound
+        kernels, a view of their stack, overwritten by the next chunk;
+        the ``(n, H, W)`` semi-fluid deltas are None for the continuous
+        model.
         """
         prepared = self.prepared
         delta_y = delta_x = None
         if self.shifted_after is None:
+            if self.kernels is not None:
+                return pointwise_fields(self.kernels, chunk), None, None
             geo_a = prepared.geo_after
             p_a = _stack([shift2d(geo_a.p, dy, dx) for dy, dx in chunk])
             q_a = _stack([shift2d(geo_a.q, dy, dx) for dy, dx in chunk])
@@ -337,6 +363,9 @@ class _HostEvaluator:
             deltas = [semifluid_displacements(volume, dy, dx, n_ss) for dy, dx in chunk]
             delta_y = _stack([d[0] for d in deltas])
             delta_x = _stack([d[1] for d in deltas])
+            if self.kernels is not None:  # the C merge reads them flat
+                delta_y = np.ascontiguousarray(delta_y, dtype=np.int64)
+                delta_x = np.ascontiguousarray(delta_x, dtype=np.int64)
             p_a, q_a = _gather_after(self.shifted_after, volume, delta_y, delta_x)
         geo_b = prepared.geo_before
         pw = pointwise_fields(
@@ -350,17 +379,25 @@ class _HostEvaluator:
 
         The window sums run over the hypothesis's 18 varying planes; the
         invariant planes' sums are taken once per grid, on its first
-        call, and read as the solve's second base.
+        call, and read as the solve's second base (bound, with its
+        outputs, when the native kernels run).
         """
         if self._certificate is None or self._certificate[0] is not grid:
-            self._certificate = (grid, grid.window_sums(self._invariant_planes()))
+            invariant = grid.window_sums(self._invariant_planes())
+            if self.kernels is not None:
+                varying = np.empty((1, len(VARYING_FIELDS)) + invariant.shape[1:])
+                invariant = BoundSums(varying, invariant)
+            self._certificate = (grid, invariant)
         acc = grid.window_sums(pw[0])
-        solution = solve_accumulated(
-            SplitSums(acc, self._certificate[1]), ridge=self.ridge,
-            prefer_native=self.prefer_native,
-        )
+        invariant = self._certificate[1]
+        fields = SplitSums(acc, invariant) if self.kernels is None else invariant.assign(acc)
+        solution = solve_accumulated(fields, ridge=self.ridge, prefer_native=self.prefer_native)
         # c, the last packed field, is the last varying one.
-        return np.where(solution.singular, 0.0, solution.error), np.abs(acc[-1])
+        grid_shape = acc.shape[1:]
+        return (
+            np.where(solution.singular, 0.0, solution.error).reshape(grid_shape),
+            np.abs(acc[-1]),
+        )
 
     def solve(self, pw, pixels: np.ndarray | None = None):
         """Template ``(error, params)``: ``(n, H, W[, 6])``, or ``(s[, 6])`` at ``pixels``.
@@ -369,17 +406,24 @@ class _HostEvaluator:
         rounding depends on the distance from the array origin, so
         cropping to the selected pixels would change bits.  The solve
         reads the selected pixels where they lie, in the varying sums
-        and the pair's invariant sums.  The last box sum is kept alive
-        until the next one: freeing it lets the allocator hand its pages
-        back to the OS and fault them in again per hypothesis (2-3x the
-        minor page faults, measured at 96 px).
+        and the pair's invariant sums.  With bound kernels the sums and
+        the results are views of the pair's buffers, overwritten by the
+        next solve.  On the reference path the last box sum is kept
+        alive until the next one: freeing it lets the allocator hand its
+        pages back to the OS and fault them in again per hypothesis
+        (2-3x the minor page faults, measured at 96 px).
         """
-        acc = self._last_acc = _kernel_box_sum_stack(
-            pw, self.prepared.config.n_zt, prefer_native=self.prefer_native
-        )
+        n_zt = self.prepared.config.n_zt
+        if self.kernels is None:
+            acc = self._last_acc = _kernel_box_sum_stack(
+                pw, n_zt, prefer_native=self.prefer_native
+            )
+            fields = SplitSums(acc, self._invariant_acc)
+        else:
+            self._last_acc = _kernel_box_sum_stack(pw, n_zt, out=self.kernels)
+            fields = self.kernels.sums
         solution = solve_accumulated(
-            SplitSums(acc, self._invariant_acc), ridge=self.ridge,
-            prefer_native=self.prefer_native, pixels=pixels,
+            fields, ridge=self.ridge, prefer_native=self.prefer_native, pixels=pixels
         )
         return solution.error, solution.params
 
@@ -389,11 +433,14 @@ class _CertificateGrid:
 
     One certificate window of half-width ``m = n_zt - 1`` per
     ``CERT_STRIDE x CERT_STRIDE`` block, with all windows fully inside
-    the image.  Every pixel maps to its nearest grid center (Chebyshev
-    distance <= ``n_zt - m``), so the certificate window is a subset of
-    that pixel's own template window and its minimized error is a
-    sound lower bound; pixels beyond the last grid row/column get a
-    bound of zero (never pruned).
+    the image.  Every pixel maps to its nearest grid center; where the
+    Chebyshev distance is at most ``n_zt - m``, the certificate window
+    is a subset of that pixel's own template window and its minimized
+    error is a sound lower bound.  Those covered pixels form one
+    rectangle (consecutive centers sit ``CERT_STRIDE`` apart), and each
+    one's grid cell is mapped once, here; pixels outside it are never
+    pruned (their bound would be zero, which never exceeds a
+    non-negative best).
     """
 
     def __init__(self, shape: tuple[int, int], n_zt: int, m: int) -> None:
@@ -401,19 +448,26 @@ class _CertificateGrid:
         self.m = m
         self.gy = np.arange(m, h - m, CERT_STRIDE)
         self.gx = np.arange(m, w - m, CERT_STRIDE)
-
-        def nearest(n: int, count: int) -> np.ndarray:
-            return np.clip(np.round((np.arange(n) - m) / CERT_STRIDE).astype(np.intp), 0, count - 1)
-
-        iy, ix = nearest(h, self.gy.size), nearest(w, self.gx.size)
-        self.pixel_to_grid = np.ix_(iy, ix)
         tol = n_zt - m
-        cy = m + CERT_STRIDE * iy
-        cx = m + CERT_STRIDE * ix
-        self.in_range = (
-            (np.abs(np.arange(h) - cy) <= tol)[:, None]
-            & (np.abs(np.arange(w) - cx) <= tol)[None, :]
-        )
+
+        def covered(n: int, count: int) -> tuple[slice, np.ndarray]:
+            """The covered run of ``n`` lines and the grid index of each."""
+            nearest = np.clip(
+                np.round((np.arange(n) - m) / CERT_STRIDE).astype(np.intp), 0, count - 1
+            )
+            lines = np.flatnonzero(np.abs(np.arange(n) - (m + CERT_STRIDE * nearest)) <= tol)
+            if lines.size == 0 or lines[-1] - lines[0] + 1 != lines.size:
+                raise ValueError("certificate windows must cover one run of image lines")
+            run = slice(lines[0], lines[-1] + 1)
+            return run, nearest[run]
+
+        self.rows, cell_y = covered(h, self.gy.size)
+        self.cols, cell_x = covered(w, self.gx.size)
+        #: Flat grid index of every covered pixel's certificate.
+        self.cell = cell_y[:, None] * self.gx.size + cell_x[None, :]
+        self._bound = np.empty(self.cell.shape)
+        self._pruned = np.zeros(shape, dtype=bool)
+        self._keep = np.empty(shape, dtype=bool)
 
     @classmethod
     def build(cls, shape: tuple[int, int], n_zt: int) -> "_CertificateGrid | None":
@@ -425,12 +479,9 @@ class _CertificateGrid:
         tiny templates simply fall back to the exhaustive schedule.
         """
         m = n_zt - 1
-        if m < 2:
+        if m < 2 or min(shape) <= 2 * m:
             return None
-        grid = cls(shape, n_zt, m)
-        if grid.gy.size == 0 or grid.gx.size == 0:
-            return None
-        return grid
+        return cls(shape, n_zt, m)
 
     def window_sums(self, planes: np.ndarray) -> np.ndarray:
         """Certificate-window sums ``(k, gy, gx)`` of ``(k, H, W)`` planes."""
@@ -447,15 +498,20 @@ class _CertificateGrid:
 
         A pixel is pruned only when ``lb - slack > best_error`` strictly:
         the hypothesis could then neither win the strict-less merge nor
-        tie, so pruning never changes a bit.  None (solve all, skip the
-        certificates) while ``best_error`` is all inf.
+        tie, so pruning never changes a bit.  ``lb - slack`` is formed
+        per grid point and read at each covered pixel's cell.  None
+        (solve all, skip the certificates) while ``best_error`` is all
+        inf.  The returned indices are the caller's; the grid reuses its
+        own masks.
         """
         if not np.isfinite(best_error).any():
             return None
         lb_grid, c_grid = evaluator.certificate_bounds(pw, self)
-        lb = np.where(self.in_range, lb_grid[self.pixel_to_grid], 0.0)
-        slack = CERT_SLACK_REL * c_grid[self.pixel_to_grid] + CERT_SLACK_ABS
-        return np.flatnonzero(~((lb - slack) > best_error).ravel())
+        bound = lb_grid - (CERT_SLACK_REL * c_grid + CERT_SLACK_ABS)
+        np.take(bound, self.cell, out=self._bound)
+        np.greater(self._bound, best_error[self.rows, self.cols],
+                   out=self._pruned[self.rows, self.cols])
+        return np.flatnonzero(np.logical_not(self._pruned, out=self._keep))
 
 
 class _Exhaustive:
@@ -555,12 +611,13 @@ def _search(evaluator: _HostEvaluator, schedule: _Exhaustive) -> DenseMatchResul
         np.zeros((flat_error.size, 6), dtype=np.float64),
         np.zeros_like(flat_error), np.zeros_like(flat_error),
     )
+    merge = _merger(evaluator, best)
 
     evaluated = solves = 0
     for start, chunk in schedule.chunks():
         METRICS.inc("batched_engine.chunks")
         with TRACER.span("hypothesis_chunk", start=start, size=len(chunk)):
-            solves += _run_chunk(evaluator, schedule, start, chunk, best_error, best)
+            solves += _run_chunk(evaluator, schedule, start, chunk, best_error, merge)
         evaluated += len(chunk)
 
     _, _, flat_params, flat_u, flat_v = best
@@ -574,40 +631,50 @@ def _search(evaluator: _HostEvaluator, schedule: _Exhaustive) -> DenseMatchResul
     return result
 
 
-def _run_chunk(evaluator, schedule, start: int, chunk, best_error, best) -> int:
+def _merger(evaluator, best):
+    """The (error, rank) merge of ``evaluator``'s solves into ``best``.
+
+    ``best`` is the search's flat ``(error, rank, params, u, v)``.
+    Returns ``merge(rank, chunk, error, params, pixels, delta_y,
+    delta_x)`` for one solved chunk: with the evaluator's bound
+    ``kernels``, their C merge, which reads the solve's outputs in place
+    (``error`` and ``params`` are views of them); otherwise -- the
+    reference path, or any evaluator that only stages and solves --
+    :func:`~repro.kernels.reference.merge_best`.
+    """
+    kernels = getattr(evaluator, "kernels", None)
+    if kernels is None:
+        def merge(rank, chunk, error, params, pixels, delta_y, delta_x):
+            if pixels is not None:
+                error, params = error[None], params[None]
+            merge_best(error, params, rank, chunk, best, pixels, delta_y, delta_x)
+
+        return merge
+    kernels.bind_best(best)
+
+    def merge(rank, chunk, error, params, pixels, delta_y, delta_x):
+        kernels.merge(rank, chunk, pixels, delta_y, delta_x)
+
+    return merge
+
+
+def _run_chunk(evaluator, schedule, start: int, chunk, best_error, merge) -> int:
     """Stage, select, solve and merge one chunk; returns the solves run.
 
-    A function of its own so that the chunk's staged fields, solution
-    and merge temporaries are all freed before the next chunk is staged:
-    kept alive, they make the allocator fault in fresh pages per chunk
-    (up to 5x the minor page faults, measured on 64 and 96 px pairs).
+    ``merge`` comes from :func:`_merger`.  With bound kernels every step
+    writes the pair's own buffers, so a chunk allocates next to nothing.
+    On the reference path this is a function of its own so that the
+    chunk's staged fields, solution and merge temporaries are all freed
+    before the next chunk is staged: kept alive, they make the allocator
+    fault in fresh pages per chunk (up to 5x the minor page faults,
+    measured on 64 and 96 px pairs).
     """
-    flat_error, flat_rank, flat_params, flat_u, flat_v = best
     pw, delta_y, delta_x = evaluator.stage(chunk)
     pixels = schedule.pixels(evaluator, pw, best_error)
     if pixels is not None and pixels.size == 0:
         return 0
     error, params = evaluator.solve(pw, pixels)
-    if pixels is not None:
-        error, params = error[None], params[None]
-    # (error, rank) merge at flat pixel indices.
-    for k, (hyp_dy, hyp_dx) in enumerate(chunk):
-        error_k = error[k].reshape(-1)
-        best_k = flat_error if pixels is None else flat_error[pixels]
-        rank_k = flat_rank if pixels is None else flat_rank[pixels]
-        better = (error_k < best_k) | ((error_k == best_k) & (start + k < rank_k))
-        winners = np.flatnonzero(better) if pixels is None else pixels[better]
-        flat_error[winners] = error_k[better]
-        flat_rank[winners] = start + k
-        flat_params[winners] = params[k].reshape(-1, 6)[better]
-        if delta_y is None:
-            flat_u[winners] = float(hyp_dx)
-            flat_v[winners] = float(hyp_dy)
-        else:
-            # The tracked pixel's own semi-fluid mapping (eq. 8):
-            # the hypothesis refined by the pixel's F_semi drift.
-            flat_u[winners] = delta_x[k].reshape(-1)[winners]
-            flat_v[winners] = delta_y[k].reshape(-1)[winners]
+    merge(start, chunk, error, params, pixels, delta_y, delta_x)
     return error.size
 
 

@@ -53,6 +53,7 @@ from .reference import (
     box_sum_rect,
     eliminate,
     invariant_planes,
+    merge_best,
     pointwise_fields,
     residual_rows,
     strided_window_sums,
@@ -79,6 +80,7 @@ __all__ = [
     "eliminate",
     "field_digest",
     "invariant_planes",
+    "merge_best",
     "pointwise_fields",
     "residual_rows",
     "resolve_backend",

@@ -5,8 +5,9 @@ module.  They are the exact arithmetic the rest of the codebase has
 always run -- moved here verbatim from :mod:`repro.core.continuous`
 (residual rows, packed normal-equation fields), :mod:`repro.core.semifluid`
 (template box sums), :mod:`repro.core.linalg` (the batched Gaussian
-elimination) and :mod:`repro.core.matching` (the stacked box sum and the
-certificate-grid window sums of the pruned schedule) -- so "reference"
+elimination) and :mod:`repro.core.matching` (the stacked box sum, the
+certificate-grid window sums of the pruned schedule and the search's
+(error, rank) merge) -- so "reference"
 means *the* bits, not merely close ones:
 
 * the native C kernels (:mod:`repro.native`) replay these IEEE-754
@@ -315,6 +316,38 @@ def strided_window_sums(
     for k in range(rest):
         out += every_stride(stride * whole + k, grid_size)
     return out
+
+
+def merge_best(error, params, rank: int, hypotheses, best, pixels=None, delta_y=None, delta_x=None):
+    """The hypothesis search's (error, rank) merge of one chunk, in place.
+
+    ``error`` ``(n, ...)`` and ``params`` ``(n, ..., 6)`` are the chunk's
+    solve output for its ``n`` ``hypotheses`` ``(dy, dx)``, of ranks
+    ``rank, rank + 1, ...`` in :func:`repro.core.matching.hypothesis_order`,
+    over every pixel, or over the distinct flat ``pixels`` they were
+    solved at.  ``best`` is the search's flat ``(error, rank, params, u,
+    v)``.  Hypothesis by hypothesis, a pixel takes the solution when its
+    error is strictly lower, or equal at a lower rank: a NaN error never
+    wins, and an unsolved pixel (+inf at rank -1) is never tied.  The
+    winner's ``(u, v)`` is the hypothesis ``(dx, dy)``, or with the
+    ``(n, H, W)`` semi-fluid deltas the pixel's own drift (eq. 8).
+    """
+    flat_error, flat_rank, flat_params, flat_u, flat_v = best
+    for k, (hyp_dy, hyp_dx) in enumerate(hypotheses):
+        error_k = error[k].reshape(-1)
+        best_k = flat_error if pixels is None else flat_error[pixels]
+        rank_k = flat_rank if pixels is None else flat_rank[pixels]
+        better = (error_k < best_k) | ((error_k == best_k) & (rank + k < rank_k))
+        winners = np.flatnonzero(better) if pixels is None else pixels[better]
+        flat_error[winners] = error_k[better]
+        flat_rank[winners] = rank + k
+        flat_params[winners] = params[k].reshape(-1, 6)[better]
+        if delta_y is None:
+            flat_u[winners] = float(hyp_dx)
+            flat_v[winners] = float(hyp_dy)
+        else:
+            flat_u[winners] = delta_x[k].reshape(-1)[winners]
+            flat_v[winners] = delta_y[k].reshape(-1)[winners]
 
 
 def eliminate(matrices: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

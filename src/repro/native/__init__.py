@@ -29,6 +29,15 @@ or SciPy path it shadows:
 * :func:`native_box_sum_planes` -- the SciPy ``uniform_filter`` box sum
   of :func:`repro.kernels.reference.box_sum_planes`, plane by plane.
 
+The hypothesis search does not pay these wrappers' argument checks per
+hypothesis: :class:`PairKernels` binds one frame pair's planes, output
+buffers and solve table (:class:`BoundSums`) once, and each hypothesis
+then passes only its offsets and its survivors.  Bound, the field
+build reads one pair of after planes at each hypothesis's toroidal
+offset (the ``shift2d`` copies, without the copies), and the search's
+(error, rank) merge, :func:`repro.kernels.reference.merge_best`, runs
+in C too.
+
 The contract holds because
 
 * the C kernel replicates the reference arithmetic element for element
@@ -41,8 +50,10 @@ The contract holds because
   trusted -- the template solve at every lane width the CPU runs, one
   system at a time included, on one array and on a two-base split, in
   full and through an index list; the field build's plane set against
-  :data:`repro.kernels.reference.VARYING_FIELDS`; any mismatch or build
-  failure quietly disables it.
+  :data:`repro.kernels.reference.VARYING_FIELDS`, its planes on stacked
+  after planes and at toroidal offsets; the merge's ties, NaN errors,
+  unsolved pixels and signed zeros; any mismatch or build failure
+  quietly disables it, and :func:`native_status` names the entry.
 
 The box sum is the one exception to that all-or-nothing rule.  It
 answers to SciPy's *internal* running-sum arithmetic, which a SciPy
@@ -99,6 +110,8 @@ from ..obs.metrics import METRICS
 from ..obs.tracing import TRACER
 
 __all__ = [
+    "BoundSums",
+    "PairKernels",
     "native_available",
     "native_box_sum_available",
     "native_box_sum_planes",
@@ -259,6 +272,29 @@ def _self_check(lib: ctypes.CDLL) -> None:
         nat = _call_pointwise_planes(lib, p, q, e, g, p_after, q_after)
     if not same_bits(ref, nat):
         raise AssertionError("native pointwise fields disagree with NumPy reference")
+    from ..core.semifluid import shift2d
+
+    offsets = adversarial_offsets(*p.shape)
+    with np.errstate(all="ignore"):
+        ref = varying_planes(
+            p, q, e, g, *(np.stack([shift2d(a[0], dy, dx) for dy, dx in offsets])
+                          for a in (p_after, q_after))
+        )
+        nat = _call_pointwise_planes(lib, p, q, e, g, p_after[0], q_after[0], offsets)
+    if not same_bits(ref, nat):
+        raise AssertionError(
+            "native pointwise fields at toroidal offsets disagree with NumPy reference"
+        )
+
+    from ..kernels.reference import merge_best
+
+    for error, params, rank, hypotheses, best, pixels, deltas in adversarial_merges():
+        ref = tuple(a.copy() for a in best)
+        nat = tuple(a.copy() for a in best)
+        merge_best(error, params, rank, hypotheses, ref, pixels, *deltas)
+        _call_merge_best(lib, error, params, rank, hypotheses, nat, pixels, *deltas)
+        if not all(same_bits(a, b) for a, b in zip(ref, nat)):
+            raise AssertionError("native merge_best disagrees with NumPy reference")
 
 
 def _box_sum_check(lib: ctypes.CDLL) -> str | None:
@@ -374,6 +410,55 @@ def adversarial_planes(n: int = 3, h: int = 5, w: int = 7, seed: int = 20261018)
         flat[k, at] = specials
     p, q, e, g = (np.ascontiguousarray(values[k, 0]) for k in range(4))
     return p, q, e, g, values[4], values[5]
+
+
+def adversarial_offsets(h: int, w: int) -> np.ndarray:
+    """``(n, 2)`` toroidal ``(dy, dx)`` offsets for an ``h x w`` plane:
+    zero, small, negative, whole periods and offsets beyond +-H / +-W."""
+    return np.array(
+        [(0, 0), (1, -2), (-1, 3), (h, -w), (h + 2, 2 * w - 1), (-2 * h - 1, -w - 3)],
+        dtype=np.intp,
+    )
+
+
+def adversarial_merges(seed: int = 20261020):
+    """``(error, params, rank, hypotheses, best, pixels, (delta_y, delta_x))``
+    cases that probe the (error, rank) merge.
+
+    Errors equal to the running best at lower and higher ranks, ties
+    inside one chunk, NaN errors, +inf errors against an unsolved +inf
+    best at rank -1, and -0.0 against +0.0 both ways; every pixel, and a
+    shuffled subset of distinct pixels; hypothesis displacements, and
+    semi-fluid deltas.
+    """
+    rng = np.random.default_rng(seed)
+    n, size, rank = 3, 48, 5
+    values = np.array([np.inf, 0.0, -0.0, 1.0, 2.5, 5e-324])
+    best_error = values[rng.integers(0, values.size, size=size)]
+    best_rank = rng.integers(0, 2 * rank, size=size).astype(np.intp)
+    best_rank[np.isinf(best_error)] = -1
+    best = (
+        best_error, best_rank, rng.normal(size=(size, 6)), rng.normal(size=size),
+        rng.normal(size=size),
+    )
+    error = values[rng.integers(0, values.size, size=(n, size))]
+    tie = rng.random(size=(n, size)) < 0.4
+    error[tie] = np.broadcast_to(best_error, (n, size))[tie]  # ties both ways in rank
+    error[1, ::5] = error[0, ::5]  # ties inside the chunk
+    error[:, 3::7] = np.nan
+    error[2, np.isinf(best_error)] = np.inf
+    zeros = best_error == 0.0
+    error[0, zeros] = np.where(np.signbit(best_error[zeros]), 0.0, -0.0)  # -0.0 vs +0.0
+    params = rng.normal(size=(n, size, 6))
+    hypotheses = np.array([(0, 1), (-1, -1), (2, 0)], dtype=np.intp)
+    delta_y, delta_x = rng.integers(-4, 5, size=(2, n, size))
+    pixels = rng.permutation(size)[: size // 2].astype(np.intp)
+    for deltas in ((None, None), (delta_y, delta_x)):
+        yield error, params, rank, hypotheses, best, None, deltas
+        for k in range(n):
+            yield (error[k : k + 1, pixels], params[k : k + 1, pixels], rank + k,
+                   hypotheses[k : k + 1], best, pixels,
+                   (None, None) if deltas[0] is None else (delta_y[k : k + 1], delta_x[k : k + 1]))
 
 
 def adversarial_box_stack(n: int = 2, h: int = 5, w: int = 7, seed: int = 20261019):
@@ -526,14 +611,14 @@ def _call_solve_packed(
             table = _solve_table(shape, bases)
         status = lib.solve_packed(
             *table,
-            None if index is None else index.ctypes.data_as(ctypes.POINTER(ctypes.c_ssize_t)),
+            None if index is None else index.ctypes.data,
             ctypes.c_ssize_t(count),
             ctypes.c_double(ridge),
             _doubles(theta), _doubles(error),
             singular.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
             ctypes.c_int(lanes),
         )
-        if status:
+        if status == -1:
             raise ValueError(f"solve_packed cannot run {lanes} lanes on this CPU")
     return (
         theta.reshape(batch_shape + (6,)),
@@ -549,23 +634,77 @@ def _lane_widths(lib: ctypes.CDLL) -> tuple[int, ...]:
 
 
 def _call_pointwise_planes(
-    lib: ctypes.CDLL, p, q, e, g, p_after, q_after
+    lib: ctypes.CDLL, p, q, e, g, p_after, q_after, offsets=None
 ) -> np.ndarray:
     before = [np.ascontiguousarray(a, dtype=np.float64) for a in (p, q, e, g)]
     after = [np.ascontiguousarray(a, dtype=np.float64) for a in (p_after, q_after)]
     shape = before[0].shape
-    if len(shape) != 2 or any(a.shape != shape for a in before) or any(
-        a.shape != after[0].shape or a.shape[1:] != shape for a in after
-    ):
-        raise ValueError("expected (H, W) before planes and (n, H, W) after planes")
-    n = after[0].shape[0]
+    if offsets is None:
+        stacked = len(shape) == 2 and all(
+            a.shape == after[0].shape and a.shape[1:] == shape for a in after
+        )
+        n, after_stride = (after[0].shape[0] if stacked else 0), prod(shape)
+    else:
+        offsets = np.ascontiguousarray(offsets, dtype=np.intp).reshape(-1, 2)
+        stacked = len(shape) == 2 and all(a.shape == shape for a in after)
+        n, after_stride = offsets.shape[0], 0
+    if not stacked or any(a.shape != shape for a in before):
+        raise ValueError(
+            "expected (H, W) before planes and (n, H, W) after planes, or (H, W) "
+            "after planes and (n, 2) offsets"
+        )
     out = np.empty((n, len(VARYING_FIELDS)) + shape, dtype=np.float64)
     if out.size:
         lib.pointwise_planes(
             *(_doubles(a) for a in before), *(_doubles(a) for a in after),
-            ctypes.c_ssize_t(n), ctypes.c_ssize_t(shape[0] * shape[1]), _doubles(out),
+            after_stride, None if offsets is None else offsets.ctypes.data,
+            n, shape[0], shape[1], _doubles(out),
         )
     return out
+
+
+def _call_merge_best(
+    lib: ctypes.CDLL, error, params, rank: int, hypotheses, best,
+    pixels=None, delta_y=None, delta_x=None,
+) -> None:
+    """``merge_best`` of one chunk's solve output into ``best`` in place.
+
+    The arguments are those of :func:`repro.kernels.reference.merge_best`.
+    """
+    hypotheses = np.ascontiguousarray(hypotheses, dtype=np.intp).reshape(-1, 2)
+    n = hypotheses.shape[0]
+    error = np.ascontiguousarray(error, dtype=np.float64).reshape(n, -1)
+    params = np.ascontiguousarray(params, dtype=np.float64).reshape(n, -1, 6)
+    flat_error, flat_rank, flat_params, flat_u, flat_v = best
+    size = flat_error.size
+    for array, dtype, length in (
+        (flat_error, np.float64, size), (flat_rank, np.intp, size),
+        (flat_params, np.float64, size * 6), (flat_u, np.float64, size),
+        (flat_v, np.float64, size),
+    ):
+        if not (
+            array.dtype == dtype and array.flags.c_contiguous and array.flags.writeable
+            and array.size == length
+        ):
+            raise ValueError("best arrays must be writable contiguous (error, rank, params, u, v)")
+    count = error.shape[1]
+    if pixels is not None:
+        pixels = np.ascontiguousarray(pixels, dtype=np.intp)
+        if pixels.size != count:
+            raise ValueError(f"expected {count} pixels, got {pixels.size}")
+    elif count != size:
+        raise ValueError(f"expected {size} systems per hypothesis, got {count}")
+    deltas = [None, None]
+    if delta_y is not None:
+        deltas = [np.ascontiguousarray(d, dtype=np.int64).reshape(n, size)
+                  for d in (delta_y, delta_x)]
+    if n and count and lib.merge_best(
+        error.ctypes.data, params.ctypes.data, n, count,
+        None if pixels is None else pixels.ctypes.data, rank, hypotheses.ctypes.data,
+        *(None if d is None else d.ctypes.data for d in deltas), size,
+        *(a.ctypes.data for a in best),
+    ):
+        raise IndexError(f"pixel index out of range for {size} pixels")
 
 
 def _call_box_sum_planes(
@@ -578,13 +717,241 @@ def _call_box_sum_planes(
     if out.size:
         h, w = planes.shape[-2:]
         status = lib.box_sum_planes(
-            _doubles(planes), _doubles(out), ctypes.c_ssize_t(planes.size // (h * w)),
-            ctypes.c_ssize_t(h), ctypes.c_ssize_t(w),
-            ctypes.c_ssize_t(side_y), ctypes.c_ssize_t(side_x),
+            planes.ctypes.data, out.ctypes.data, planes.size // (h * w), h, w, side_y, side_x
         )
         if status:
             raise MemoryError("box_sum_planes could not allocate its line buffers")
     return out
+
+
+def _require() -> ctypes.CDLL:
+    lib, reason = _load()
+    if lib is None:
+        raise RuntimeError(f"native kernel unavailable: {reason}")
+    return lib
+
+
+class BoundSums:
+    """Template sums in buffers bound once, and their ``solve_packed`` call.
+
+    ``varying`` is a ``(capacity, 18, *S)`` buffer whose first ``n``
+    hypotheses hold the sums last written; ``invariant`` is the frame
+    pair's ``(10, *S)`` sums, read at outer stride 0.  The field table --
+    its invariant half included -- and the ``theta``/``error``/``singular``
+    outputs of ``capacity`` hypotheses are built here, once, so a solve
+    (:func:`repro.core.continuous.solve_accumulated` of this object)
+    passes only the hypothesis count and the survivor list.  Caller must
+    check :func:`native_available` first.
+    """
+
+    def __init__(self, varying: np.ndarray, invariant: np.ndarray) -> None:
+        lib = _require()
+        if not (varying.dtype == np.float64 and varying.flags.c_contiguous):
+            raise ValueError("the varying sums buffer must be contiguous float64")
+        self.varying = varying
+        self.invariant = np.ascontiguousarray(invariant, dtype=np.float64)
+        self.n = 0
+        shape = varying.shape[:1] + varying.shape[2:]
+        _, bases = _packed_bases(SplitSums(varying, self.invariant))
+        self._addresses, self._outer_strides, capacity, self.systems, self._pixel_stride = (
+            _solve_table(shape, bases)
+        )
+        count = capacity * self.systems
+        self.theta = np.empty((count, 6), dtype=np.float64)
+        self.error = np.empty(count, dtype=np.float64)
+        self.singular = np.empty(count, dtype=np.uint8)
+        self._solve_packed = lib.solve_packed
+        self._outputs = (
+            _doubles(self.theta), _doubles(self.error),
+            self.singular.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
+        )
+
+    def assign(self, sums: np.ndarray) -> "BoundSums":
+        """Copy an ``(n, 18, *S)`` (or ``(18, *S)``) stack of sums in."""
+        sums = sums.reshape((-1,) + self.varying.shape[1:])
+        self.n = sums.shape[0]
+        np.copyto(self.varying[: self.n], sums)
+        return self
+
+    def solve(self, ridge: float, pixels=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(params, error, singular)`` of the sums last written.
+
+        Shaped ``(n, *S[, 6])``, or ``(s[, 6])`` at ``pixels``: flat
+        indices over the ``n * prod(S)`` systems, as a contiguous
+        ``np.intp`` array (what ``np.flatnonzero`` returns); the kernel
+        refuses one out of range.  The results are views of the bound
+        outputs, overwritten by the next solve.
+        """
+        if pixels is None:
+            count, shape = self.n * self.systems, (self.n,) + self.varying.shape[2:]
+        else:
+            if pixels.dtype != np.intp or not pixels.flags.c_contiguous:
+                raise TypeError("pixels must be a contiguous np.intp array")
+            count, shape = pixels.size, pixels.shape
+        if count and self._solve_packed(
+            self._addresses, self._outer_strides, self.n, self.systems,
+            self._pixel_stride, None if pixels is None else pixels.ctypes.data, count,
+            ridge, *self._outputs, 0,
+        ):
+            raise IndexError(f"pixel index out of range for {self.n * self.systems} systems")
+        return (
+            self.theta[:count].reshape(shape + (6,)),
+            self.error[:count].reshape(shape),
+            self.singular[:count].view(np.bool_).reshape(shape),
+        )
+
+
+class PairKernels:
+    """One frame pair's hypothesis kernels, with their arguments bound once.
+
+    Built by the hypothesis search per frame pair from the pair's
+    ``(H, W)`` before planes ``p, q, e, g``, its after planes ``p_after,
+    q_after`` (None when the search builds its fields elsewhere, as the
+    semi-fluid model does from gathered planes), the box sums of its 10
+    invariant planes and the template half-width.  It keeps the
+    contiguous planes, output buffers for the largest chunk seen so far
+    (the 18-plane varying stack and, in :attr:`sums`, its box sums and
+    the solve's outputs) and every native argument that does not change
+    from one hypothesis to the next, so a hypothesis's calls pass only
+    its offsets and its survivor list:
+
+    * :meth:`fields` -- the varying stack of a chunk of ``(dy, dx)``
+      hypotheses, read from the after planes at toroidal offsets (no
+      shifted copies);
+    * :meth:`box_sums` -- the box sums of a varying stack into
+      :attr:`sums` (SciPy's, copied in, when the native box sum is not
+      trusted);
+    * ``solve_accumulated(kernels.sums, ...)`` -- the template solve;
+    * :meth:`merge` -- the search's (error, rank) merge of that solve,
+      into the best arrays given to :meth:`bind_best`.
+
+    Caller must check :func:`native_available` first.
+    """
+
+    def __init__(self, p, q, e, g, p_after, q_after, invariant_sums, half_width: int) -> None:
+        self._lib = _require()
+        self._before = [np.ascontiguousarray(a, dtype=np.float64) for a in (p, q, e, g)]
+        self._after = None
+        if p_after is not None:
+            self._after = [np.ascontiguousarray(a, dtype=np.float64) for a in (p_after, q_after)]
+        self.shape = self._before[0].shape
+        planes = self._before + (self._after or [])
+        if len(self.shape) != 2 or any(a.shape != self.shape for a in planes):
+            raise ValueError("expected equally shaped (H, W) before and after planes")
+        self._invariant_sums = np.ascontiguousarray(invariant_sums, dtype=np.float64)
+        self._side = 2 * half_width + 1
+        self._native_box_sum = _box_sum_reason is None and half_width > 0
+        self._best = None
+        self.capacity = 0
+        self._reserve(1)
+
+    def _reserve(self, n: int) -> None:
+        """Grow the bound buffers to ``n`` hypotheses (rebinding them)."""
+        if n <= self.capacity:
+            return
+        stack = (n, len(VARYING_FIELDS)) + self.shape
+        self.sums = BoundSums(np.empty(stack, dtype=np.float64), self._invariant_sums)
+        self._chunk = np.empty((n, 2), dtype=np.intp)
+        self._chunk_address = self._chunk.ctypes.data
+        if self._after is not None:
+            self.planes = np.empty(stack, dtype=np.float64)
+            self._pointwise_args = (
+                *(_doubles(a) for a in self._before + self._after), 0, self._chunk_address,
+            )
+            self._planes_out = _doubles(self.planes)
+        self._sums_out = self.sums.varying.ctypes.data
+        self._solved = (self.sums.error.ctypes.data, self.sums.theta.ctypes.data)
+        self.capacity = n
+
+    def _set_chunk(self, hypotheses) -> int:
+        n = len(hypotheses)
+        self._reserve(n)
+        if n == 1:
+            self._chunk[0] = hypotheses[0]
+        else:
+            self._chunk[:n] = hypotheses
+        return n
+
+    def fields(self, offsets) -> np.ndarray:
+        """``(n, 18, H, W)`` varying fields of ``n`` ``(dy, dx)`` offsets.
+
+        Bit-identical to ``varying_planes`` over ``shift2d(p_after, dy,
+        dx)`` and ``shift2d(q_after, dy, dx)``; a view of the bound
+        stack, overwritten by the next call.
+        """
+        if self._after is None:
+            raise ValueError("these kernels were bound without after planes")
+        n = self._set_chunk(offsets)
+        self._lib.pointwise_planes(
+            *self._pointwise_args, n, self.shape[0], self.shape[1], self._planes_out
+        )
+        return self.planes[:n]
+
+    def box_sums(self, planes: np.ndarray) -> np.ndarray:
+        """Box sums of an ``(n, 18, H, W)`` varying stack into :attr:`sums`.
+
+        ``planes`` is :meth:`fields` output or any contiguous float64
+        stack of that shape.  Returns the view of :attr:`sums` written.
+        """
+        n = planes.shape[0]
+        self._reserve(n)
+        out = self.sums.varying[:n]
+        if not (planes.dtype == np.float64 and planes.flags.c_contiguous
+                and planes.shape == out.shape):
+            raise ValueError(f"expected a contiguous float64 {out.shape} stack")
+        if self._native_box_sum:
+            status = self._lib.box_sum_planes(
+                planes.ctypes.data, self._sums_out, n * len(VARYING_FIELDS),
+                self.shape[0], self.shape[1], self._side, self._side,
+            )
+            if status:
+                raise MemoryError("box_sum_planes could not allocate its line buffers")
+        else:
+            np.copyto(out, box_sum_planes(planes, self._side // 2))
+        self.sums.n = n
+        return out
+
+    def bind_best(self, best) -> None:
+        """Bind the search's flat ``(error, rank, params, u, v)`` for :meth:`merge`."""
+        size = self.shape[0] * self.shape[1]
+        for array, dtype, length in zip(
+            best, (np.float64, np.intp, np.float64, np.float64, np.float64),
+            (size, size, 6 * size, size, size),
+        ):
+            if not (array.dtype == dtype and array.flags.c_contiguous
+                    and array.flags.writeable and array.size == length):
+                raise ValueError(
+                    "best arrays must be writable contiguous (error, rank, params, u, v)"
+                )
+        self._best = (best, tuple(a.ctypes.data for a in best))
+
+    def merge(self, rank: int, hypotheses, pixels=None, delta_y=None, delta_x=None) -> None:
+        """Merge the last template solve of :attr:`sums` into the bound best.
+
+        The arguments are those of
+        :func:`repro.kernels.reference.merge_best` without the solve
+        output and ``best``: ``pixels`` those the solve took (distinct),
+        the semi-fluid deltas as contiguous ``(n, H, W)`` int64.
+        """
+        n = self._set_chunk(hypotheses)
+        count = self.sums.systems
+        if pixels is not None:
+            if pixels.dtype != np.intp or not pixels.flags.c_contiguous:
+                raise TypeError("pixels must be a contiguous np.intp array")
+            count = pixels.size
+        deltas = (None, None)
+        if delta_y is not None:
+            if not all(
+                d.dtype == np.int64 and d.flags.c_contiguous and d.size == n * self.sums.systems
+                for d in (delta_y, delta_x)
+            ):
+                raise ValueError("semi-fluid deltas must be contiguous (n, H, W) int64")
+            deltas = (delta_y.ctypes.data, delta_x.ctypes.data)
+        if self._lib.merge_best(
+            *self._solved, n, count, None if pixels is None else pixels.ctypes.data, rank,
+            self._chunk_address, *deltas, self.sums.systems, *self._best[1],
+        ):
+            raise IndexError(f"pixel index out of range for {self.sums.systems} pixels")
 
 
 def _load() -> tuple[ctypes.CDLL | None, str | None]:
@@ -620,7 +987,7 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
             _FieldAddresses,
             _FieldInts,
             *[ctypes.c_ssize_t] * 3,
-            ctypes.POINTER(ctypes.c_ssize_t),
+            ctypes.c_void_p,
             ctypes.c_ssize_t,
             ctypes.c_double,
             ctypes.POINTER(ctypes.c_double),
@@ -636,14 +1003,22 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
         lib.pointwise_planes.argtypes = [
             *[ctypes.POINTER(ctypes.c_double)] * 6,
             ctypes.c_ssize_t,
-            ctypes.c_ssize_t,
+            ctypes.c_void_p,
+            *[ctypes.c_ssize_t] * 3,
             ctypes.POINTER(ctypes.c_double),
         ]
-        lib.box_sum_planes.restype = ctypes.c_int
-        lib.box_sum_planes.argtypes = [
-            *[ctypes.POINTER(ctypes.c_double)] * 2,
-            *[ctypes.c_ssize_t] * 5,
+        lib.merge_best.restype = ctypes.c_int
+        lib.merge_best.argtypes = [
+            *[ctypes.c_void_p] * 2,
+            *[ctypes.c_ssize_t] * 2,
+            ctypes.c_void_p,
+            ctypes.c_ssize_t,
+            *[ctypes.c_void_p] * 3,
+            ctypes.c_ssize_t,
+            *[ctypes.c_void_p] * 5,
         ]
+        lib.box_sum_planes.restype = ctypes.c_int
+        lib.box_sum_planes.argtypes = [*[ctypes.c_void_p] * 2, *[ctypes.c_ssize_t] * 5]
         with TRACER.span("native.self_check"):
             _self_check(lib)
             box_sum_reason = _box_sum_check(lib)
@@ -772,10 +1147,7 @@ def native_pointwise_planes(p, q, e, g, p_after, q_after) -> np.ndarray:
     :mod:`repro.kernels.reference`.  Caller must check
     :func:`native_available` first.
     """
-    lib, reason = _load()
-    if lib is None:
-        raise RuntimeError(f"native kernel unavailable: {reason}")
-    return _call_pointwise_planes(lib, p, q, e, g, p_after, q_after)
+    return _call_pointwise_planes(_require(), p, q, e, g, p_after, q_after)
 
 
 def native_box_sum_planes(planes: np.ndarray, side_y: int, side_x: int) -> np.ndarray:

@@ -2,7 +2,8 @@
  * repro.core.linalg.gaussian_eliminate -- and the fused template solve
  * built on it, the native twin of repro.core.continuous.solve_accumulated.
  * The two steps that feed that solve per hypothesis, the pointwise field
- * build and the template box sum, follow at the end of the file.
+ * build and the template box sum, and the merge of its results follow
+ * at the end of the file.
  *
  * The kernel performs BITWISE the same IEEE-754 double arithmetic as the
  * vectorized NumPy reference, element for element, in the same order:
@@ -34,6 +35,7 @@
 
 #include <math.h>
 #include <stddef.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -184,8 +186,9 @@ int gauss_eliminate(double *a, double *b, double *x, unsigned char *singular,
  *
  * theta (count*6, or outer*inner*6), error and singular are written
  * contiguously in solve order.  lanes picks the body: 0 the widest the
- * CPU runs, else 1, 4 or 8.  Returns 0, or -1 for a width the CPU
- * cannot run. */
+ * CPU runs, else 1, 4 or 8.  Returns 0, -1 for a width the CPU cannot
+ * run, or -2, before solving anything, when a pixel index lies outside
+ * [0, outer * inner). */
 enum { N_PARAMS = 6, N_TRIU = 21, N_FIELDS = 28, MAX_LANES = 8 };
 
 /* Where a group's systems sit: lane l is system (outer[l], pixel[l] /
@@ -289,6 +292,10 @@ int solve_packed(const double *const *base, const ptrdiff_t *outer_stride, ptrdi
         group = solve_group8;
 #endif
     ptrdiff_t total = pixels ? count : outer * inner;
+    if (pixels)
+        for (ptrdiff_t s = 0; s < count; s++)
+            if (pixels[s] < 0 || pixels[s] >= outer * inner)
+                return -2;
     lane_group g = {.base = base, .outer_stride = outer_stride};
     ptrdiff_t planes_at = -1; /* the outer index g.field points into */
     ptrdiff_t o = 0, p = 0; /* the next system when every one is solved */
@@ -332,14 +339,19 @@ int solve_packed(const double *const *base, const ptrdiff_t *outer_stride, ptrdi
 /* The hypothesis-varying per-pixel normal-equation fields of
  * repro.kernels.reference.pointwise_fields, written channels-first.
  *
- * Inputs are the before-motion planes p, q, e, g (hw doubles each) and
- * n after-motion planes p', q' (n * hw doubles each).  Only columns 0
- * and 3 of the residual rows read p' or q', so an H entry whose columns
- * both avoid them depends on the before frame alone; the caller sums
- * those once per frame pair.  out receives, per hypothesis, the other
- * N_VARYING fields -- every H entry touching column 0 or 3, the
- * gradient and c, in packed order -- as planes of hw doubles.  Per
- * pixel the reference arithmetic is replayed term for term:
+ * Inputs are the before-motion planes p, q, e, g (h * w doubles each)
+ * and the after-motion planes p', q' of n hypotheses: hypothesis k reads
+ * the planes at p_after + k * after_stride (after_stride 0: one pair of
+ * planes for every hypothesis), at the toroidal offset (offsets[2k],
+ * offsets[2k + 1]) = (dy, dx) when offsets is not NULL, i.e. pixel
+ * (y, x) reads p'[(y + dy) mod h][(x + dx) mod w] -- the planes
+ * repro.core.semifluid.shift2d would have copied, read in place.  Only
+ * columns 0 and 3 of the residual rows read p' or q', so an H entry
+ * whose columns both avoid them depends on the before frame alone; the
+ * caller sums those once per frame pair.  out receives, per hypothesis,
+ * the other N_VARYING fields -- every H entry touching column 0 or 3,
+ * the gradient and c, in packed order -- as planes of h * w doubles.
+ * Per pixel the reference arithmetic is replayed term for term:
  *
  *   - residual rows a1 = (p', 0, q, p'-p, -1, 0), r1 = p'-p and
  *     a2 = (q'-q, p, 0, q', 0, -1), r2 = q'-q,
@@ -350,10 +362,11 @@ int solve_packed(const double *const *base, const ptrdiff_t *outer_stride, ptrdi
  *     entries drops both); gradient k likewise from w1r1 * a1_k and
  *     w2r2 * a2_k; c = w1r1 * r1 + w2r2 * r2.
  *
- * The output planes sit hw doubles apart, so writing them from a
+ * The output planes sit h * w doubles apart, so writing them from a
  * per-pixel loop touches 18 distant cache lines per pixel.  Instead a
  * tile of TILE pixels is staged column by column and every field is
- * written as one contiguous run of the tile.  Returns 0. */
+ * written as one contiguous run of the tile; an offset tile's p' and q'
+ * are first copied out of the wrapped rows.  Returns 0. */
 enum { TILE = 128, N_VARYING = 18 };
 
 static int a1_zero(int k) { return k == 1 || k == 5; }
@@ -376,13 +389,42 @@ int pointwise_varying_fields(ptrdiff_t *fields)
     return (int)count;
 }
 
+/* The len after-plane values from flat pixel start on, read at the
+ * toroidal offset (dy, dx), 0 <= dy < h and 0 <= dx < w, into dst. */
+static void gather_shifted(const double *src, ptrdiff_t h, ptrdiff_t w, ptrdiff_t dy,
+                           ptrdiff_t dx, ptrdiff_t start, ptrdiff_t len, double *dst)
+{
+    ptrdiff_t y = start / w, x = start % w;
+    while (len > 0) {
+        const double *row = src + ((y + dy) % h) * w;
+        ptrdiff_t xs = (x + dx) % w;
+        ptrdiff_t run = w - x < len ? w - x : len;
+        ptrdiff_t head = w - xs < run ? w - xs : run;
+        memcpy(dst, row + xs, (size_t)head * sizeof(double));
+        memcpy(dst + head, row, (size_t)(run - head) * sizeof(double));
+        dst += run;
+        len -= run;
+        x = 0;
+        y++;
+    }
+}
+
+static ptrdiff_t wrap(ptrdiff_t v, ptrdiff_t n)
+{
+    v %= n;
+    return v < 0 ? v + n : v;
+}
+
 int pointwise_planes(const double *p, const double *q, const double *e, const double *g,
-                     const double *p_after, const double *q_after, ptrdiff_t n,
-                     ptrdiff_t hw, double *out)
+                     const double *p_after, const double *q_after, ptrdiff_t after_stride,
+                     const ptrdiff_t *offsets, ptrdiff_t n, ptrdiff_t h, ptrdiff_t w,
+                     double *out)
 {
     double a1[N_PARAMS][TILE], a2[N_PARAMS][TILE];
     double wa1[N_PARAMS][TILE], wa2[N_PARAMS][TILE];
     double w1[TILE], w2[TILE], w1r1[TILE], w2r2[TILE];
+    double pa_tile[TILE], qa_tile[TILE];
+    const ptrdiff_t hw = h * w;
 
     for (ptrdiff_t s = 0; s < hw; s += TILE) {
         ptrdiff_t len = hw - s < TILE ? hw - s : TILE;
@@ -400,10 +442,17 @@ int pointwise_planes(const double *p, const double *q, const double *e, const do
             wa2[1][t] = w2[t] * a2[1][t];
             wa2[5][t] = w2[t] * a2[5][t];
         }
-        for (ptrdiff_t h = 0; h < n; h++) {
-            const double *pa = p_after + h * hw + s;
-            const double *qa = q_after + h * hw + s;
-            double *f = out + h * N_VARYING * hw + s;
+        for (ptrdiff_t k = 0; k < n; k++) {
+            const double *pa = p_after + k * after_stride + s;
+            const double *qa = q_after + k * after_stride + s;
+            if (offsets) {
+                ptrdiff_t dy = wrap(offsets[2 * k], h), dx = wrap(offsets[2 * k + 1], w);
+                gather_shifted(p_after + k * after_stride, h, w, dy, dx, s, len, pa_tile);
+                gather_shifted(q_after + k * after_stride, h, w, dy, dx, s, len, qa_tile);
+                pa = pa_tile;
+                qa = qa_tile;
+            }
+            double *f = out + k * N_VARYING * hw + s;
             for (ptrdiff_t t = 0; t < len; t++) {
                 double dp = pa[t] - p[s + t];
                 double dq = qa[t] - q[s + t];
@@ -448,6 +497,59 @@ int pointwise_planes(const double *p, const double *q, const double *e, const do
             }
             for (ptrdiff_t t = 0; t < len; t++)
                 f[t] = w1r1[t] * a1[3][t] + w2r2[t] * a2[0][t];
+        }
+    }
+    return 0;
+}
+
+/* The hypothesis search's (error, rank) merge of repro.core.matching,
+ * over one chunk's solve output.
+ *
+ * The chunk holds n hypotheses of ranks rank, rank + 1, ... in
+ * repro.core.matching.hypothesis_order, each solved at count systems:
+ * error[k * count + i] and theta[(k * count + i) * 6 ...] belong to flat
+ * pixel pixels[i] (distinct indices), or to pixel i when pixels is NULL.
+ * Hypothesis by hypothesis, a pixel takes the solution when
+ *
+ *   error < best_error || (error == best_error && rank < best_rank)
+ *
+ * -- a strictly lower error wins, an equal one only from a lower rank,
+ * and a NaN error never wins (both comparisons are false); an unsolved
+ * pixel holds +inf at rank -1, which nothing ties.  The winner's
+ * displacement is the hypothesis (hypotheses[2k], hypotheses[2k + 1]) =
+ * (dy, dx), or with delta_y non-NULL the pixel's semi-fluid drift
+ * delta_y[k * hw + pixel], delta_x[...], converted to double.  Returns
+ * 0, or -1, before merging anything, when a pixel index lies outside
+ * [0, hw). */
+int merge_best(const double *error, const double *theta, ptrdiff_t n, ptrdiff_t count,
+               const ptrdiff_t *pixels, ptrdiff_t rank, const ptrdiff_t *hypotheses,
+               const int64_t *delta_y, const int64_t *delta_x, ptrdiff_t hw,
+               double *best_error, ptrdiff_t *best_rank, double *best_theta, double *best_u,
+               double *best_v)
+{
+    if (pixels)
+        for (ptrdiff_t i = 0; i < count; i++)
+            if (pixels[i] < 0 || pixels[i] >= hw)
+                return -1;
+    for (ptrdiff_t k = 0; k < n; k++, rank++) {
+        const double *err = error + k * count;
+        const double *th = theta + k * count * N_PARAMS;
+        double u = (double)hypotheses[2 * k + 1], v = (double)hypotheses[2 * k];
+        for (ptrdiff_t i = 0; i < count; i++) {
+            ptrdiff_t px = pixels ? pixels[i] : i;
+            double ek = err[i], best = best_error[px];
+            if (!(ek < best || (ek == best && rank < best_rank[px])))
+                continue;
+            best_error[px] = ek;
+            best_rank[px] = rank;
+            memcpy(best_theta + px * N_PARAMS, th + i * N_PARAMS, N_PARAMS * sizeof(double));
+            if (delta_y) {
+                best_u[px] = (double)delta_x[k * hw + px];
+                best_v[px] = (double)delta_y[k * hw + px];
+            } else {
+                best_u[px] = u;
+                best_v[px] = v;
+            }
         }
     }
     return 0;

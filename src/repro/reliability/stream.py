@@ -32,7 +32,7 @@ import numpy as np
 from ..core.field import MotionField
 from ..core.matching import valid_mask
 from ..core.prep import FramePreparationCache
-from ..core.sma import Frame
+from ..core.sma import Frame, pair_dt
 from ..data.datasets import frame_key
 from ..maspar.cost import CostLedger
 from ..maspar.disk import DiskError, DiskWriteError, ParallelDiskArray
@@ -67,6 +67,17 @@ class StreamResult:
     n_pairs: int
     completed: bool
     resumed: bool
+
+
+def _note_dt(metadata: dict, substituted: dict) -> None:
+    """Fold one pair's :func:`repro.core.sma.pair_dt` metadata into a run's:
+    ``dt_substituted``, and each rejected interval appended to
+    ``dt_rejected_seconds`` in pair order."""
+    if substituted:
+        metadata["dt_substituted"] = True
+        metadata.setdefault("dt_rejected_seconds", []).append(
+            substituted["dt_rejected_seconds"]
+        )
 
 
 class StreamingRunner:
@@ -449,10 +460,13 @@ class StreamingRunner:
             if f.shape != shape:
                 raise ValueError(f"frame {m} shape {f.shape} != {shape}")
         n_pairs = len(frame_list) - 1
-        dts = []
+        dts: list[float] = []
+        dt_metadata: dict = {}
         for m in range(n_pairs):
-            dt = frame_list[m + 1].time_seconds - frame_list[m].time_seconds
-            dts.append(dt if dt > 0 else 1.0)
+            # Called here, not in a helper, so pair_dt's warning names run's caller.
+            dt, substituted = pair_dt(frame_list[m], frame_list[m + 1], None)
+            dts.append(dt)
+            _note_dt(dt_metadata, substituted)
 
         machine = self.machine or machine_for_image(shape)
         ledger = CostLedger(machine)
@@ -525,7 +539,7 @@ class StreamingRunner:
                     self._save_checkpoint(checkpoint_file, state, ledger, report, rng, disk)
 
         return StreamResult(
-            field=self._mean_field(state, shape, dts, report, machine),
+            field=self._mean_field(state, shape, dts, report, machine, **dt_metadata),
             report=report,
             ledger=ledger,
             pairs_done=state.pairs_done,
@@ -568,6 +582,7 @@ class StreamingRunner:
         planned = None
         shape = None
         dts: list[float] = []
+        dt_metadata: dict = {}
         prev = None  # previous BusFrame
         pair = 0
 
@@ -602,8 +617,9 @@ class StreamingRunner:
                     "interpolated",
                 )
                 METRICS.inc("stream.live.gaps")
-            dt = frame.time_seconds - prev.frame.time_seconds
-            dts.append(dt if dt > 0 else 1.0)
+            dt, substituted = pair_dt(prev.frame, frame, None)
+            dts.append(dt)
+            _note_dt(dt_metadata, substituted)
 
             task = (
                 pair, prev.frame.surface, frame.surface, machine, planned, dts[-1],
@@ -625,7 +641,7 @@ class StreamingRunner:
             )
         field = self._mean_field(
             state, shape, dts, report, machine,
-            source=f"ring://{source.name}", frames_missed=source.missed,
+            source=f"ring://{source.name}", frames_missed=source.missed, **dt_metadata,
         )
         return StreamResult(
             field=field,

@@ -611,6 +611,84 @@ def test_numpy_backend_never_reaches_the_hypothesis_kernels(monkeypatch, prepare
     assert auto.error.tobytes() == reference.error.tobytes()
 
 
+@needs_native
+class TestBoundPair:
+    """One frame pair's kernels are bound once: the native continuous
+    search reads the after planes at each hypothesis offset -- no
+    ``shift2d`` copy -- and every hypothesis writes the same buffers."""
+
+    @staticmethod
+    def _watch(monkeypatch):
+        from repro.core import matching
+
+        shifts, written = [], {"fields": [], "sums": [], "error": []}
+        real_shift = matching.shift2d
+        monkeypatch.setattr(matching, "shift2d", lambda *a: shifts.append(a) or real_shift(*a))
+        for name, key, address in (
+            ("pointwise_fields", "fields", lambda out: out.ctypes.data),
+            ("_kernel_box_sum_stack", "sums", lambda out: out.ctypes.data),
+            ("solve_accumulated", "error", lambda out: out.error.ctypes.data),
+        ):
+            def spy(*args, _real=getattr(matching, name), _key=key, _address=address, **kw):
+                out = _real(*args, **kw)
+                written[_key].append(_address(out))
+                return out
+
+            monkeypatch.setattr(matching, name, spy)
+        return shifts, written
+
+    @pytest.mark.parametrize("search", ["exhaustive", "pruned"])
+    def test_native_search_binds_the_pair(self, monkeypatch, prepared_continuous, search):
+        reference = track_dense(prepared_continuous, search=search, backend="numpy")
+        shifts, written = self._watch(monkeypatch)
+        # batch_bytes=1: one hypothesis per chunk, so every one is a call.
+        bound = track_dense(prepared_continuous, search=search, batch_bytes=1, backend="auto")
+        assert shifts == []
+        assert bound.hypotheses_evaluated == prepared_continuous.config.hypotheses_per_pixel
+        hypotheses = len(written["fields"])
+        assert hypotheses == bound.hypotheses_evaluated
+        assert len(set(written["fields"])) == 1
+        # The pair's invariant sums are taken once, before any hypothesis.
+        assert len(written["sums"]) == hypotheses + 1 and len(set(written["sums"][1:])) == 1
+        # Template solves share one output; pruned certificates have their own.
+        assert len(set(written["error"])) == (1 if search == "exhaustive" else 2)
+        for name in ("u", "v", "params", "error"):
+            assert same_bits(getattr(bound, name), getattr(reference, name)), name
+        assert bound.ge_solves == reference.ge_solves
+
+    def test_out_of_range_pixels_are_refused(self, prepared_continuous):
+        """The bound solve and merge skip per-call argument checks, so
+        the kernels themselves refuse an index outside the image."""
+        from repro import native
+
+        evaluator = _HostEvaluator(prepared_continuous, 1e-9)
+        kernels = evaluator.kernels
+        size = kernels.shape[0] * kernels.shape[1]
+        best = (np.full(size, np.inf), np.full(size, -1, dtype=np.intp),
+                np.zeros((size, 6)), np.zeros(size), np.zeros(size))
+        kernels.bind_best(best)
+        evaluator.solve(evaluator.stage([(0, 1)])[0])
+        for bad in ([0, size], [-1]):
+            pixels = np.array(bad, dtype=np.intp)
+            with pytest.raises(IndexError):
+                solve_accumulated(kernels.sums, pixels=pixels)
+            with pytest.raises(IndexError):
+                kernels.merge(0, [(0, 1)], pixels)
+            error, params = np.zeros((1, pixels.size)), np.zeros((1, pixels.size, 6))
+            with pytest.raises(IndexError):
+                native._call_merge_best(native._load()[0], error, params, 0, [(0, 1)], best,
+                                        pixels)
+        assert np.isinf(best[0]).all() and (best[1] == -1).all()  # nothing merged
+
+    def test_numpy_backend_takes_the_reference_path(self, monkeypatch, prepared_continuous):
+        shifts, _ = self._watch(monkeypatch)
+        evaluator = _HostEvaluator(prepared_continuous, 1e-9, prefer_native=False)
+        assert evaluator.kernels is None
+        track_dense(prepared_continuous, batch_bytes=1, backend="numpy")
+        # Two shifted copies (p' and q') per hypothesis.
+        assert len(shifts) == 2 * prepared_continuous.config.hypotheses_per_pixel
+
+
 class TestBuildCacheKey:
     """The build cache must key on compiler identity + flags, not just source."""
 
@@ -777,6 +855,42 @@ class TestLoadRetry:
         assert not native.native_available()
         assert "pointwise" in native.native_status()
         assert not native.native_box_sum_available()
+        assert not native.native_available()
+        assert calls["n"] == 1, "a wrong kernel must not be re-probed"
+
+    def test_offset_field_build_self_check_failure_is_permanent(self, monkeypatch):
+        """A field build that is right on stacked after planes but wrong
+        at toroidal offsets untrusts the whole library, and says so."""
+        from repro import native
+
+        real = native._call_pointwise_planes
+
+        def wrong_at_offsets(lib, *planes):
+            out = real(lib, *planes)
+            if len(planes) > 6 and planes[6] is not None:
+                out[-1, 0] = np.nextafter(out[-1, 0], np.inf)
+            return out
+
+        monkeypatch.setattr(native, "_call_pointwise_planes", wrong_at_offsets)
+        assert not native.native_available()
+        assert "toroidal offsets" in native.native_status()
+
+    def test_merge_self_check_failure_is_permanent(self, monkeypatch):
+        """A merge that records the wrong winning ranks untrusts the
+        whole library, and the status names the merge."""
+        from repro import native
+        from repro.kernels.reference import merge_best
+
+        calls = {"n": 0}
+
+        def wrong_ranks(lib, error, params, rank, hypotheses, best, *rest):
+            calls["n"] += 1
+            merge_best(error, params, rank, hypotheses, best, *rest)
+            best[1][np.isfinite(best[0])] = rank  # the chunk's first rank everywhere
+
+        monkeypatch.setattr(native, "_call_merge_best", wrong_ranks)
+        assert not native.native_available()
+        assert "merge_best" in native.native_status()
         assert not native.native_available()
         assert calls["n"] == 1, "a wrong kernel must not be re-probed"
 

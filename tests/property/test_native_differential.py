@@ -8,7 +8,10 @@ reference's bits (:func:`repro.native.same_bits`).  The entry points are
 the ones the hypothesis search calls per hypothesis -- the 18-plane field
 build, the box sum over the varying stack and the two-base solve -- and
 the batched elimination behind :func:`repro.core.linalg.gaussian_eliminate`
-at every order up to 8.  The box sum is fuzzed at square sides only:
+at every order up to 8 -- plus the two a frame pair's bound kernels add:
+the field build reading the after planes at toroidal offsets (against
+``varying_planes`` over ``shift2d`` copies) and the (error, rank) merge
+(against :func:`repro.kernels.reference.merge_best`).  The box sum is fuzzed at square sides only:
 no caller hands the native box sum a rectangular window.
 Derandomized with a bounded example count, so the suite is repeatable.
 """
@@ -23,12 +26,14 @@ from hypothesis import strategies as st
 from repro import native
 from repro.core.continuous import solve_accumulated, stack_box_sum, stack_varying_fields
 from repro.core.linalg import gaussian_eliminate
+from repro.core.semifluid import shift2d
 from repro.kernels.reference import (
     INVARIANT_FIELDS,
     VARYING_FIELDS,
     SplitSums,
     box_sum_planes,
     invariant_planes,
+    merge_best,
     varying_planes,
 )
 from repro.native import same_bits
@@ -92,6 +97,85 @@ class TestFieldBuild:
         assert got.shape == ref.shape == (planes[4].shape[0], 18) + planes[0].shape
         assert same_bits(ref, got)
         assert same_bits(ref, dispatched)
+
+
+@st.composite
+def shifted_surfaces(draw, shape):
+    """Before planes, one ``(H, W)`` after plane each of ``p'`` and
+    ``q'``, and ``(n, 2)`` hypothesis offsets ``(dy, dx)``: negative, zero
+    and beyond +-H / +-W."""
+    h, w = shape
+    p, q = draw(planted((h, w))), draw(planted((h, w)))
+    e, g = 1.0 + draw(planted((h, w))) ** 2, 1.0 + draw(planted((h, w))) ** 2
+    offset = st.tuples(st.integers(-3 * h - 1, 3 * h + 1), st.integers(-3 * w - 1, 3 * w + 1))
+    offsets = draw(st.lists(offset, min_size=1, max_size=3))
+    return (p, q, e, g, draw(planted((h, w))), draw(planted((h, w)))), offsets
+
+
+class TestOffsetFieldBuild:
+    #: 1x1, 1xN, a pixel count with an odd tail past the 128-pixel tile,
+    #: and a small rectangle.
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 31), (13, 17), (5, 7)])
+    @settings(FUZZ, max_examples=20)
+    @given(data=st.data())
+    def test_offsets_match_shifted_copies(self, shape, data):
+        planes, offsets = data.draw(shifted_surfaces(shape))
+        p, q, e, g, p_after, q_after = planes
+        shifted = [np.stack([shift2d(a, dy, dx) for dy, dx in offsets]) for a in (p_after, q_after)]
+        kernels = native.PairKernels(*planes, np.zeros((len(INVARIANT_FIELDS),) + shape), 1)
+        with np.errstate(all="ignore"):
+            ref = varying_planes(p, q, e, g, *shifted)
+            got = native._call_pointwise_planes(native._load()[0], *planes, offsets)
+            bound = stack_varying_fields(kernels, offsets)
+        assert ref.shape == (len(offsets), 18) + shape
+        assert same_bits(ref, got)
+        assert same_bits(ref, bound)
+
+
+#: Errors and bests drawn from few values, so equal errors -- at lower
+#: and higher ranks, inside one chunk, +0.0 against -0.0 -- are common.
+MERGE_VALUES = st.sampled_from([np.inf, np.nan, 0.0, -0.0, 1.0, 2.5, 5e-324])
+
+
+@st.composite
+def merges(draw):
+    """A chunk's solve output, its ranks and hypotheses, the running
+    best (+inf at rank -1 where unsolved), and optionally distinct
+    pixels and semi-fluid deltas."""
+    n, size = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    best_error = np.array(draw(st.lists(MERGE_VALUES, min_size=size, max_size=size)))
+    best_rank = np.array(draw(st.lists(st.integers(-1, 8), min_size=size, max_size=size)),
+                         dtype=np.intp)
+    best_rank[np.isinf(best_error) & (rng.random(size) < 0.7)] = -1
+    best = (best_error, best_rank, rng.normal(size=(size, 6)), rng.normal(size=size),
+            rng.normal(size=size))
+    pixels = None
+    if draw(st.booleans()):
+        pixels = rng.permutation(size)[: draw(st.integers(0, size))].astype(np.intp)
+    count = size if pixels is None else pixels.size
+    error = np.array(draw(st.lists(MERGE_VALUES, min_size=n * count, max_size=n * count)))
+    error = error.reshape(n, count)
+    hypotheses = [tuple(h) for h in rng.integers(-4, 5, size=(n, 2))]
+    deltas = (None, None)
+    if draw(st.booleans()):
+        deltas = tuple(rng.integers(-6, 7, size=(2, n, size)))
+    rank = draw(st.integers(0, 8))
+    return error, rng.normal(size=(n, count, 6)), rank, hypotheses, best, pixels, deltas
+
+
+class TestMerge:
+    @settings(FUZZ, max_examples=150)
+    @given(merges())
+    def test_merge_best(self, case):
+        error, params, rank, hypotheses, best, pixels, deltas = case
+        ref = tuple(a.copy() for a in best)
+        got = tuple(a.copy() for a in best)
+        merge_best(error, params, rank, hypotheses, ref, pixels, *deltas)
+        native._call_merge_best(native._load()[0], error, params, rank, hypotheses, got, pixels,
+                                *deltas)
+        for expected, actual in zip(ref, got):
+            assert same_bits(expected, actual)
 
 
 @pytest.mark.skipif(not native.native_box_sum_available(), reason=native.native_status())

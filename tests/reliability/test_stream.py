@@ -1,5 +1,8 @@
 """End-to-end streaming: determinism, resume bit-identity, acceptance run."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -170,6 +173,39 @@ class TestResumeMidWave:
             )
         assert resumed.ledger.snapshot() == uninterrupted.ledger.snapshot()
         assert resumed.report.to_json() == uninterrupted.report.to_json()
+
+
+class TestFrameTimestamps:
+    """Timestamps that do not increase follow ``core.sma.pair_dt``: a
+    RuntimeWarning and a recorded substitution, never a silent 1 s."""
+
+    @pytest.fixture(scope="class")
+    def frames(self):
+        luis = hurricane_luis(size=32, n_frames=3)
+        return [dataclasses.replace(f, time_seconds=0.0) for f in luis.frames]
+
+    def test_equal_timestamps_raise_under_warnings_as_errors(self, config, frames):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # python -W error
+            with pytest.raises(RuntimeWarning, match="not increasing"):
+                run_stream(config, frames)
+
+    def test_equal_timestamps_are_recorded_in_the_field(self, config, frames):
+        with pytest.warns(RuntimeWarning, match="not increasing") as caught:
+            result = StreamingRunner(config).run(frames)
+        assert caught[0].filename == __file__  # the warning names the caller's line
+        metadata = result.field.metadata
+        assert result.field.dt_seconds == 1.0
+        assert metadata["dt_substituted"] is True
+        assert metadata["dt_rejected_seconds"] == [0.0, 0.0]
+
+    def test_increasing_timestamps_record_nothing(self, config, frames):
+        timed = [dataclasses.replace(f, time_seconds=90.0 * k) for k, f in enumerate(frames)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = run_stream(config, timed)
+        assert result.field.dt_seconds == 90.0
+        assert "dt_substituted" not in result.field.metadata
 
 
 class TestAcceptanceScenario:
