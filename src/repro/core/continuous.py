@@ -172,66 +172,35 @@ def solve_accumulated(
 
 
 def stack_varying_fields(
-    p, q, e=None, g=None, p_after=None, q_after=None, prefer_native: bool = True
+    p, q, e=None, g=None, p_after=None, q_after=None, delta_y=None, delta_x=None
 ) -> np.ndarray:
     """:func:`~repro.kernels.reference.varying_planes`: the 18
     hypothesis-varying fields of ``(H, W)`` before planes against
     ``(n, H, W)`` after planes, as a contiguous ``(n, 18, H, W)`` stack.
 
-    With ``prefer_native``, float64 planes and the compiled library
-    loaded, the native kernel builds it -- bit-identical to the NumPy
-    path, which every other input takes.  Called as
-    ``stack_varying_fields(kernels, offsets)`` with a frame pair's bound
-    :class:`~repro.native.PairKernels`, it builds the fields of the
-    ``(dy, dx)`` hypothesis offsets into the bound stack, reading the
-    pair's after planes at those offsets (:meth:`PairKernels.fields`).
+    Called as ``stack_varying_fields(kernels, hypotheses)`` with a frame
+    pair's bound :class:`~repro.native.PairKernels`, the native kernel
+    builds the fields of the ``(dy, dx)`` hypotheses into the bound
+    stack, reading the pair's after planes at those offsets -- or, given
+    the chunk's semi-fluid ``delta_y``/``delta_x``, at each pixel's own
+    displacement (:meth:`PairKernels.fields`); bit-identical either way.
     """
     if type(p) is PairKernels:
-        return p.fields(q)
-    if prefer_native and _float_planes(2, p, q, e, g) and _float_planes(3, p_after, q_after):
-        if np.shape(p_after)[1:] == np.shape(p):
-            from ..native import native_available, native_pointwise_planes
-
-            if native_available():
-                return native_pointwise_planes(p, q, e, g, p_after, q_after)
+        return p.fields(q, delta_y, delta_x)
     return varying_planes(p, q, e, g, p_after, q_after)
 
 
-def _float_planes(ndim: int, *arrays) -> bool:
-    """True for equally shaped ``ndim``-D float64 arrays."""
-    return all(
-        isinstance(a, np.ndarray) and a.ndim == ndim and a.dtype == np.float64
-        and a.shape == arrays[0].shape
-        for a in arrays
-    )
-
-
-def stack_box_sum(
-    planes: np.ndarray, half_width: int, prefer_native: bool = True, out=None
-) -> np.ndarray:
+def stack_box_sum(planes: np.ndarray, half_width: int, out=None) -> np.ndarray:
     """:func:`~repro.kernels.reference.box_sum_planes` of a ``(..., H, W)`` stack.
 
-    With ``prefer_native``, a contiguous float64 stack (what
-    :func:`stack_varying_fields` returns) and a trusted native box sum,
-    the planes are summed by the native kernel, bit-identical to
-    SciPy's ``uniform_filter``; anything else takes the SciPy path.
-    Either way the result is a contiguous stack of the same shape.
     With ``out``, a frame pair's bound :class:`~repro.native.PairKernels`
-    (built for ``half_width``), an ``(n, 18, H, W)`` stack is summed
-    into ``out.sums`` and the view written is returned
-    (:meth:`PairKernels.box_sums`).
+    (built for ``half_width``), the pair's ``(10, H, W)`` invariant
+    planes or an ``(n, 18, H, W)`` varying stack are summed into its
+    bound sums, by the native box sum when it is trusted, and the view
+    written is returned (:meth:`PairKernels.box_sums`).
     """
     if out is not None:
         return out.box_sums(planes)
-    if (
-        prefer_native and half_width > 0 and isinstance(planes, np.ndarray)
-        and planes.ndim >= 2 and planes.dtype == np.float64 and planes.flags.c_contiguous
-    ):
-        from ..native import native_box_sum_available, native_box_sum_planes
-
-        if native_box_sum_available():
-            side = 2 * half_width + 1
-            return native_box_sum_planes(planes, side, side)
     return box_sum_planes(planes, half_width)
 
 

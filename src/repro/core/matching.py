@@ -32,8 +32,9 @@ chunk of hypotheses:
    :func:`~repro.core.continuous.stack_varying_fields` call), computes
    certificate bounds when asked, and solves the template systems (one
    box-sum sweep, ONE batched Gaussian elimination) -- on host kernels
-   (native C field build, box sum and solve when the library is loaded,
-   bit-identical to NumPy/SciPy).  The 10 packed fields no hypothesis
+   (native C field build, box sum, solve and merge through the frame
+   pair's binding when the library is loaded, bit-identical to
+   NumPy/SciPy).  The 10 packed fields no hypothesis
    changes (:data:`~repro.kernels.reference.INVARIANT_FIELDS`) are
    built and summed once per frame pair, and the solve reads them next
    to each hypothesis's 18 varying sums;
@@ -262,28 +263,6 @@ def prepare_frames(
     )
 
 
-def _shifted_geometry_stack(geo: SurfaceGeometry, volume: ScoreVolume) -> np.ndarray:
-    """After-motion gradients shifted by every enlarged-window displacement.
-
-    Returns ``(n_displacements, 2, H, W)`` with ``p'`` and ``q'``
-    pre-shifted so semi-fluid gathers are a ``take_along_axis``.
-    """
-    n = volume.displacements.shape[0]
-    out = np.empty((n, 2) + geo.shape, dtype=np.float64)
-    for k, (dy, dx) in enumerate(volume.displacements):
-        out[k, 0] = shift2d(geo.p, int(dy), int(dx))
-        out[k, 1] = shift2d(geo.q, int(dy), int(dx))
-    return out
-
-
-def _gather_after(shifted_after: np.ndarray, volume: ScoreVolume, delta_y, delta_x):
-    """``(p', q')`` at each pixel's semi-fluid correspondence (any leading shape)."""
-    flat = (delta_y + volume.reach) * volume.side + (delta_x + volume.reach)
-    p_a = np.take_along_axis(shifted_after[:, 0], flat, axis=0)
-    q_a = np.take_along_axis(shifted_after[:, 1], flat, axis=0)
-    return p_a, q_a
-
-
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     """``np.stack``, without the copy for a one-hypothesis chunk."""
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
@@ -294,24 +273,27 @@ class _HostEvaluator:
 
     ``pointwise_fields`` -> ``_kernel_box_sum_stack`` ->
     ``solve_accumulated`` (the names ``bench/layers.py`` times; the
-    native-or-NumPy dispatchers of :mod:`repro.core.continuous`), each
-    told ``prefer_native``.  Per hypothesis they build and sum only the
-    18 varying fields; the 10 invariant ones are built and box-summed
-    here, once per frame pair, and every solve reads them as a second
-    base (outer stride 0).  Certificates and template sums accumulate the
-    same pointwise fields, which is what makes the bound exact.
+    dispatchers of :mod:`repro.core.continuous`).  Per hypothesis they
+    build and sum only the 18 varying fields; the 10 invariant ones are
+    built and box-summed here, once per frame pair, and every solve
+    reads them as a second base (outer stride 0).  Certificates and
+    template sums accumulate the same pointwise fields, which is what
+    makes the bound exact.
 
-    When the native kernels run, ``__init__`` also binds the pair once
-    (:class:`~repro.native.PairKernels`, as ``kernels``): the contiguous
-    before and after planes, output buffers kept for the whole pair and
-    grown to the schedule's largest chunk (the varying stack, its box
-    sums, the solve's outputs) and the solve's field table with its
-    invariant half.  A hypothesis's kernel calls then pass only its
-    offsets and its survivors: the continuous model reads the after
-    planes at the hypothesis offset instead of shifted copies, and the
-    driver's merge runs in C (:func:`_merger`).  ``backend="numpy"`` and
-    an unloaded library leave ``kernels`` None and take the reference
-    path: shifted copies, fresh outputs and the NumPy merge.
+    When the native kernels run, ``__init__`` binds the pair once
+    (:class:`~repro.native.PairKernels`, as ``kernels``) and every
+    native call of the search goes through that binding: the
+    contiguous before and after planes, the invariant sums, output
+    buffers kept for the whole pair and grown to the schedule's largest
+    chunk (the varying stack, its box sums, the solve's outputs) and the
+    solve's field table with its invariant half.  A hypothesis's kernel
+    calls then pass only its offsets or semi-fluid deltas and its
+    survivors: the field build reads the after planes in place -- at the
+    hypothesis offset (continuous model) or at each pixel's semi-fluid
+    displacement -- and the driver's merge runs in C (:func:`_merger`).
+    ``backend="numpy"`` and an unloaded library leave ``kernels`` None
+    and take the reference path: shifted or gathered copies, SciPy box
+    sums, fresh outputs and the NumPy merge.
     """
 
     def __init__(self, prepared: PreparedFrames, ridge: float, prefer_native: bool = True):
@@ -319,22 +301,17 @@ class _HostEvaluator:
         self.ridge = ridge
         self.prefer_native = prefer_native
         self._last_acc = None
-        self.shifted_after = None
-        if prepared.volume is not None and prepared.config.n_ss > 0:
-            self.shifted_after = _shifted_geometry_stack(prepared.geo_after, prepared.volume)
         n_zt = prepared.config.n_zt
-        self._invariant_acc = _kernel_box_sum_stack(
-            self._invariant_planes(), n_zt, prefer_native=prefer_native
-        )
-        self._certificate = None  # (grid, its invariant window sums)
         self.kernels = None
         if prefer_native and native_available():
-            # The semi-fluid model builds its fields from gathered planes.
             geo_b, geo_a = prepared.geo_before, prepared.geo_after
-            after = (geo_a.p, geo_a.q) if self.shifted_after is None else (None, None)
             self.kernels = PairKernels(
-                geo_b.p, geo_b.q, geo_b.e, geo_b.g, *after, self._invariant_acc, n_zt
+                geo_b.p, geo_b.q, geo_b.e, geo_b.g, geo_a.p, geo_a.q, n_zt
             )
+        self._invariant_acc = _kernel_box_sum_stack(
+            self._invariant_planes(), n_zt, out=self.kernels
+        )
+        self._certificate = None  # (grid, its invariant window sums)
 
     def _invariant_planes(self) -> np.ndarray:
         """The pair's 10 hypothesis-invariant planes ``(10, H, W)``."""
@@ -346,31 +323,35 @@ class _HostEvaluator:
 
         The fields are a contiguous ``(n, 18, H, W)`` stack, plane ``j``
         holding packed field ``VARYING_FIELDS[j]`` -- with bound
-        kernels, a view of their stack, overwritten by the next chunk;
-        the ``(n, H, W)`` semi-fluid deltas are None for the continuous
+        kernels, a view of their stack, overwritten by the next chunk.
+        The semi-fluid deltas, each pixel's chosen displacement, are
+        contiguous ``(n, H, W)`` int64, built once per chunk for the
+        field build and the merge to read; None for the continuous
         model.
         """
         prepared = self.prepared
+        geo_a = prepared.geo_after
         delta_y = delta_x = None
-        if self.shifted_after is None:
-            if self.kernels is not None:
-                return pointwise_fields(self.kernels, chunk), None, None
-            geo_a = prepared.geo_after
+        if prepared.volume is not None and prepared.config.n_ss > 0:
+            deltas = np.empty((2, len(chunk)) + geo_a.shape, dtype=np.int64)
+            for k, (dy, dx) in enumerate(chunk):
+                deltas[:, k] = semifluid_displacements(
+                    prepared.volume, dy, dx, prepared.config.n_ss
+                )
+            delta_y, delta_x = deltas
+        if self.kernels is not None:
+            pw = pointwise_fields(self.kernels, chunk, delta_y=delta_y, delta_x=delta_x)
+            return pw, delta_y, delta_x
+        if delta_y is None:
             p_a = _stack([shift2d(geo_a.p, dy, dx) for dy, dx in chunk])
             q_a = _stack([shift2d(geo_a.q, dy, dx) for dy, dx in chunk])
         else:
-            volume, n_ss = prepared.volume, prepared.config.n_ss
-            deltas = [semifluid_displacements(volume, dy, dx, n_ss) for dy, dx in chunk]
-            delta_y = _stack([d[0] for d in deltas])
-            delta_x = _stack([d[1] for d in deltas])
-            if self.kernels is not None:  # the C merge reads them flat
-                delta_y = np.ascontiguousarray(delta_y, dtype=np.int64)
-                delta_x = np.ascontiguousarray(delta_x, dtype=np.int64)
-            p_a, q_a = _gather_after(self.shifted_after, volume, delta_y, delta_x)
+            h, w = geo_a.shape
+            rows = (np.arange(h)[:, None] + delta_y) % h
+            cols = (np.arange(w) + delta_x) % w
+            p_a, q_a = geo_a.p[rows, cols], geo_a.q[rows, cols]
         geo_b = prepared.geo_before
-        pw = pointwise_fields(
-            geo_b.p, geo_b.q, geo_b.e, geo_b.g, p_a, q_a, prefer_native=self.prefer_native
-        )
+        pw = pointwise_fields(geo_b.p, geo_b.q, geo_b.e, geo_b.g, p_a, q_a)
         return pw, delta_y, delta_x
 
     def certificate_bounds(self, pw, grid: "_CertificateGrid"):
@@ -415,9 +396,7 @@ class _HostEvaluator:
         """
         n_zt = self.prepared.config.n_zt
         if self.kernels is None:
-            acc = self._last_acc = _kernel_box_sum_stack(
-                pw, n_zt, prefer_native=self.prefer_native
-            )
+            acc = self._last_acc = _kernel_box_sum_stack(pw, n_zt)
             fields = SplitSums(acc, self._invariant_acc)
         else:
             self._last_acc = _kernel_box_sum_stack(pw, n_zt, out=self.kernels)

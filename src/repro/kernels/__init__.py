@@ -99,12 +99,10 @@ class ResolvedBackend:
 
     ``requested`` is the caller's name; ``resolved`` is the execution
     path actually taken (``"numpy"`` or ``"native"``).  ``prefer_native``
-    is handed to the hypothesis evaluator's three native-or-NumPy
-    dispatchers --
-    :func:`repro.core.continuous.stack_varying_fields`,
-    :func:`~repro.core.continuous.stack_box_sum` and
-    :func:`~repro.core.continuous.solve_accumulated` -- so False
-    (``backend="numpy"``) keeps the whole chain on NumPy/SciPy.
+    is handed to the hypothesis evaluator, which binds a frame pair's
+    native kernels (:class:`repro.native.PairKernels`) only when it is
+    True, and to :func:`~repro.core.continuous.solve_accumulated`, so
+    False (``backend="numpy"``) keeps the whole chain on NumPy/SciPy.
     """
 
     requested: str

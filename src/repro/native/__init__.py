@@ -8,35 +8,31 @@ SAME IEEE-754 arithmetic an order of magnitude faster.
 
 This package compiles :mod:`gauss.c` on demand with the system C compiler
 (no new dependencies, no NumPy headers -- the boundary is plain ``ctypes``)
-and exposes four entry points, each strictly bit-identical to the NumPy
-or SciPy path it shadows:
+and exposes two one-shot entry points, each strictly bit-identical to the
+NumPy path it shadows:
 
 * :func:`native_gauss_eliminate` -- :func:`repro.core.linalg.gaussian_eliminate`;
 * :func:`native_solve_packed` -- :func:`repro.core.continuous.solve_accumulated`,
   fused: it reads the 28 packed box sums in place through a per-field
-  table of (base, outer stride) -- one strided array, or the
-  hypothesis search's varying stack plus the frame pair's invariant
-  sums at outer stride 0 -- for every system or the flat pixel indices
-  it is given, builds each 6x6 system, solves it and evaluates the
-  minimized error in one pass, with none of the reference's full-array
-  temporaries.  On x86 CPUs with AVX2 or AVX-512F it solves 4 or 8
-  systems in lockstep, one per vector lane; :func:`native_solve_lanes`
-  reports the width;
-* :func:`native_pointwise_planes` --
-  :func:`repro.kernels.reference.varying_planes`: the 18
-  hypothesis-varying fields of one before frame against a stack of
-  after planes, written channels-first;
-* :func:`native_box_sum_planes` -- the SciPy ``uniform_filter`` box sum
-  of :func:`repro.kernels.reference.box_sum_planes`, plane by plane.
+  table of (base, outer stride) -- one strided array, or a varying
+  stack plus invariant sums at outer stride 0 -- for every system or
+  the flat pixel indices it is given, builds each 6x6 system, solves it
+  and evaluates the minimized error in one pass, with none of the
+  reference's full-array temporaries.  On x86 CPUs with AVX2 or
+  AVX-512F it solves 4 or 8 systems in lockstep, one per vector lane;
+  :func:`native_solve_lanes` reports the width.
 
-The hypothesis search does not pay these wrappers' argument checks per
-hypothesis: :class:`PairKernels` binds one frame pair's planes, output
-buffers and solve table (:class:`BoundSums`) once, and each hypothesis
-then passes only its offsets and its survivors.  Bound, the field
-build reads one pair of after planes at each hypothesis's toroidal
-offset (the ``shift2d`` copies, without the copies), and the search's
-(error, rank) merge, :func:`repro.kernels.reference.merge_best`, runs
-in C too.
+The hypothesis search reaches its kernels through one call path only:
+:class:`PairKernels` binds one frame pair's planes, output buffers and
+solve table (:class:`BoundSums`) once, and each hypothesis then passes
+only its offsets or semi-fluid deltas and its survivors.  Bound, the
+field build (:func:`repro.kernels.reference.varying_planes`) reads the
+pair's after planes in place -- at each hypothesis's toroidal offset,
+or at each pixel's own semi-fluid displacement -- the box sum replays
+SciPy's ``uniform_filter`` (:func:`repro.kernels.reference.box_sum_planes`),
+the solve is the two-base ``solve_packed`` above, and the search's
+(error, rank) merge, :func:`repro.kernels.reference.merge_best`, runs in
+C too.
 
 The contract holds because
 
@@ -44,23 +40,25 @@ The contract holds because
   (see the comment block in ``gauss.c``),
 * it is compiled with ``-ffp-contract=off`` so the compiler cannot fuse
   multiply-adds into differently-rounded FMAs, and
-* :func:`_self_check` verifies bitwise agreement of every entry point on
-  adversarial inputs (random, singular, NaN, infinity, signed zeros,
-  denormals, windows longer than the image) before the library is ever
-  trusted -- the template solve at every lane width the CPU runs, one
-  system at a time included, on one array and on a two-base split, in
-  full and through an index list; the field build's plane set against
-  :data:`repro.kernels.reference.VARYING_FIELDS`, its planes on stacked
-  after planes and at toroidal offsets; the merge's ties, NaN errors,
-  unsolved pixels and signed zeros; any mismatch or build failure
-  quietly disables it, and :func:`native_status` names the entry.
+* :func:`_self_check` verifies bitwise agreement on adversarial inputs
+  (random, singular, NaN, infinity, signed zeros, denormals, windows
+  longer than the image) before the library is ever trusted, through
+  the binding the search runs: the one-array template solve at every
+  lane width the CPU runs, and the bound two-base solve at each of them,
+  in full and through an index list; the field build's plane set
+  against :data:`repro.kernels.reference.VARYING_FIELDS`, the bound
+  field build at toroidal offsets and at per-pixel deltas; the bound
+  merge's ties, NaN errors, unsolved pixels and signed zeros; any
+  mismatch or build failure quietly disables it, and
+  :func:`native_status` names the entry.
 
 The box sum is the one exception to that all-or-nothing rule.  It
 answers to SciPy's *internal* running-sum arithmetic, which a SciPy
 release may change (``pyproject.toml`` admits ``scipy>=1.10``), so a
-box-sum mismatch disables :func:`native_box_sum_planes` alone --
+box-sum mismatch disables the native box sum alone --
 :func:`native_box_sum_available` turns False, :func:`native_status`
-names the reason, and every other entry point stays in use.
+names the reason, bound pairs sum with SciPy, and every other kernel
+stays in use.
 
 Control knobs:
 
@@ -114,9 +112,7 @@ __all__ = [
     "PairKernels",
     "native_available",
     "native_box_sum_available",
-    "native_box_sum_planes",
     "native_gauss_eliminate",
-    "native_pointwise_planes",
     "native_solve_lanes",
     "native_solve_packed",
     "native_status",
@@ -230,24 +226,32 @@ def _self_check(lib: ctypes.CDLL) -> None:
 
     # Channels-last view of a channels-first buffer, read through its
     # strides, and the hypothesis search's two-base split of the same
-    # rows -- in full, and through an index list that puts every
+    # rows, bound -- in full, and through an index list that puts every
     # special row in every lane position.
     packed = np.moveaxis(np.ascontiguousarray(adversarial_packed().T), 0, -1)
     split = adversarial_split()
     pixels = adversarial_pixels()
-    runs = [(packed, None, (), slice(None))]  # the dispatched width first
+    capacity = -(-pixels.size // split.invariant.shape[-1])  # outputs for every index
+    bound = BoundSums(
+        np.empty((capacity,) + split.varying.shape[1:]), split.invariant, lib=lib
+    ).assign(split.varying)
+    runs = [(packed, None, None)]  # the dispatched width first
     for lanes in _lane_widths(lib):
-        for fields in (packed, split):
-            runs += [(fields, lanes, (None, lanes), slice(None))]
-            runs += [(fields, lanes, (pixels, lanes), pixels)]
+        runs += [(fields, lanes, at) for fields in (packed, bound) for at in (None, pixels)]
     for ridge in (1e-9, 0.0):
         with np.errstate(all="ignore"):
-            refs = {id(f): solve_accumulated(f, ridge=ridge, prefer_native=False)
-                    for f in (packed, split)}
-        for fields, lanes, extra, at in runs:
+            refs = {id(packed): solve_accumulated(packed, ridge=ridge, prefer_native=False),
+                    id(bound): solve_accumulated(split, ridge=ridge, prefer_native=False)}
+        for fields, lanes, at in runs:
             ref = refs[id(fields)]
             with np.errstate(all="ignore"):
-                nat = _call_solve_packed(lib, fields, ridge, *extra)
+                if fields is bound:
+                    nat = bound.solve(ridge, at, lanes)
+                elif lanes is None:
+                    nat = _call_solve_packed(lib, fields, ridge)
+                else:
+                    nat = _call_solve_packed(lib, fields, ridge, at, lanes)
+            at = slice(None) if at is None else at
             if not (
                 same_bits(ref.params.reshape(-1, 6)[at], nat[0].reshape(-1, 6))
                 and same_bits(ref.error.reshape(-1)[at], nat[1].reshape(-1))
@@ -266,44 +270,70 @@ def _self_check(lib: ctypes.CDLL) -> None:
             f"native pointwise fields write fields {tuple(written[:count])}, "
             f"not VARYING_FIELDS {VARYING_FIELDS}"
         )
-    p, q, e, g, p_after, q_after = adversarial_planes()
-    with np.errstate(all="ignore"):
-        ref = varying_planes(p, q, e, g, p_after, q_after)
-        nat = _call_pointwise_planes(lib, p, q, e, g, p_after, q_after)
-    if not same_bits(ref, nat):
-        raise AssertionError("native pointwise fields disagree with NumPy reference")
+    # Planes past one 128-pixel tile, read at hypothesis offsets and at
+    # per-pixel deltas.
     from ..core.semifluid import shift2d
 
+    planes = adversarial_planes()
+    p, q, e, g, p_after, q_after = planes
+    kernels = PairKernels(*planes, 1, lib=lib)
     offsets = adversarial_offsets(*p.shape)
-    with np.errstate(all="ignore"):
-        ref = varying_planes(
-            p, q, e, g, *(np.stack([shift2d(a[0], dy, dx) for dy, dx in offsets])
-                          for a in (p_after, q_after))
-        )
-        nat = _call_pointwise_planes(lib, p, q, e, g, p_after[0], q_after[0], offsets)
-    if not same_bits(ref, nat):
-        raise AssertionError(
-            "native pointwise fields at toroidal offsets disagree with NumPy reference"
-        )
+    delta_y, delta_x = adversarial_deltas(3, *p.shape)
+    rows, cols = np.indices(p.shape)
+    for at, after, deltas in (
+        ("toroidal offsets",
+         [np.stack([shift2d(a, dy, dx) for dy, dx in offsets]) for a in (p_after, q_after)],
+         ()),
+        ("per-pixel deltas",
+         [a[(rows + delta_y) % p.shape[0], (cols + delta_x) % p.shape[1]]
+          for a in (p_after, q_after)],
+         (delta_y, delta_x)),
+    ):
+        with np.errstate(all="ignore"):
+            ref = varying_planes(p, q, e, g, *after)
+            nat = kernels.fields(offsets[: ref.shape[0]], *deltas)
+        if not same_bits(ref, nat):
+            raise AssertionError(f"native pointwise fields at {at} disagree with NumPy reference")
 
     from ..kernels.reference import merge_best
 
+    kernels = PairKernels(*np.zeros((6, 6, 8)), 0, lib=lib)
     for error, params, rank, hypotheses, best, pixels, deltas in adversarial_merges():
         ref = tuple(a.copy() for a in best)
         nat = tuple(a.copy() for a in best)
         merge_best(error, params, rank, hypotheses, ref, pixels, *deltas)
-        _call_merge_best(lib, error, params, rank, hypotheses, nat, pixels, *deltas)
+        merge_solved(kernels, error, params, rank, hypotheses, nat, pixels, *deltas)
         if not all(same_bits(a, b) for a, b in zip(ref, nat)):
             raise AssertionError("native merge_best disagrees with NumPy reference")
 
 
+def merge_solved(
+    kernels: "PairKernels", error, params, rank: int, hypotheses, best,
+    pixels=None, delta_y=None, delta_x=None,
+) -> None:
+    """The bound merge of a given chunk's solve output into ``best``.
+
+    The arguments are those of :func:`repro.kernels.reference.merge_best`;
+    ``error`` and ``params`` are written into the bound solve outputs as
+    if solved there, then :meth:`PairKernels.merge` runs.  For probing
+    the merge on chosen errors (the self-check and the tests).
+    """
+    kernels._reserve(error.shape[0])
+    kernels.sums.error[: error.size] = error.ravel()
+    kernels.sums.theta[: error.size] = params.reshape(-1, 6)
+    kernels.bind_best(best)
+    kernels.merge(rank, hypotheses, pixels, delta_y, delta_x)
+
+
 def _box_sum_check(lib: ctypes.CDLL) -> str | None:
-    """Why the box sum disagrees with SciPy on adversarial planes, or None."""
+    """Why the bound box sum disagrees with SciPy on adversarial planes, or None."""
     stack = adversarial_box_stack()
     for half in (1, 2, 4):
+        kernels = PairKernels(*np.zeros((6,) + stack.shape[2:]), half, lib=lib)
+        kernels._native_box_sum = True  # the C box sum, whatever the last load decided
         with np.errstate(all="ignore"):
             ref = box_sum_planes(stack, half)
-            nat = _call_box_sum_planes(lib, stack, 2 * half + 1, 2 * half + 1)
+            nat = kernels.box_sums(stack)
         if not same_bits(ref, nat):
             import scipy
 
@@ -392,24 +422,24 @@ def adversarial_pixels(specials: int = 12, m: int = 128, width: int = 8) -> np.n
     return np.concatenate([tiles.ravel(), np.arange(width - 3)])
 
 
-def adversarial_planes(n: int = 3, h: int = 5, w: int = 7, seed: int = 20261018):
-    """``(p, q, e, g, p_after, q_after)`` planes that probe the field build.
+def adversarial_planes(h: int = 9, w: int = 15, seed: int = 20261018):
+    """``(p, q, e, g, p_after, q_after)``: ``(h, w)`` planes that probe the
+    field build.
 
     Magnitudes spread from 1e-300 to 1e300 (products overflow and
     underflow), with NaN, +-inf, signed zeros and denormals planted in
-    every input; the after planes carry ``n`` hypotheses.
+    every plane.
     """
     rng = np.random.default_rng(seed)
-    size = (6, n, h, w)
+    size = (6, h, w)
     values = rng.choice((-1.0, 1.0), size=size) * 10.0 ** rng.uniform(-300, 300, size=size)
-    values[:, :, 1:3] = rng.normal(size=(6, n, 2, w))  # ordinary rows
+    values[:, 1:3] = rng.normal(size=(6, 2, w))  # ordinary rows
     specials = (np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -2.5e-310)
     flat = values.reshape(6, -1)
     for k in range(6):
         at = rng.choice(flat.shape[1], size=len(specials), replace=False)
         flat[k, at] = specials
-    p, q, e, g = (np.ascontiguousarray(values[k, 0]) for k in range(4))
-    return p, q, e, g, values[4], values[5]
+    return tuple(values)
 
 
 def adversarial_offsets(h: int, w: int) -> np.ndarray:
@@ -419,6 +449,19 @@ def adversarial_offsets(h: int, w: int) -> np.ndarray:
         [(0, 0), (1, -2), (-1, 3), (h, -w), (h + 2, 2 * w - 1), (-2 * h - 1, -w - 3)],
         dtype=np.intp,
     )
+
+
+def adversarial_deltas(n: int, h: int, w: int, seed: int = 20261021):
+    """``(delta_y, delta_x)``: contiguous ``(n, h, w)`` int64 per-pixel
+    toroidal displacements for an ``h x w`` plane -- zero, small,
+    negative, whole periods and up to +-3H / +-3W."""
+    rng = np.random.default_rng(seed)
+    delta_y = rng.integers(-3 * h, 3 * h + 1, size=(n, h, w))
+    delta_x = rng.integers(-3 * w, 3 * w + 1, size=(n, h, w))
+    flat_y, flat_x = delta_y.reshape(n, -1), delta_x.reshape(n, -1)
+    for k, (dy, dx) in enumerate(((0, 0), (1, -1), (h, -w), (-3 * h, 3 * w), (-1, 2 * w))):
+        flat_y[:, k::7], flat_x[:, k::7] = dy, dx
+    return delta_y, delta_x
 
 
 def adversarial_merges(seed: int = 20261020):
@@ -462,14 +505,14 @@ def adversarial_merges(seed: int = 20261020):
 
 
 def adversarial_box_stack(n: int = 2, h: int = 5, w: int = 7, seed: int = 20261019):
-    """``(n, 28, h, w)`` channels-first planes that probe the box sum.
+    """``(n, 18, h, w)`` varying stacks that probe the box sum.
 
     Mixed magnitudes and signs (running-sum cancellation), a plane of
     signed zeros, denormals, and NaN / +-inf planted away from the
     borders; ``h`` and ``w`` are shorter than the widest probed window.
     """
     rng = np.random.default_rng(seed)
-    size = (n, _N_FIELDS, h, w)
+    size = (n, len(VARYING_FIELDS), h, w)
     stack = rng.normal(size=size) * 10.0 ** rng.uniform(-8, 8, size=size)
     stack[0, 0] = -0.0
     stack[0, 1] = 5e-324 * rng.integers(-3, 4, size=(h, w))
@@ -633,97 +676,6 @@ def _lane_widths(lib: ctypes.CDLL) -> tuple[int, ...]:
     return tuple(w for w in (1, 4, 8) if mask & w)
 
 
-def _call_pointwise_planes(
-    lib: ctypes.CDLL, p, q, e, g, p_after, q_after, offsets=None
-) -> np.ndarray:
-    before = [np.ascontiguousarray(a, dtype=np.float64) for a in (p, q, e, g)]
-    after = [np.ascontiguousarray(a, dtype=np.float64) for a in (p_after, q_after)]
-    shape = before[0].shape
-    if offsets is None:
-        stacked = len(shape) == 2 and all(
-            a.shape == after[0].shape and a.shape[1:] == shape for a in after
-        )
-        n, after_stride = (after[0].shape[0] if stacked else 0), prod(shape)
-    else:
-        offsets = np.ascontiguousarray(offsets, dtype=np.intp).reshape(-1, 2)
-        stacked = len(shape) == 2 and all(a.shape == shape for a in after)
-        n, after_stride = offsets.shape[0], 0
-    if not stacked or any(a.shape != shape for a in before):
-        raise ValueError(
-            "expected (H, W) before planes and (n, H, W) after planes, or (H, W) "
-            "after planes and (n, 2) offsets"
-        )
-    out = np.empty((n, len(VARYING_FIELDS)) + shape, dtype=np.float64)
-    if out.size:
-        lib.pointwise_planes(
-            *(_doubles(a) for a in before), *(_doubles(a) for a in after),
-            after_stride, None if offsets is None else offsets.ctypes.data,
-            n, shape[0], shape[1], _doubles(out),
-        )
-    return out
-
-
-def _call_merge_best(
-    lib: ctypes.CDLL, error, params, rank: int, hypotheses, best,
-    pixels=None, delta_y=None, delta_x=None,
-) -> None:
-    """``merge_best`` of one chunk's solve output into ``best`` in place.
-
-    The arguments are those of :func:`repro.kernels.reference.merge_best`.
-    """
-    hypotheses = np.ascontiguousarray(hypotheses, dtype=np.intp).reshape(-1, 2)
-    n = hypotheses.shape[0]
-    error = np.ascontiguousarray(error, dtype=np.float64).reshape(n, -1)
-    params = np.ascontiguousarray(params, dtype=np.float64).reshape(n, -1, 6)
-    flat_error, flat_rank, flat_params, flat_u, flat_v = best
-    size = flat_error.size
-    for array, dtype, length in (
-        (flat_error, np.float64, size), (flat_rank, np.intp, size),
-        (flat_params, np.float64, size * 6), (flat_u, np.float64, size),
-        (flat_v, np.float64, size),
-    ):
-        if not (
-            array.dtype == dtype and array.flags.c_contiguous and array.flags.writeable
-            and array.size == length
-        ):
-            raise ValueError("best arrays must be writable contiguous (error, rank, params, u, v)")
-    count = error.shape[1]
-    if pixels is not None:
-        pixels = np.ascontiguousarray(pixels, dtype=np.intp)
-        if pixels.size != count:
-            raise ValueError(f"expected {count} pixels, got {pixels.size}")
-    elif count != size:
-        raise ValueError(f"expected {size} systems per hypothesis, got {count}")
-    deltas = [None, None]
-    if delta_y is not None:
-        deltas = [np.ascontiguousarray(d, dtype=np.int64).reshape(n, size)
-                  for d in (delta_y, delta_x)]
-    if n and count and lib.merge_best(
-        error.ctypes.data, params.ctypes.data, n, count,
-        None if pixels is None else pixels.ctypes.data, rank, hypotheses.ctypes.data,
-        *(None if d is None else d.ctypes.data for d in deltas), size,
-        *(a.ctypes.data for a in best),
-    ):
-        raise IndexError(f"pixel index out of range for {size} pixels")
-
-
-def _call_box_sum_planes(
-    lib: ctypes.CDLL, planes: np.ndarray, side_y: int, side_x: int
-) -> np.ndarray:
-    planes = np.ascontiguousarray(planes, dtype=np.float64)
-    if planes.ndim < 2 or side_y < 1 or side_x < 1:
-        raise ValueError(f"expected (..., H, W) planes and sides >= 1, got {planes.shape}")
-    out = np.empty_like(planes)
-    if out.size:
-        h, w = planes.shape[-2:]
-        status = lib.box_sum_planes(
-            planes.ctypes.data, out.ctypes.data, planes.size // (h * w), h, w, side_y, side_x
-        )
-        if status:
-            raise MemoryError("box_sum_planes could not allocate its line buffers")
-    return out
-
-
 def _require() -> ctypes.CDLL:
     lib, reason = _load()
     if lib is None:
@@ -736,16 +688,20 @@ class BoundSums:
 
     ``varying`` is a ``(capacity, 18, *S)`` buffer whose first ``n``
     hypotheses hold the sums last written; ``invariant`` is the frame
-    pair's ``(10, *S)`` sums, read at outer stride 0.  The field table --
-    its invariant half included -- and the ``theta``/``error``/``singular``
-    outputs of ``capacity`` hypotheses are built here, once, so a solve
+    pair's ``(10, *S)`` sums, read at outer stride 0 (a contiguous
+    float64 buffer is bound itself, so sums written into it later are
+    read too).  The field table -- its invariant half included -- and
+    the ``theta``/``error``/``singular`` outputs of ``capacity``
+    hypotheses are built here, once, so a solve
     (:func:`repro.core.continuous.solve_accumulated` of this object)
-    passes only the hypothesis count and the survivor list.  Caller must
-    check :func:`native_available` first.
+    passes only the hypothesis count and the survivor list.  ``lib`` is
+    the loaded library (the load-time self-check passes the one it
+    checks); without it, caller must check :func:`native_available`
+    first.
     """
 
-    def __init__(self, varying: np.ndarray, invariant: np.ndarray) -> None:
-        lib = _require()
+    def __init__(self, varying: np.ndarray, invariant: np.ndarray, *, lib=None) -> None:
+        lib = _require() if lib is None else lib
         if not (varying.dtype == np.float64 and varying.flags.c_contiguous):
             raise ValueError("the varying sums buffer must be contiguous float64")
         self.varying = varying
@@ -773,14 +729,19 @@ class BoundSums:
         np.copyto(self.varying[: self.n], sums)
         return self
 
-    def solve(self, ridge: float, pixels=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def solve(
+        self, ridge: float, pixels=None, lanes: int = 0
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(params, error, singular)`` of the sums last written.
 
         Shaped ``(n, *S[, 6])``, or ``(s[, 6])`` at ``pixels``: flat
         indices over the ``n * prod(S)`` systems, as a contiguous
         ``np.intp`` array (what ``np.flatnonzero`` returns); the kernel
-        refuses one out of range.  The results are views of the bound
-        outputs, overwritten by the next solve.
+        refuses one out of range, and more indices than the bound
+        outputs hold are refused.  ``lanes`` picks the kernel body as in
+        :func:`_call_solve_packed` (the self-check pins each width).
+        The results are views of the bound outputs, overwritten by the
+        next solve.
         """
         if pixels is None:
             count, shape = self.n * self.systems, (self.n,) + self.varying.shape[2:]
@@ -788,10 +749,12 @@ class BoundSums:
             if pixels.dtype != np.intp or not pixels.flags.c_contiguous:
                 raise TypeError("pixels must be a contiguous np.intp array")
             count, shape = pixels.size, pixels.shape
+            if count > self.error.size:
+                raise ValueError(f"{count} pixels overflow the {self.error.size} bound outputs")
         if count and self._solve_packed(
             self._addresses, self._outer_strides, self.n, self.systems,
             self._pixel_stride, None if pixels is None else pixels.ctypes.data, count,
-            ridge, *self._outputs, 0,
+            ridge, *self._outputs, lanes,
         ):
             raise IndexError(f"pixel index out of range for {self.n * self.systems} systems")
         return (
@@ -806,39 +769,40 @@ class PairKernels:
 
     Built by the hypothesis search per frame pair from the pair's
     ``(H, W)`` before planes ``p, q, e, g``, its after planes ``p_after,
-    q_after`` (None when the search builds its fields elsewhere, as the
-    semi-fluid model does from gathered planes), the box sums of its 10
-    invariant planes and the template half-width.  It keeps the
-    contiguous planes, output buffers for the largest chunk seen so far
-    (the 18-plane varying stack and, in :attr:`sums`, its box sums and
-    the solve's outputs) and every native argument that does not change
-    from one hypothesis to the next, so a hypothesis's calls pass only
-    its offsets and its survivor list:
+    q_after`` and the template half-width.  It keeps the contiguous
+    planes, the pair's invariant sums, output buffers for the largest
+    chunk seen so far (the 18-plane varying stack and, in :attr:`sums`,
+    its box sums and the solve's outputs) and every native argument
+    that does not change from one hypothesis to the next, so a
+    hypothesis's calls pass only its offsets or deltas and its survivor
+    list:
 
     * :meth:`fields` -- the varying stack of a chunk of ``(dy, dx)``
-      hypotheses, read from the after planes at toroidal offsets (no
-      shifted copies);
-    * :meth:`box_sums` -- the box sums of a varying stack into
-      :attr:`sums` (SciPy's, copied in, when the native box sum is not
-      trusted);
+      hypotheses, read from the after planes in place (no shifted or
+      gathered copies): at each hypothesis's toroidal offset, or with
+      semi-fluid deltas at each pixel's own displacement;
+    * :meth:`box_sums` -- the box sums of the pair's invariant planes,
+      once, and of each varying stack, into :attr:`sums` (SciPy's,
+      copied in, when the native box sum is not trusted);
     * ``solve_accumulated(kernels.sums, ...)`` -- the template solve;
     * :meth:`merge` -- the search's (error, rank) merge of that solve,
       into the best arrays given to :meth:`bind_best`.
 
-    Caller must check :func:`native_available` first.
+    ``lib`` is the loaded library (the load-time self-check passes the
+    one it checks); without it, caller must check
+    :func:`native_available` first.
     """
 
-    def __init__(self, p, q, e, g, p_after, q_after, invariant_sums, half_width: int) -> None:
-        self._lib = _require()
-        self._before = [np.ascontiguousarray(a, dtype=np.float64) for a in (p, q, e, g)]
-        self._after = None
-        if p_after is not None:
-            self._after = [np.ascontiguousarray(a, dtype=np.float64) for a in (p_after, q_after)]
-        self.shape = self._before[0].shape
-        planes = self._before + (self._after or [])
-        if len(self.shape) != 2 or any(a.shape != self.shape for a in planes):
+    def __init__(self, p, q, e, g, p_after, q_after, half_width: int, *, lib=None) -> None:
+        self._lib = _require() if lib is None else lib
+        self._planes = [
+            np.ascontiguousarray(a, dtype=np.float64) for a in (p, q, e, g, p_after, q_after)
+        ]
+        self.shape = self._planes[0].shape
+        if len(self.shape) != 2 or any(a.shape != self.shape for a in self._planes):
             raise ValueError("expected equally shaped (H, W) before and after planes")
-        self._invariant_sums = np.ascontiguousarray(invariant_sums, dtype=np.float64)
+        self._pointwise_args = tuple(_doubles(a) for a in self._planes)
+        self._invariant = np.zeros((len(INVARIANT_FIELDS),) + self.shape)
         self._side = 2 * half_width + 1
         self._native_box_sum = _box_sum_reason is None and half_width > 0
         self._best = None
@@ -850,16 +814,11 @@ class PairKernels:
         if n <= self.capacity:
             return
         stack = (n, len(VARYING_FIELDS)) + self.shape
-        self.sums = BoundSums(np.empty(stack, dtype=np.float64), self._invariant_sums)
+        self.sums = BoundSums(np.empty(stack), self._invariant, lib=self._lib)
+        self.planes = np.empty(stack)
+        self._planes_out = _doubles(self.planes)
         self._chunk = np.empty((n, 2), dtype=np.intp)
         self._chunk_address = self._chunk.ctypes.data
-        if self._after is not None:
-            self.planes = np.empty(stack, dtype=np.float64)
-            self._pointwise_args = (
-                *(_doubles(a) for a in self._before + self._after), 0, self._chunk_address,
-            )
-            self._planes_out = _doubles(self.planes)
-        self._sums_out = self.sums.varying.ctypes.data
         self._solved = (self.sums.error.ctypes.data, self.sums.theta.ctypes.data)
         self.capacity = n
 
@@ -872,43 +831,61 @@ class PairKernels:
             self._chunk[:n] = hypotheses
         return n
 
-    def fields(self, offsets) -> np.ndarray:
-        """``(n, 18, H, W)`` varying fields of ``n`` ``(dy, dx)`` offsets.
+    def _deltas(self, n: int, delta_y, delta_x) -> tuple:
+        """The addresses of ``n`` hypotheses' semi-fluid deltas (or Nones)."""
+        if delta_y is None:
+            return None, None
+        if not all(
+            d.dtype == np.int64 and d.flags.c_contiguous and d.size == n * self.sums.systems
+            for d in (delta_y, delta_x)
+        ):
+            raise ValueError("semi-fluid deltas must be contiguous (n, H, W) int64")
+        return delta_y.ctypes.data, delta_x.ctypes.data
+
+    def fields(self, hypotheses, delta_y=None, delta_x=None) -> np.ndarray:
+        """``(n, 18, H, W)`` varying fields of ``n`` ``(dy, dx)`` hypotheses.
 
         Bit-identical to ``varying_planes`` over ``shift2d(p_after, dy,
-        dx)`` and ``shift2d(q_after, dy, dx)``; a view of the bound
-        stack, overwritten by the next call.
+        dx)`` and ``shift2d(q_after, dy, dx)``; with the semi-fluid
+        deltas (contiguous ``(n, H, W)`` int64), over the after planes
+        gathered at ``((y + delta_y) mod H, (x + delta_x) mod W)``
+        instead.  A view of the bound stack, overwritten by the next
+        call.
         """
-        if self._after is None:
-            raise ValueError("these kernels were bound without after planes")
-        n = self._set_chunk(offsets)
+        n = self._set_chunk(hypotheses)
         self._lib.pointwise_planes(
-            *self._pointwise_args, n, self.shape[0], self.shape[1], self._planes_out
+            *self._pointwise_args, self._chunk_address, *self._deltas(n, delta_y, delta_x),
+            n, self.shape[0], self.shape[1], self._planes_out,
         )
         return self.planes[:n]
 
     def box_sums(self, planes: np.ndarray) -> np.ndarray:
-        """Box sums of an ``(n, 18, H, W)`` varying stack into :attr:`sums`.
-
-        ``planes`` is :meth:`fields` output or any contiguous float64
-        stack of that shape.  Returns the view of :attr:`sums` written.
+        """Box sums of the pair's ``(10, H, W)`` invariant planes into the
+        invariant sums every solve reads, or of an ``(n, 18, H, W)``
+        varying stack (:meth:`fields` output, or any contiguous float64
+        stack of that shape) into :attr:`sums`.  Returns the view written.
         """
-        n = planes.shape[0]
-        self._reserve(n)
-        out = self.sums.varying[:n]
+        invariant = planes.ndim == 3
+        if invariant:
+            out = self._invariant
+        else:
+            self._reserve(planes.shape[0])
+            out = self.sums.varying[: planes.shape[0]]
         if not (planes.dtype == np.float64 and planes.flags.c_contiguous
                 and planes.shape == out.shape):
             raise ValueError(f"expected a contiguous float64 {out.shape} stack")
         if self._native_box_sum:
+            h, w = self.shape
             status = self._lib.box_sum_planes(
-                planes.ctypes.data, self._sums_out, n * len(VARYING_FIELDS),
-                self.shape[0], self.shape[1], self._side, self._side,
+                planes.ctypes.data, out.ctypes.data, planes.size // (h * w), h, w,
+                self._side, self._side,
             )
             if status:
                 raise MemoryError("box_sum_planes could not allocate its line buffers")
         else:
             np.copyto(out, box_sum_planes(planes, self._side // 2))
-        self.sums.n = n
+        if not invariant:
+            self.sums.n = planes.shape[0]
         return out
 
     def bind_best(self, best) -> None:
@@ -931,7 +908,7 @@ class PairKernels:
         The arguments are those of
         :func:`repro.kernels.reference.merge_best` without the solve
         output and ``best``: ``pixels`` those the solve took (distinct),
-        the semi-fluid deltas as contiguous ``(n, H, W)`` int64.
+        the semi-fluid deltas those :meth:`fields` read.
         """
         n = self._set_chunk(hypotheses)
         count = self.sums.systems
@@ -939,17 +916,10 @@ class PairKernels:
             if pixels.dtype != np.intp or not pixels.flags.c_contiguous:
                 raise TypeError("pixels must be a contiguous np.intp array")
             count = pixels.size
-        deltas = (None, None)
-        if delta_y is not None:
-            if not all(
-                d.dtype == np.int64 and d.flags.c_contiguous and d.size == n * self.sums.systems
-                for d in (delta_y, delta_x)
-            ):
-                raise ValueError("semi-fluid deltas must be contiguous (n, H, W) int64")
-            deltas = (delta_y.ctypes.data, delta_x.ctypes.data)
         if self._lib.merge_best(
             *self._solved, n, count, None if pixels is None else pixels.ctypes.data, rank,
-            self._chunk_address, *deltas, self.sums.systems, *self._best[1],
+            self._chunk_address, *self._deltas(n, delta_y, delta_x), self.sums.systems,
+            *self._best[1],
         ):
             raise IndexError(f"pixel index out of range for {self.sums.systems} pixels")
 
@@ -1002,8 +972,7 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
         lib.pointwise_planes.restype = ctypes.c_int
         lib.pointwise_planes.argtypes = [
             *[ctypes.POINTER(ctypes.c_double)] * 6,
-            ctypes.c_ssize_t,
-            ctypes.c_void_p,
+            *[ctypes.c_void_p] * 3,
             *[ctypes.c_ssize_t] * 3,
             ctypes.POINTER(ctypes.c_double),
         ]
@@ -1136,32 +1105,3 @@ def native_solve_lanes() -> int:
     """
     lib = _load()[0]
     return 1 if lib is None else _lane_widths(lib)[-1]
-
-
-def native_pointwise_planes(p, q, e, g, p_after, q_after) -> np.ndarray:
-    """``(n, 18, H, W)`` hypothesis-varying pointwise fields of ``(H, W)``
-    before planes and ``(n, H, W)`` after planes.
-
-    Channels-first, plane ``j`` holding field ``VARYING_FIELDS[j]``;
-    bit-identical to ``varying_planes(p, q, e, g, p_after, q_after)`` of
-    :mod:`repro.kernels.reference`.  Caller must check
-    :func:`native_available` first.
-    """
-    return _call_pointwise_planes(_require(), p, q, e, g, p_after, q_after)
-
-
-def native_box_sum_planes(planes: np.ndarray, side_y: int, side_x: int) -> np.ndarray:
-    """Box sums of every ``(H, W)`` plane of ``(..., H, W)`` over a
-    ``side_y x side_x`` window (odd sides, zero outside the image).
-
-    Bit-identical to ``uniform_filter(planes, size=(1, ..., side_y,
-    side_x), mode="constant") * float(side_y * side_x)`` on the SciPy the
-    load-time check ran against.  Caller must check
-    :func:`native_box_sum_available` first.
-    """
-    lib, reason = _load()
-    if lib is None:
-        raise RuntimeError(f"native kernel unavailable: {reason}")
-    if _box_sum_reason is not None:
-        raise RuntimeError(f"native box sum unavailable: {_box_sum_reason}")
-    return _call_box_sum_planes(lib, planes, side_y, side_x)

@@ -339,11 +339,12 @@ int solve_packed(const double *const *base, const ptrdiff_t *outer_stride, ptrdi
 /* The hypothesis-varying per-pixel normal-equation fields of
  * repro.kernels.reference.pointwise_fields, written channels-first.
  *
- * Inputs are the before-motion planes p, q, e, g (h * w doubles each)
- * and the after-motion planes p', q' of n hypotheses: hypothesis k reads
- * the planes at p_after + k * after_stride (after_stride 0: one pair of
- * planes for every hypothesis), at the toroidal offset (offsets[2k],
- * offsets[2k + 1]) = (dy, dx) when offsets is not NULL, i.e. pixel
+ * Inputs are the before-motion planes p, q, e, g and the after-motion
+ * planes p', q' (h * w doubles each), which n hypotheses read at their
+ * own toroidal displacements.  Hypothesis k reads every pixel at the
+ * offset (offsets[2k], offsets[2k + 1]) = (dy, dx) when delta_y is NULL
+ * (the continuous model), else pixel i = y * w + x at its own delta
+ * (delta_y[k * h * w + i], delta_x[...]) (the semi-fluid model): pixel
  * (y, x) reads p'[(y + dy) mod h][(x + dx) mod w] -- the planes
  * repro.core.semifluid.shift2d would have copied, read in place.  Only
  * columns 0 and 3 of the residual rows read p' or q', so an H entry
@@ -365,8 +366,9 @@ int solve_packed(const double *const *base, const ptrdiff_t *outer_stride, ptrdi
  * The output planes sit h * w doubles apart, so writing them from a
  * per-pixel loop touches 18 distant cache lines per pixel.  Instead a
  * tile of TILE pixels is staged column by column and every field is
- * written as one contiguous run of the tile; an offset tile's p' and q'
- * are first copied out of the wrapped rows.  Returns 0. */
+ * written as one contiguous run of the tile; a tile's p' and q' are
+ * first gathered: copied out of the wrapped rows at an offset, pixel by
+ * pixel at deltas.  Returns 0. */
 enum { TILE = 128, N_VARYING = 18 };
 
 static int a1_zero(int k) { return k == 1 || k == 5; }
@@ -411,19 +413,40 @@ static void gather_shifted(const double *src, ptrdiff_t h, ptrdiff_t w, ptrdiff_
 
 static ptrdiff_t wrap(ptrdiff_t v, ptrdiff_t n)
 {
+    if (v >= 0 && v < n)
+        return v;
     v %= n;
     return v < 0 ? v + n : v;
 }
 
+/* The len after-plane values of p' and q' from flat pixel start on,
+ * each read at its own toroidal delta (dy[i], dx[i]), into dp and dq. */
+static void gather_deltas(const double *p_after, const double *q_after, ptrdiff_t h,
+                          ptrdiff_t w, const int64_t *dy, const int64_t *dx, ptrdiff_t start,
+                          ptrdiff_t len, double *dp, double *dq)
+{
+    ptrdiff_t y = start / w, x = start % w;
+    for (ptrdiff_t t = 0; t < len; t++) {
+        ptrdiff_t at = wrap(y + (ptrdiff_t)dy[start + t], h) * w
+                       + wrap(x + (ptrdiff_t)dx[start + t], w);
+        dp[t] = p_after[at];
+        dq[t] = q_after[at];
+        if (++x == w) {
+            x = 0;
+            y++;
+        }
+    }
+}
+
 int pointwise_planes(const double *p, const double *q, const double *e, const double *g,
-                     const double *p_after, const double *q_after, ptrdiff_t after_stride,
-                     const ptrdiff_t *offsets, ptrdiff_t n, ptrdiff_t h, ptrdiff_t w,
-                     double *out)
+                     const double *p_after, const double *q_after, const ptrdiff_t *offsets,
+                     const int64_t *delta_y, const int64_t *delta_x, ptrdiff_t n, ptrdiff_t h,
+                     ptrdiff_t w, double *out)
 {
     double a1[N_PARAMS][TILE], a2[N_PARAMS][TILE];
     double wa1[N_PARAMS][TILE], wa2[N_PARAMS][TILE];
     double w1[TILE], w2[TILE], w1r1[TILE], w2r2[TILE];
-    double pa_tile[TILE], qa_tile[TILE];
+    double pa[TILE], qa[TILE];
     const ptrdiff_t hw = h * w;
 
     for (ptrdiff_t s = 0; s < hw; s += TILE) {
@@ -443,14 +466,13 @@ int pointwise_planes(const double *p, const double *q, const double *e, const do
             wa2[5][t] = w2[t] * a2[5][t];
         }
         for (ptrdiff_t k = 0; k < n; k++) {
-            const double *pa = p_after + k * after_stride + s;
-            const double *qa = q_after + k * after_stride + s;
-            if (offsets) {
+            if (delta_y) {
+                gather_deltas(p_after, q_after, h, w, delta_y + k * hw, delta_x + k * hw, s,
+                              len, pa, qa);
+            } else {
                 ptrdiff_t dy = wrap(offsets[2 * k], h), dx = wrap(offsets[2 * k + 1], w);
-                gather_shifted(p_after + k * after_stride, h, w, dy, dx, s, len, pa_tile);
-                gather_shifted(q_after + k * after_stride, h, w, dy, dx, s, len, qa_tile);
-                pa = pa_tile;
-                qa = qa_tile;
+                gather_shifted(p_after, h, w, dy, dx, s, len, pa);
+                gather_shifted(q_after, h, w, dy, dx, s, len, qa);
             }
             double *f = out + k * N_VARYING * hw + s;
             for (ptrdiff_t t = 0; t < len; t++) {

@@ -24,7 +24,8 @@ from repro.core.continuous import (
     stack_varying_fields,
 )
 from repro.core.linalg import gaussian_eliminate
-from repro.core.matching import _HostEvaluator, hypothesis_order, track_dense
+from repro.core.matching import _HostEvaluator, hypothesis_order, prepare_frames, track_dense
+from repro.core.semifluid import shift2d
 from repro.kernels.reference import (
     INVARIANT_FIELDS,
     VARYING_FIELDS,
@@ -35,6 +36,7 @@ from repro.kernels.reference import (
     varying_planes,
 )
 from repro.native import (
+    PairKernels,
     adversarial_box_stack,
     adversarial_packed,
     adversarial_pixels,
@@ -42,9 +44,7 @@ from repro.native import (
     adversarial_split,
     native_available,
     native_box_sum_available,
-    native_box_sum_planes,
     native_gauss_eliminate,
-    native_pointwise_planes,
     native_solve_packed,
     native_status,
     same_bits,
@@ -458,40 +458,46 @@ class TestTwoBaseSolve:
                 native_solve_packed(bad, 1e-9)
 
 
-def _random_planes(n: int, h: int, w: int, seed: int):
+def _random_planes(h: int, w: int, seed: int):
+    """Before planes ``p, q, e, g`` and one pair of after planes, ``(H, W)`` each."""
     rng = np.random.default_rng(seed)
-    p, q = rng.normal(size=(2, h, w))
-    p_after, q_after = rng.normal(size=(2, n, h, w))
+    p, q, p_after, q_after = rng.normal(size=(4, h, w))
     return p, q, 1.0 + p * p, 1.0 + q * q, p_after, q_after
 
 
-def _assert_pointwise_matches(p, q, e, g, p_after, q_after):
+#: Hypothesis offsets: zero, negative, and past a whole period.
+OFFSETS = [(0, 0), (1, -2), (-3, 5), (7, -11)]
+
+
+def _assert_pointwise_matches(p, q, e, g, p_after, q_after, n: int = 3):
+    """The bound build of ``n`` hypotheses against the full 28-field
+    NumPy ``pointwise_fields`` of ``shift2d`` copies, at its varying fields."""
+    offsets = OFFSETS[:n]
+    shifted = [np.stack([shift2d(a, dy, dx) for dy, dx in offsets]) for a in (p_after, q_after)]
     with np.errstate(all="ignore"):
-        ref = pointwise_fields(p[None], q[None], p_after, q_after, e[None], g[None])
-        planes = native_pointwise_planes(p, q, e, g, p_after, q_after)
-    assert planes.shape == (p_after.shape[0], len(VARYING_FIELDS)) + p.shape
+        ref = pointwise_fields(p[None], q[None], *shifted, e[None], g[None])
+        planes = PairKernels(p, q, e, g, p_after, q_after, 1).fields(offsets)
+    assert planes.shape == (n, len(VARYING_FIELDS)) + p.shape
     assert same_bits(ref[..., VARYING_FIELDS], np.moveaxis(planes, 1, 3))
 
 
 @needs_native
 class TestPointwisePlanes:
-    """``pointwise_planes`` against NumPy ``pointwise_fields``, bit for bit."""
+    """The bound ``pointwise_planes`` against NumPy ``pointwise_fields``, bit for bit."""
 
     @pytest.mark.parametrize(
         "n,h,w", [(1, 96, 96), (3, 17, 23), (2, 1, 9), (2, 7, 1), (4, 5, 130)]
     )
     def test_random_planes(self, n, h, w):
-        _assert_pointwise_matches(*_random_planes(n, h, w, seed=n * 1000 + h + w))
+        _assert_pointwise_matches(*_random_planes(h, w, seed=n * 1000 + h + w), n=n)
 
     def test_adversarial_planes(self):
-        planes = adversarial_planes()
-        assert planes[4].shape[0] > 1
-        _assert_pointwise_matches(*planes)
+        _assert_pointwise_matches(*adversarial_planes())
 
     @pytest.mark.parametrize("n,h,w", [(2, 9, 300), (1, 33, 5)])
     def test_adversarial_planes_across_tiles(self, n, h, w):
         """Shapes whose pixel count spans several 128-pixel tiles."""
-        _assert_pointwise_matches(*adversarial_planes(n, h, w, seed=h * w))
+        _assert_pointwise_matches(*adversarial_planes(h, w, seed=h * w), n=n)
 
     def test_semifluid_gathered_after_planes(self, prepared_semifluid):
         chunk = hypothesis_order(prepared_semifluid.config.n_zs)[:3]
@@ -507,37 +513,34 @@ class TestPointwisePlanes:
         assert same_bits(native._invariant_acc, numpy._invariant_acc)
 
     def test_dispatch_shapes(self):
-        """Only float64 (H, W) before and (n, H, W) after planes go native;
-        every other input takes the NumPy path, with the same bits."""
-        p, q, e, g, p_after, q_after = _random_planes(2, 6, 8, seed=1)
-        calls = []
-        from repro import native
-
-        real = native.native_pointwise_planes
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(native, "native_pointwise_planes", lambda *a: calls.append(1) or real(*a))
-            stacked = stack_varying_fields(p, q, e, g, p_after, q_after)
-            assert calls == [1]
-            lists = stack_varying_fields(p, q, e, g, p_after.tolist(), q_after)
-            numpy = stack_varying_fields(p, q, e, g, p_after, q_after, prefer_native=False)
-            assert calls == [1]
-        for planes in (stacked, lists, numpy):
+        """``stack_varying_fields`` hands a bound pair to its field build
+        and every plane input -- lists included -- to ``varying_planes``,
+        with the same bits."""
+        p, q, e, g, p_after, q_after = _random_planes(6, 8, seed=1)
+        shifted = [np.stack([shift2d(a, dy, dx) for dy, dx in OFFSETS[:2]])
+                   for a in (p_after, q_after)]
+        reference = varying_planes(p, q, e, g, *shifted)
+        kernels = PairKernels(p, q, e, g, p_after, q_after, 1)
+        bound = stack_varying_fields(kernels, OFFSETS[:2])
+        assert np.shares_memory(bound, kernels.planes)
+        lists = stack_varying_fields(p, q, e, g, shifted[0].tolist(), shifted[1])
+        for planes in (bound, lists):
             assert planes.flags.c_contiguous and planes.shape == (2, len(VARYING_FIELDS), 6, 8)
-            assert same_bits(planes, varying_planes(p, q, e, g, p_after, q_after))
+            assert same_bits(planes, reference)
 
 
 def _assert_box_sum_matches(planes, half_width):
-    side = 2 * half_width + 1
+    kernels = PairKernels(*np.zeros((6,) + planes.shape[-2:]), half_width)
     with np.errstate(all="ignore"):
         ref = box_sum_planes(planes, half_width)
-        got = native_box_sum_planes(planes, side, side)
+        got = kernels.box_sums(planes)
     assert same_bits(ref, got)
 
 
 @needs_native
 @pytest.mark.skipif(not native_box_sum_available(), reason=native_status())
 class TestBoxSumPlanes:
-    """``box_sum_planes`` against SciPy's ``uniform_filter``, bit for bit."""
+    """The bound ``box_sum_planes`` against SciPy's ``uniform_filter``, bit for bit."""
 
     @pytest.mark.parametrize("half_width", range(1, 7))
     @pytest.mark.parametrize(
@@ -545,7 +548,7 @@ class TestBoxSumPlanes:
     )
     def test_random_planes(self, n, h, w, half_width):
         rng = np.random.default_rng(h * 100 + w + half_width)
-        size = (n, N_FIELDS, h, w)
+        size = (n, len(VARYING_FIELDS), h, w)
         planes = rng.normal(size=size) * 10.0 ** rng.uniform(-6, 6, size=size)
         _assert_box_sum_matches(planes, half_width)
 
@@ -560,54 +563,77 @@ class TestBoxSumPlanes:
 
     def test_pointwise_output(self):
         """The layout the evaluator hands over: fields of three hypotheses."""
-        planes = native_pointwise_planes(*_random_planes(3, 31, 45, seed=5))
+        kernels = PairKernels(*_random_planes(31, 45, seed=5), 1)
+        planes = kernels.fields(OFFSETS[:3])
         for half_width in (1, 3, 6):
             _assert_box_sum_matches(planes, half_width)
 
     @pytest.mark.parametrize("side_y,side_x", [(1, 5), (7, 1), (3, 9), (1, 1)])
     def test_rectangular_and_unit_sides(self, side_y, side_x):
+        """The C entry itself takes any window: rectangular and unit
+        sides replay ``uniform_filter`` too (a bound pair passes square
+        sides only)."""
         from scipy import ndimage
 
+        from repro import native
+
         planes = adversarial_box_stack(1, 11, 13, seed=side_y * side_x)
+        got = np.empty_like(planes)
         with np.errstate(all="ignore"):
             ref = ndimage.uniform_filter(
                 planes, size=(1, 1, side_y, side_x), mode="constant", cval=0.0
             ) * float(side_y * side_x)
-            got = native_box_sum_planes(planes, side_y, side_x)
+            assert native._load()[0].box_sum_planes(
+                planes.ctypes.data, got.ctypes.data, planes.size // (11 * 13), 11, 13,
+                side_y, side_x,
+            ) == 0
         assert same_bits(ref, got)
 
     def test_dispatch_reads_channels_first_in_place(self):
-        planes = native_pointwise_planes(*_random_planes(2, 12, 14, seed=6))
-        via_dispatch = stack_box_sum(planes, 2)
+        """``stack_box_sum(..., out=kernels)`` sums a varying stack into the
+        bound sums and the pair's invariant planes into the bound invariant
+        sums that every solve reads; a strided stack is refused."""
+        p, q, e, g, p_after, q_after = _random_planes(12, 14, seed=6)
+        kernels = PairKernels(p, q, e, g, p_after, q_after, 2)
+        planes = kernels.fields(OFFSETS[:2])
+        via_dispatch = stack_box_sum(planes, 2, out=kernels)
+        assert np.shares_memory(via_dispatch, kernels.sums.varying)
         assert via_dispatch.flags.c_contiguous and via_dispatch.shape == planes.shape
         assert same_bits(via_dispatch, box_sum_planes(planes, 2))
-        # A strided stack takes the SciPy path, with the same bits.
-        assert same_bits(stack_box_sum(planes[:, ::2], 2), via_dispatch[:, ::2])
-        # The evaluator's invariant planes: one (10, H, W) stack per pair.
-        p, q, e, g, _, _ = _random_planes(1, 12, 14, seed=7)
         invariant = invariant_planes(p, q, e, g)
+        summed = stack_box_sum(invariant, 2, out=kernels)
+        assert summed is kernels.sums.invariant
+        assert same_bits(summed, box_sum_planes(invariant, 2))
+        with pytest.raises(ValueError, match="contiguous"):
+            stack_box_sum(np.zeros((2, len(VARYING_FIELDS), 12, 28))[..., ::2], 2, out=kernels)
+        # Without a binding the dispatcher is the SciPy reference.
         assert same_bits(stack_box_sum(invariant, 3), box_sum_planes(invariant, 3))
 
 
 @needs_native
 def test_numpy_backend_never_reaches_the_hypothesis_kernels(monkeypatch, prepared_semifluid):
-    """``backend="numpy"`` stays pure NumPy/SciPy; ``"auto"`` calls both kernels."""
+    """``backend="numpy"`` stays pure NumPy/SciPy; ``"auto"`` runs every
+    hypothesis kernel through the pair's binding."""
     from repro import native
 
     calls = []
-    for name in ("native_pointwise_planes", "native_box_sum_planes"):
-        real = getattr(native, name)
+    for owner, name in (
+        (native.PairKernels, "__init__"), (native.PairKernels, "fields"),
+        (native.PairKernels, "box_sums"), (native.PairKernels, "merge"),
+        (native.BoundSums, "solve"), (native, "native_solve_packed"),
+    ):
+        real = getattr(owner, name)
 
-        def spy(*args, _real=real, _name=name):
+        def spy(*args, _real=real, _name=name, **kwargs):
             calls.append(_name)
-            return _real(*args)
+            return _real(*args, **kwargs)
 
-        monkeypatch.setattr(native, name, spy)
+        monkeypatch.setattr(owner, name, spy)
     reference = track_dense(prepared_semifluid, backend="numpy")
     assert calls == []
     auto = track_dense(prepared_semifluid, backend="auto")
-    assert "native_pointwise_planes" in calls
-    assert ("native_box_sum_planes" in calls) == native_box_sum_available()
+    assert {"__init__", "fields", "box_sums", "merge", "solve"} <= set(calls)
+    assert "native_solve_packed" not in calls
     assert auto.error.tobytes() == reference.error.tobytes()
 
 
@@ -656,11 +682,45 @@ class TestBoundPair:
             assert same_bits(getattr(bound, name), getattr(reference, name)), name
         assert bound.ge_solves == reference.ge_solves
 
+    def test_native_semifluid_search_binds_the_pair(self, monkeypatch, prepared_semifluid):
+        """The semi-fluid search reads the after planes at each pixel's
+        deltas through the binding: no shifted-plane stack, no gather."""
+        reference = track_dense(prepared_semifluid, backend="numpy")
+        shifts, written = self._watch(monkeypatch)
+        gathers = []
+        real_take = np.take_along_axis
+        monkeypatch.setattr(np, "take_along_axis", lambda *a, **k: gathers.append(1)
+                            or real_take(*a, **k))
+        bound = track_dense(prepared_semifluid, batch_bytes=1, backend="auto")
+        assert shifts == [] and gathers == []
+        assert len(written["fields"]) == prepared_semifluid.config.hypotheses_per_pixel
+        assert len(set(written["fields"])) == 1
+        for name in ("u", "v", "params", "error"):
+            assert same_bits(getattr(bound, name), getattr(reference, name)), name
+        assert bound.ge_solves == reference.ge_solves
+
+    def test_semifluid_pair_binding_memory(self, frederic_dataset):
+        """Binding a semi-fluid pair and staging one hypothesis stays far
+        below the shifted-plane stack a pair once built (34.3 MiB on this
+        Frederic 96 px pair)."""
+        import tracemalloc
+
+        config = frederic_dataset.config.replace(n_zt=5)
+        before, after = frederic_dataset.frames[:2]
+        prepared = prepare_frames(before.surface, after.surface, config,
+                                  before.intensity, after.intensity)
+        tracemalloc.start()
+        try:
+            _HostEvaluator(prepared, 1e-9).stage(hypothesis_order(config.n_zs)[:1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 34.3 * 2**20 / 4
+
     def test_out_of_range_pixels_are_refused(self, prepared_continuous):
         """The bound solve and merge skip per-call argument checks, so
-        the kernels themselves refuse an index outside the image."""
-        from repro import native
-
+        the kernels themselves refuse an index outside the image, and
+        the bound solve refuses more indices than its outputs hold."""
         evaluator = _HostEvaluator(prepared_continuous, 1e-9)
         kernels = evaluator.kernels
         size = kernels.shape[0] * kernels.shape[1]
@@ -674,10 +734,8 @@ class TestBoundPair:
                 solve_accumulated(kernels.sums, pixels=pixels)
             with pytest.raises(IndexError):
                 kernels.merge(0, [(0, 1)], pixels)
-            error, params = np.zeros((1, pixels.size)), np.zeros((1, pixels.size, 6))
-            with pytest.raises(IndexError):
-                native._call_merge_best(native._load()[0], error, params, 0, [(0, 1)], best,
-                                        pixels)
+        with pytest.raises(ValueError, match="overflow"):
+            solve_accumulated(kernels.sums, pixels=np.zeros(size + 1, dtype=np.intp))
         assert np.isinf(best[0]).all() and (best[1] == -1).all()  # nothing merged
 
     def test_numpy_backend_takes_the_reference_path(self, monkeypatch, prepared_continuous):
@@ -843,15 +901,15 @@ class TestLoadRetry:
         from repro import native
 
         calls = {"n": 0}
-        real = native._call_pointwise_planes
+        real = native.PairKernels.fields
 
-        def flipped_sign(lib, *planes):
+        def flipped_sign(self, *args):
             calls["n"] += 1
-            out = real(lib, *planes)
+            out = real(self, *args)
             out[0, 17] = np.negative(out[0, 17])
             return out
 
-        monkeypatch.setattr(native, "_call_pointwise_planes", flipped_sign)
+        monkeypatch.setattr(native.PairKernels, "fields", flipped_sign)
         assert not native.native_available()
         assert "pointwise" in native.native_status()
         assert not native.native_box_sum_available()
@@ -859,74 +917,101 @@ class TestLoadRetry:
         assert calls["n"] == 1, "a wrong kernel must not be re-probed"
 
     def test_offset_field_build_self_check_failure_is_permanent(self, monkeypatch):
-        """A field build that is right on stacked after planes but wrong
-        at toroidal offsets untrusts the whole library, and says so."""
+        """A field build that is right at per-pixel deltas but wrong at
+        toroidal offsets untrusts the whole library, and says so."""
         from repro import native
 
-        real = native._call_pointwise_planes
+        real = native.PairKernels.fields
 
-        def wrong_at_offsets(lib, *planes):
-            out = real(lib, *planes)
-            if len(planes) > 6 and planes[6] is not None:
+        def wrong_at_offsets(self, hypotheses, delta_y=None, delta_x=None):
+            out = real(self, hypotheses, delta_y, delta_x)
+            if delta_y is None:
                 out[-1, 0] = np.nextafter(out[-1, 0], np.inf)
             return out
 
-        monkeypatch.setattr(native, "_call_pointwise_planes", wrong_at_offsets)
+        monkeypatch.setattr(native.PairKernels, "fields", wrong_at_offsets)
         assert not native.native_available()
         assert "toroidal offsets" in native.native_status()
+
+    def test_delta_field_build_self_check_failure_is_permanent(self, monkeypatch):
+        """A field build that is right at offsets but wrong at per-pixel
+        semi-fluid deltas untrusts the whole library, and says so."""
+        from repro import native
+
+        calls = {"n": 0}
+        real = native.PairKernels.fields
+
+        def wrong_at_deltas(self, hypotheses, delta_y=None, delta_x=None):
+            out = real(self, hypotheses, delta_y, delta_x)
+            if delta_y is not None:
+                calls["n"] += 1
+                out[0, 0, -1, -1] = np.nextafter(out[0, 0, -1, -1], -np.inf)
+            return out
+
+        monkeypatch.setattr(native.PairKernels, "fields", wrong_at_deltas)
+        assert not native.native_available()
+        assert "per-pixel deltas" in native.native_status()
+        assert not native.native_available()
+        assert calls["n"] == 1, "a wrong kernel must not be re-probed"
 
     def test_merge_self_check_failure_is_permanent(self, monkeypatch):
         """A merge that records the wrong winning ranks untrusts the
         whole library, and the status names the merge."""
         from repro import native
-        from repro.kernels.reference import merge_best
 
         calls = {"n": 0}
+        real = native.PairKernels.merge
 
-        def wrong_ranks(lib, error, params, rank, hypotheses, best, *rest):
+        def wrong_ranks(self, rank, *args):
             calls["n"] += 1
-            merge_best(error, params, rank, hypotheses, best, *rest)
-            best[1][np.isfinite(best[0])] = rank  # the chunk's first rank everywhere
+            real(self, rank, *args)
+            (error, ranks, *_), _ = self._best
+            ranks[np.isfinite(error)] = rank  # the chunk's first rank everywhere
 
-        monkeypatch.setattr(native, "_call_merge_best", wrong_ranks)
+        monkeypatch.setattr(native.PairKernels, "merge", wrong_ranks)
         assert not native.native_available()
         assert "merge_best" in native.native_status()
         assert not native.native_available()
         assert calls["n"] == 1, "a wrong kernel must not be re-probed"
 
-    def test_box_sum_self_check_failure_disables_only_the_box_sum(self, monkeypatch):
-        """A SciPy whose uniform_filter rounds differently must not take
-        the fused solve down with the box sum."""
+    @staticmethod
+    def _nudge_native_box_sums(monkeypatch):
+        """Make the native box sum (only) one ulp off SciPy."""
         from repro import native
 
-        real = native._call_box_sum_planes
+        real = native.PairKernels.box_sums
 
-        def off_by_one_ulp(lib, planes, side_y, side_x):
-            return np.nextafter(real(lib, planes, side_y, side_x), np.inf)
+        def off_by_one_ulp(self, planes):
+            out = real(self, planes)
+            if self._native_box_sum:
+                out[...] = np.nextafter(out, np.inf)
+            return out
 
-        monkeypatch.setattr(native, "_call_box_sum_planes", off_by_one_ulp)
+        monkeypatch.setattr(native.PairKernels, "box_sums", off_by_one_ulp)
+
+    def test_box_sum_self_check_failure_disables_only_the_box_sum(self, monkeypatch):
+        """A SciPy whose uniform_filter rounds differently must not take
+        the fused solve down with the box sum: bound pairs sum with SciPy."""
+        from repro import native
+
+        self._nudge_native_box_sums(monkeypatch)
         assert native.native_available()
         assert not native.native_box_sum_available()
         status = native.native_status()
         assert status.startswith("available; ") and "box_sum_planes" in status
-        with pytest.raises(RuntimeError, match="box sum unavailable"):
-            native.native_box_sum_planes(np.zeros((1, 3, 3)), 3, 3)
 
-        solves = []
-        real_solve = native.native_solve_packed
-
-        def spy(fields, ridge, pixels=None):
-            solves.append(len(fields))
-            return real_solve(fields, ridge, pixels)
-
-        monkeypatch.setattr(native, "native_solve_packed", spy)
-        p, q, e, g, p_after, q_after = _random_planes(1, 10, 12, seed=3)
-        planes = native.native_pointwise_planes(p, q, e, g, p_after, q_after)
-        summed = stack_box_sum(planes, 2)  # the SciPy path, same bits
-        assert same_bits(summed, box_sum_planes(planes, 2))
-        invariant = stack_box_sum(invariant_planes(p, q, e, g), 2)
-        solve_accumulated(SplitSums(summed, invariant))
-        assert len(solves) == 1
+        p, q, e, g, p_after, q_after = _random_planes(10, 12, seed=3)
+        kernels = native.PairKernels(p, q, e, g, p_after, q_after, 2)
+        assert not kernels._native_box_sum
+        planes = kernels.fields([(0, 1)])
+        assert same_bits(kernels.box_sums(planes), box_sum_planes(planes, 2))
+        invariant = invariant_planes(p, q, e, g)
+        assert same_bits(kernels.box_sums(invariant), box_sum_planes(invariant, 2))
+        bound = solve_accumulated(kernels.sums)
+        split = SplitSums(box_sum_planes(planes, 2), box_sum_planes(invariant, 2))
+        reference = solve_accumulated(split, prefer_native=False)
+        assert same_bits(bound.error, reference.error)
+        assert same_bits(bound.params, reference.params)
 
     def test_native_solve_with_scipy_box_sum_keeps_reference_bits(
         self, monkeypatch, prepared_continuous, prepared_semifluid
@@ -935,12 +1020,7 @@ class TestLoadRetry:
         sum SciPy -- exhaustive and pruned, both models, reference bits."""
         from repro import native
 
-        real = native._call_box_sum_planes
-
-        def off_by_one_ulp(lib, planes, side_y, side_x):
-            return np.nextafter(real(lib, planes, side_y, side_x), np.inf)
-
-        monkeypatch.setattr(native, "_call_box_sum_planes", off_by_one_ulp)
+        self._nudge_native_box_sums(monkeypatch)
         assert native.native_available() and not native.native_box_sum_available()
         for prepared in (prepared_continuous, prepared_semifluid):
             for search in ("exhaustive", "pruned"):

@@ -4,16 +4,19 @@ Hypothesis draws shapes (1x1, 1xN, Nx1 and pixel counts with odd tails
 past the field build's 128-pixel tile), non-contiguous views, negative
 and duplicate index lists, NaN / +-inf / signed-zero / denormal inputs
 and every lane width the CPU runs; each native result must carry the
-reference's bits (:func:`repro.native.same_bits`).  The entry points are
-the ones the hypothesis search calls per hypothesis -- the 18-plane field
-build, the box sum over the varying stack and the two-base solve -- and
-the batched elimination behind :func:`repro.core.linalg.gaussian_eliminate`
-at every order up to 8 -- plus the two a frame pair's bound kernels add:
-the field build reading the after planes at toroidal offsets (against
-``varying_planes`` over ``shift2d`` copies) and the (error, rank) merge
-(against :func:`repro.kernels.reference.merge_best`).  The box sum is fuzzed at square sides only:
-no caller hands the native box sum a rectangular window.
-Derandomized with a bounded example count, so the suite is repeatable.
+reference's bits (:func:`repro.native.same_bits`).  The kernels are
+fuzzed through the frame pair's binding (:class:`repro.native.PairKernels`),
+the one call path the hypothesis search takes: the 18-plane field build
+reading the after planes at toroidal offsets (against ``varying_planes``
+over ``shift2d`` copies) and at per-pixel semi-fluid deltas (against
+``varying_planes`` over NumPy-gathered planes), the box sum of the
+varying stack, the two-base solve and the (error, rank) merge (against
+:func:`repro.kernels.reference.merge_best`) -- plus the one-shot solves
+other callers use: ``solve_packed`` on plain arrays and the batched
+elimination behind :func:`repro.core.linalg.gaussian_eliminate` at every
+order up to 8.  The box sum is fuzzed at square sides only: no caller
+hands the native box sum a rectangular window.  Derandomized with a
+bounded example count, so the suite is repeatable.
 """
 
 from __future__ import annotations
@@ -78,38 +81,48 @@ def planted(draw, shape, scale: float = 2.0):
 
 @st.composite
 def surfaces(draw):
-    """Before planes ``(H, W)`` and ``n`` after planes ``(n, H, W)``."""
-    n, h, w = draw(st.integers(1, 3)), draw(heights), draw(widths)
-    p, q = draw(planted((h, w))), draw(planted((h, w)))
-    # E, G >= 1 on a real surface; the fuzz also feeds the specials.
-    e, g = 1.0 + draw(planted((h, w))) ** 2, 1.0 + draw(planted((h, w))) ** 2
-    return p, q, e, g, draw(planted((n, h, w))), draw(planted((n, h, w)))
+    """Before planes and one pair of after planes of a drawn ``(H, W)``,
+    and ``n`` hypothesis offsets within one pixel."""
+    shape = (draw(heights), draw(widths))
+    offsets = draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                            min_size=1, max_size=3))
+    return draw(after_surfaces(shape)), offsets
 
 
 class TestFieldBuild:
     @FUZZ
     @given(surfaces())
-    def test_varying_planes(self, planes):
+    def test_varying_planes(self, drawn):
+        """The dispatcher over drawn shapes: plane inputs take
+        ``varying_planes``, a bound pair its field build, same bits."""
+        planes, offsets = drawn
+        p, q, e, g, p_after, q_after = planes
+        shifted = [np.stack([shift2d(a, dy, dx) for dy, dx in offsets]) for a in (p_after, q_after)]
         with np.errstate(all="ignore"):
-            ref = varying_planes(*planes)
-            got = native.native_pointwise_planes(*planes)
-            dispatched = stack_varying_fields(*planes)
-        assert got.shape == ref.shape == (planes[4].shape[0], 18) + planes[0].shape
-        assert same_bits(ref, got)
+            ref = varying_planes(p, q, e, g, *shifted)
+            dispatched = stack_varying_fields(p, q, e, g, *shifted)
+            bound = stack_varying_fields(native.PairKernels(*planes, 1), offsets)
+        assert ref.shape == (len(offsets), 18) + p.shape
         assert same_bits(ref, dispatched)
+        assert same_bits(ref, bound)
+
+
+@st.composite
+def after_surfaces(draw, shape):
+    """Before planes and one ``(H, W)`` after plane each of ``p'`` and ``q'``."""
+    p, q, e, g = (draw(planted(shape)) for _ in range(4))
+    with np.errstate(over="ignore"):  # E, G >= 1 on a real surface; the fuzz feeds specials
+        e, g = 1.0 + e**2, 1.0 + g**2
+    return p, q, e, g, draw(planted(shape)), draw(planted(shape))
 
 
 @st.composite
 def shifted_surfaces(draw, shape):
-    """Before planes, one ``(H, W)`` after plane each of ``p'`` and
-    ``q'``, and ``(n, 2)`` hypothesis offsets ``(dy, dx)``: negative, zero
-    and beyond +-H / +-W."""
+    """:func:`after_surfaces` and ``(n, 2)`` hypothesis offsets ``(dy,
+    dx)``: negative, zero and beyond +-H / +-W."""
     h, w = shape
-    p, q = draw(planted((h, w))), draw(planted((h, w)))
-    e, g = 1.0 + draw(planted((h, w))) ** 2, 1.0 + draw(planted((h, w))) ** 2
     offset = st.tuples(st.integers(-3 * h - 1, 3 * h + 1), st.integers(-3 * w - 1, 3 * w + 1))
-    offsets = draw(st.lists(offset, min_size=1, max_size=3))
-    return (p, q, e, g, draw(planted((h, w))), draw(planted((h, w)))), offsets
+    return draw(after_surfaces(shape)), draw(st.lists(offset, min_size=1, max_size=3))
 
 
 class TestOffsetFieldBuild:
@@ -122,13 +135,50 @@ class TestOffsetFieldBuild:
         planes, offsets = data.draw(shifted_surfaces(shape))
         p, q, e, g, p_after, q_after = planes
         shifted = [np.stack([shift2d(a, dy, dx) for dy, dx in offsets]) for a in (p_after, q_after)]
-        kernels = native.PairKernels(*planes, np.zeros((len(INVARIANT_FIELDS),) + shape), 1)
+        kernels = native.PairKernels(*planes, 1)
         with np.errstate(all="ignore"):
             ref = varying_planes(p, q, e, g, *shifted)
-            got = native._call_pointwise_planes(native._load()[0], *planes, offsets)
             bound = stack_varying_fields(kernels, offsets)
         assert ref.shape == (len(offsets), 18) + shape
-        assert same_bits(ref, got)
+        assert same_bits(ref, bound)
+
+
+@st.composite
+def displaced_surfaces(draw, shape):
+    """:func:`after_surfaces` and ``(n, H, W)`` int64 per-pixel deltas
+    ``(delta_y, delta_x)`` up to +-3H / +-3W, negative ones included."""
+    h, w = shape
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    delta_y = rng.integers(-3 * h, 3 * h + 1, size=(n, h, w))
+    delta_x = rng.integers(-3 * w, 3 * w + 1, size=(n, h, w))
+    if draw(st.booleans()):  # small drifts around one hypothesis, as the search draws
+        delta_y = rng.integers(-2, 3) + rng.integers(-1, 2, size=(n, h, w))
+        delta_x = rng.integers(-2, 3) + rng.integers(-1, 2, size=(n, h, w))
+    planes = list(draw(after_surfaces(shape)))
+    for k, value in draw(st.lists(st.tuples(st.integers(0, 5), st.sampled_from(SPECIALS)),
+                                  max_size=2)):
+        planes[k] = np.full(shape, value)  # a whole plane of NaN, +-inf, a signed zero...
+    return tuple(planes), (delta_y, delta_x)
+
+
+class TestDeltaFieldBuild:
+    #: 1x1, 1xN, and rows that cross the 128-pixel tile mid-row.
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 31), (13, 17), (3, 50)])
+    @settings(FUZZ, max_examples=20)
+    @given(data=st.data())
+    def test_deltas_match_gathered_planes(self, shape, data):
+        planes, (delta_y, delta_x) = data.draw(displaced_surfaces(shape))
+        p, q, e, g, p_after, q_after = planes
+        h, w = shape
+        rows = (np.arange(h)[:, None] + delta_y) % h
+        cols = (np.arange(w) + delta_x) % w
+        kernels = native.PairKernels(*planes, 1)
+        hypotheses = [(0, 0)] * delta_y.shape[0]
+        with np.errstate(all="ignore"):
+            ref = varying_planes(p, q, e, g, p_after[rows, cols], q_after[rows, cols])
+            bound = stack_varying_fields(kernels, hypotheses, delta_y=delta_y, delta_x=delta_x)
+        assert ref.shape == (delta_y.shape[0], 18) + shape
         assert same_bits(ref, bound)
 
 
@@ -172,8 +222,8 @@ class TestMerge:
         ref = tuple(a.copy() for a in best)
         got = tuple(a.copy() for a in best)
         merge_best(error, params, rank, hypotheses, ref, pixels, *deltas)
-        native._call_merge_best(native._load()[0], error, params, rank, hypotheses, got, pixels,
-                                *deltas)
+        kernels = native.PairKernels(*np.zeros((6, 1, best[0].size)), 0)
+        native.merge_solved(kernels, error, params, rank, hypotheses, got, pixels, *deltas)
         for expected, actual in zip(ref, got):
             assert same_bits(expected, actual)
 
@@ -186,13 +236,11 @@ class TestVaryingBoxSum:
     )
     def test_box_sum_planes(self, n, h, w, half_width, data):
         planes = data.draw(planted((n, len(VARYING_FIELDS), h, w), scale=8.0))
-        side = 2 * half_width + 1
+        kernels = native.PairKernels(*np.zeros((6, h, w)), half_width)
         with np.errstate(all="ignore"):
             ref = box_sum_planes(planes, half_width)
-            got = native.native_box_sum_planes(planes, side, side)
-            dispatched = stack_box_sum(np.ascontiguousarray(planes), half_width)
-        assert same_bits(ref, got)
-        assert same_bits(ref, dispatched)
+            bound = stack_box_sum(np.ascontiguousarray(planes), half_width, out=kernels)
+        assert same_bits(ref, bound)
 
 
 @st.composite
@@ -237,14 +285,24 @@ class TestTwoBaseSolve:
         if lanes and lanes not in native._lane_widths(lib):
             pytest.skip(f"this CPU does not run {lanes} lanes")
         packed = split.packed()
-        pixels = data.draw(index_lists(packed[..., 0].size))
+        m = packed[..., 0].size
+        pixels = data.draw(index_lists(m))
+        # The bound solve takes non-negative indices, as many as its outputs hold.
+        flat = None if pixels is None else np.where(pixels < 0, pixels + m, pixels)
+        inner = m // split.varying.shape[0]
+        capacity = max(split.varying.shape[0], -(-(0 if flat is None else flat.size) // inner))
+        varying = np.empty((capacity,) + split.varying.shape[1:])
+        bound = native.BoundSums(varying, split.invariant).assign(split.varying)
         with np.errstate(all="ignore"):
             ref = solve_accumulated(split, ridge=ridge, prefer_native=False, pixels=pixels)
             params, error, singular = native._call_solve_packed(lib, split, ridge, pixels, lanes)
             one_base = native._call_solve_packed(lib, packed, ridge, pixels, lanes)
+            bound_params, bound_error, bound_singular = bound.solve(ridge, flat, lanes)
         assert same_bits(ref.params, params) and same_bits(ref.error, error)
         assert np.array_equal(ref.singular, singular)
         assert same_bits(one_base[0], params) and same_bits(one_base[1], error)
+        assert same_bits(ref.params, bound_params) and same_bits(ref.error, bound_error)
+        assert np.array_equal(ref.singular, bound_singular)
 
 
 @st.composite
