@@ -127,34 +127,27 @@ class MotionSolution:
     singular: np.ndarray
 
 
-def solve_accumulated(
-    fields: np.ndarray, ridge: float = 1e-9, prefer_native: bool = True, pixels=None
-) -> MotionSolution:
+def solve_accumulated(fields: np.ndarray, ridge: float = 1e-9, pixels=None) -> MotionSolution:
     """Minimize the accumulated template error (Step 2 of Section 2.2).
 
-    ``fields`` are template-summed packed fields: one ``(..., 28)``
-    array, or the hypothesis search's varying and invariant sums as a
-    :class:`~repro.kernels.reference.SplitSums` -- or as the
-    :class:`~repro.native.BoundSums` of a frame pair's bound kernels,
-    whose solve passes only the hypothesis count and ``pixels``.  A tiny
-    ridge term stabilizes near-degenerate patches without perturbing
-    well-conditioned solutions; set ``ridge=0`` for the strict paper
-    formulation.  ``pixels`` (flat indices over the leading axes)
-    solves only ``fields.reshape(-1, N_FIELDS)[pixels]``.  With
-    ``prefer_native`` (``backend="numpy"`` pins it False) and the
-    compiled library loaded, the whole solve runs in the fused native
-    kernel, bit-identical to the NumPy steps below and reading
-    ``fields`` through their strides, at ``pixels`` too, without a copy.
+    ``fields`` are template-summed packed fields:
+
+    * one ``(..., 28)`` array, or the hypothesis search's varying and
+      invariant sums as a :class:`~repro.kernels.reference.SplitSums`,
+      solved by the NumPy steps below;
+    * the :class:`~repro.native.BoundSums` of a frame pair's bound
+      kernels, solved in place by the fused native kernel (bit-identical
+      to those steps), which is passed only the hypothesis count and
+      ``pixels``.
+
+    A tiny ridge term stabilizes near-degenerate patches without
+    perturbing well-conditioned solutions; set ``ridge=0`` for the
+    strict paper formulation.  ``pixels`` (flat indices over the
+    leading axes) solves only ``fields.reshape(-1, N_FIELDS)[pixels]``.
     """
     if type(fields) is BoundSums:
         theta, error, singular = fields.solve(ridge, pixels)
         return MotionSolution(params=theta, error=error, singular=singular)
-    if prefer_native:
-        from ..native import native_available, native_solve_packed
-
-        if native_available():
-            theta, error, singular = native_solve_packed(fields, ridge, pixels)
-            return MotionSolution(params=theta, error=error, singular=singular)
     if isinstance(fields, SplitSums):
         fields = fields.packed()
     if pixels is not None:
@@ -190,18 +183,22 @@ def stack_varying_fields(
     return varying_planes(p, q, e, g, p_after, q_after)
 
 
-def stack_box_sum(planes: np.ndarray, half_width: int, out=None) -> np.ndarray:
-    """:func:`~repro.kernels.reference.box_sum_planes` of a ``(..., H, W)`` stack.
+def stack_box_sum(
+    planes: np.ndarray, half_y: int, half_x: int | None = None, out=None
+) -> np.ndarray:
+    """:func:`~repro.kernels.reference.box_sum_planes` of a ``(..., H, W)`` stack
+    over the ``(2half_y+1) x (2half_x+1)`` template (square when
+    ``half_x`` is None).
 
     With ``out``, a frame pair's bound :class:`~repro.native.PairKernels`
-    (built for ``half_width``), the pair's ``(10, H, W)`` invariant
+    (built for that template), the pair's ``(10, H, W)`` invariant
     planes or an ``(n, 18, H, W)`` varying stack are summed into its
     bound sums, by the native box sum when it is trusted, and the view
     written is returned (:meth:`PairKernels.box_sums`).
     """
     if out is not None:
         return out.box_sums(planes)
-    return box_sum_planes(planes, half_width)
+    return box_sum_planes(planes, half_y, half_x)
 
 
 def estimate_from_samples(
@@ -211,7 +208,8 @@ def estimate_from_samples(
 
     All inputs are 1-D arrays over the template pixels of one tracked
     pixel/hypothesis pair.  Used to validate the dense field/box-sum
-    path against a direct construction.
+    path against a direct construction, so it stays on NumPy: the sum
+    and the solve share no kernel with the dense path they check.
     """
     fields = pointwise_fields(p, q, p_after, q_after, e, g)
     return solve_accumulated(fields.sum(axis=0), ridge=ridge)

@@ -12,7 +12,7 @@ Two implementations are provided, mirroring the paper's own methodology
 for comparing the correctness of the parallel algorithm results"):
 
 * :func:`track_pixel` -- the direct, per-pixel reference: explicit
-  template sample lists, one hypothesis at a time.
+  template sample lists, one hypothesis at a time, on NumPy alone.
 
 * :func:`track_dense` -- the optimized dense path: because the template
   accumulation of eq. (3) is a box sum, the normal-equation fields for
@@ -293,23 +293,33 @@ class _HostEvaluator:
     displacement -- and the driver's merge runs in C (:func:`_merger`).
     ``backend="numpy"`` and an unloaded library leave ``kernels`` None
     and take the reference path: shifted or gathered copies, SciPy box
-    sums, fresh outputs and the NumPy merge.
+    sums, fresh outputs and the NumPy solve and merge.
+
+    ``template`` is the template's ``(half_y, half_x)``; the square
+    ``(n_zt, n_zt)`` of the configuration by default (the rectangular
+    templates of :mod:`repro.extensions.adaptive` pass their own).
     """
 
-    def __init__(self, prepared: PreparedFrames, ridge: float, prefer_native: bool = True):
+    def __init__(
+        self,
+        prepared: PreparedFrames,
+        ridge: float,
+        prefer_native: bool = True,
+        template: tuple[int, int] | None = None,
+    ):
         self.prepared = prepared
         self.ridge = ridge
-        self.prefer_native = prefer_native
-        self._last_acc = None
         n_zt = prepared.config.n_zt
+        self.template = (n_zt, n_zt) if template is None else template
+        self._last_acc = None
         self.kernels = None
         if prefer_native and native_available():
             geo_b, geo_a = prepared.geo_before, prepared.geo_after
             self.kernels = PairKernels(
-                geo_b.p, geo_b.q, geo_b.e, geo_b.g, geo_a.p, geo_a.q, n_zt
+                geo_b.p, geo_b.q, geo_b.e, geo_b.g, geo_a.p, geo_a.q, *self.template
             )
         self._invariant_acc = _kernel_box_sum_stack(
-            self._invariant_planes(), n_zt, out=self.kernels
+            self._invariant_planes(), *self.template, out=self.kernels
         )
         self._certificate = None  # (grid, its invariant window sums)
 
@@ -372,7 +382,7 @@ class _HostEvaluator:
         acc = grid.window_sums(pw[0])
         invariant = self._certificate[1]
         fields = SplitSums(acc, invariant) if self.kernels is None else invariant.assign(acc)
-        solution = solve_accumulated(fields, ridge=self.ridge, prefer_native=self.prefer_native)
+        solution = solve_accumulated(fields, ridge=self.ridge)
         # c, the last packed field, is the last varying one.
         grid_shape = acc.shape[1:]
         return (
@@ -394,16 +404,13 @@ class _HostEvaluator:
         pages back to the OS and fault them in again per hypothesis
         (2-3x the minor page faults, measured at 96 px).
         """
-        n_zt = self.prepared.config.n_zt
         if self.kernels is None:
-            acc = self._last_acc = _kernel_box_sum_stack(pw, n_zt)
+            acc = self._last_acc = _kernel_box_sum_stack(pw, *self.template)
             fields = SplitSums(acc, self._invariant_acc)
         else:
-            self._last_acc = _kernel_box_sum_stack(pw, n_zt, out=self.kernels)
+            self._last_acc = _kernel_box_sum_stack(pw, *self.template, out=self.kernels)
             fields = self.kernels.sums
-        solution = solve_accumulated(
-            fields, ridge=self.ridge, prefer_native=self.prefer_native, pixels=pixels
-        )
+        solution = solve_accumulated(fields, ridge=self.ridge, pixels=pixels)
         return solution.error, solution.params
 
 
@@ -789,7 +796,10 @@ def track_pixel(
     semi-fluid model pass the intensity discriminant fields so the
     per-pixel :func:`semifluid_map_pixel` can run without the dense
     precompute.  Wraps toroidally like the dense path; meaningful only
-    for interior pixels.
+    for interior pixels.  Every step runs on NumPy
+    (:func:`~repro.core.continuous.estimate_from_samples`), whatever the
+    backend, so the reference never shares a kernel with the dense
+    search it checks.
     """
     config = prepared.config
     geo_b, geo_a = prepared.geo_before, prepared.geo_after

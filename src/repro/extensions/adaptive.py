@@ -9,6 +9,10 @@ future work.  This module implements both:
 * :func:`box_sum_rect` / :func:`track_dense_rect` -- rectangular
   ``(2N_y+1) x (2N_x+1)`` z-templates (continuous model), useful when
   the motion or the cloud structure is anisotropic (e.g. shear bands).
+  The search is :func:`repro.core.matching.track_dense`'s exhaustive
+  one -- the same hypothesis driver, evaluator and kernels, native
+  when loaded -- with the template's two half-widths handed to its box
+  sums.
 * :func:`texture_energy` / :func:`select_window_sizes` /
   :func:`track_dense_adaptive` -- per-pixel template-size selection:
   each pixel uses the *smallest* template whose local texture energy
@@ -19,20 +23,20 @@ future work.  This module implements both:
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from ..core.continuous import N_FIELDS, pointwise_fields, solve_accumulated
-from ..core.matching import DenseMatchResult, PreparedFrames, hypothesis_order, valid_mask
-from ..core.semifluid import shift2d
-from ..kernels.reference import box_sum_rect  # noqa: F401  (re-exported API)
-
-
-def _fields_for_hypothesis(prepared: PreparedFrames, hyp_dy: int, hyp_dx: int) -> np.ndarray:
-    """Unaccumulated per-pixel fields for one continuous hypothesis."""
-    geo_b, geo_a = prepared.geo_before, prepared.geo_after
-    p_a = shift2d(geo_a.p, hyp_dy, hyp_dx)
-    q_a = shift2d(geo_a.q, hyp_dy, hyp_dx)
-    return pointwise_fields(geo_b.p, geo_b.q, p_a, q_a, geo_b.e, geo_b.g)
+from ..core.matching import (
+    DEFAULT_BATCH_BYTES,
+    DenseMatchResult,
+    PreparedFrames,
+    _exhaustive,
+    _HostEvaluator,
+    _search,
+    valid_mask,
+)
+from ..kernels.reference import box_sum_rect
 
 
 def track_dense_rect(
@@ -41,37 +45,19 @@ def track_dense_rect(
     """Dense continuous-model tracking with a rectangular z-template.
 
     The hypothesis search area stays square (``config.n_zs``); only the
-    template accumulation is rectangular.  Raises for the semi-fluid
-    model (the rectangular extension applies to the template sum).
+    template accumulation is rectangular, ``(2 half_y + 1) x (2 half_x +
+    1)``, and the valid mask keeps the margin of its longer side.
+    Bit-identical to the square search when ``half_y == half_x ==
+    n_zt``.  Raises for the semi-fluid model (the rectangular extension
+    applies to the template sum) and for negative half-widths.
     """
     config = prepared.config
     if config.is_semifluid:
         raise ValueError("rectangular templates are implemented for the continuous model")
-    shape = prepared.geo_before.shape
-    best_error = np.full(shape, np.inf)
-    best_u = np.zeros(shape)
-    best_v = np.zeros(shape)
-    best_params = np.zeros(shape + (6,))
-    for hyp_dy, hyp_dx in hypothesis_order(config.n_zs):
-        fields = _fields_for_hypothesis(prepared, hyp_dy, hyp_dx)
-        acc = np.empty_like(fields)
-        for k in range(N_FIELDS):
-            acc[..., k] = box_sum_rect(fields[..., k], half_y, half_x)
-        sol = solve_accumulated(acc, ridge=ridge)
-        better = sol.error < best_error
-        best_error = np.where(better, sol.error, best_error)
-        best_u = np.where(better, float(hyp_dx), best_u)
-        best_v = np.where(better, float(hyp_dy), best_v)
-        best_params = np.where(better[..., None], sol.params, best_params)
+    evaluator = _HostEvaluator(prepared, ridge, template=(half_y, half_x))
+    result = _search(evaluator, _exhaustive(prepared, DEFAULT_BATCH_BYTES))
     margin_cfg = config.replace(n_zt=max(half_y, half_x))
-    return DenseMatchResult(
-        u=best_u,
-        v=best_v,
-        params=best_params,
-        error=best_error,
-        valid=valid_mask(shape, margin_cfg),
-        hypotheses_evaluated=config.hypotheses_per_pixel,
-    )
+    return replace(result, valid=valid_mask(result.shape, margin_cfg))
 
 
 def texture_energy(image: np.ndarray, half_width: int) -> np.ndarray:
@@ -119,7 +105,8 @@ def track_dense_adaptive(
     Runs the dense matcher once per candidate template size and, per
     pixel, keeps the result of the window that
     :func:`select_window_sizes` assigned to it.  Returns the combined
-    result and the per-pixel window-size map.
+    result -- its hypothesis and GE counts summed over the candidate
+    searches -- and the per-pixel window-size map.
     """
     config = prepared.config
     if config.is_semifluid:
@@ -132,6 +119,7 @@ def track_dense_adaptive(
     v = np.zeros(shape)
     params = np.zeros(shape + (6,))
     error = np.full(shape, np.inf)
+    evaluated = solves = 0
     for hw in candidate_half_widths:
         sub = track_dense_rect(prepared, hw, hw, ridge=ridge)
         take = sizes == hw
@@ -139,6 +127,8 @@ def track_dense_adaptive(
         v[take] = sub.v[take]
         params[take] = sub.params[take]
         error[take] = sub.error[take]
+        evaluated += sub.hypotheses_evaluated
+        solves += sub.ge_solves
     margin_cfg = config.replace(n_zt=max(candidate_half_widths))
     result = DenseMatchResult(
         u=u,
@@ -146,6 +136,7 @@ def track_dense_adaptive(
         params=params,
         error=error,
         valid=valid_mask(shape, margin_cfg),
-        hypotheses_evaluated=config.hypotheses_per_pixel * len(candidate_half_widths),
+        hypotheses_evaluated=evaluated,
+        ge_solves=solves,
     )
     return result, sizes

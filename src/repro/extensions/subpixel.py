@@ -31,11 +31,12 @@ from dataclasses import replace
 import numpy as np
 
 from ..core.matching import (
+    DEFAULT_BATCH_BYTES,
     DenseMatchResult,
     PreparedFrames,
+    _exhaustive,
     _HostEvaluator,
-    hypothesis_order,
-    valid_mask,
+    _search,
 )
 
 #: Curvature floor below which a parabola is considered degenerate.
@@ -59,51 +60,44 @@ def parabolic_offset(e_minus: np.ndarray, e_zero: np.ndarray, e_plus: np.ndarray
     return np.clip(np.where(usable, offset, 0.0), -0.5, 0.5)
 
 
+class _VolumeEvaluator(_HostEvaluator):
+    """The host evaluator, also copying each solved chunk's template
+    errors into ``volume[dy + N_zs, dx + N_zs]``."""
+
+    def __init__(self, prepared: PreparedFrames, ridge: float, volume: np.ndarray) -> None:
+        super().__init__(prepared, ridge)
+        self.volume = volume
+        self._chunk = []
+
+    def stage(self, chunk):
+        self._chunk = chunk
+        return super().stage(chunk)
+
+    def solve(self, pw, pixels=None):
+        error, params = super().solve(pw, pixels)
+        n = self.prepared.config.n_zs
+        for (dy, dx), plane in zip(self._chunk, error):
+            self.volume[dy + n, dx + n] = plane
+        return error, params
+
+
 def track_dense_with_volume(
     prepared: PreparedFrames, ridge: float = 1e-9
 ) -> tuple[DenseMatchResult, np.ndarray]:
     """Dense tracking that also returns the full hypothesis error volume.
 
     The volume has shape ``(2N_zs+1, 2N_zs+1, H, W)`` indexed by
-    ``[dy + N_zs, dx + N_zs]``; identical winners to
-    :func:`repro.core.matching.track_dense` (same evaluator, evaluation
-    order and tie-breaks).  Every pixel solves every hypothesis, and
-    ``ge_solves`` says so.
+    ``[dy + N_zs, dx + N_zs]``; the result is
+    :func:`repro.core.matching.track_dense`'s exhaustive one (the same
+    driver, evaluator, evaluation order and tie-breaks), whose solves
+    the evaluator also copies into the volume.  Every pixel solves every
+    hypothesis, and ``ge_solves`` says so.
     """
-    config = prepared.config
-    shape = prepared.geo_before.shape
-    n = config.n_zs
+    n = prepared.config.n_zs
     side = 2 * n + 1
-    volume = np.empty((side, side) + shape, dtype=np.float64)
-    evaluator = _HostEvaluator(prepared, ridge)
-
-    best_error = np.full(shape, np.inf)
-    best_u = np.zeros(shape)
-    best_v = np.zeros(shape)
-    best_params = np.zeros(shape + (6,))
-    for hyp_dy, hyp_dx in hypothesis_order(n):
-        pw, delta_y, delta_x = evaluator.stage([(hyp_dy, hyp_dx)])
-        error, params = evaluator.solve(pw)
-        error = error[0]
-        volume[hyp_dy + n, hyp_dx + n] = error
-        better = error < best_error
-        best_error[better] = error[better]
-        best_params[better] = params[0][better]
-        if delta_y is None:
-            best_u[better] = float(hyp_dx)
-            best_v[better] = float(hyp_dy)
-        else:
-            best_u[better] = delta_x[0][better]
-            best_v[better] = delta_y[0][better]
-
-    result = DenseMatchResult(
-        u=best_u,
-        v=best_v,
-        params=best_params,
-        error=best_error,
-        valid=valid_mask(shape, config),
-        hypotheses_evaluated=side * side,
-        ge_solves=side * side * best_error.size,
+    volume = np.empty((side, side) + prepared.geo_before.shape, dtype=np.float64)
+    result = _search(
+        _VolumeEvaluator(prepared, ridge, volume), _exhaustive(prepared, DEFAULT_BATCH_BYTES)
     )
     return result, volume
 

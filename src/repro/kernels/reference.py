@@ -234,20 +234,11 @@ def box_sum_rect(field: np.ndarray, half_y: int, half_x: int) -> np.ndarray:
     """Box sum over a rectangular ``(2half_y+1) x (2half_x+1)`` window.
 
     Out-of-bounds contributions are zero (``mode='constant'``), which
-    only affects the masked border margin.  This is THE constant-padding
-    box sum of the codebase: :func:`box_sum` (square windows) and the
-    rectangular-template extension both delegate here, pinned by a
-    regression test.
+    only affects the masked border margin.  One field's
+    :func:`box_sum_planes`; :func:`box_sum` (square windows) and the
+    adaptive extension's texture energy call it.
     """
-    if half_y < 0 or half_x < 0:
-        raise ValueError("half-widths must be >= 0")
-    field = np.asarray(field, dtype=np.float64)
-    if half_y == 0 and half_x == 0:
-        return field.copy()
-    side_y, side_x = 2 * half_y + 1, 2 * half_x + 1
-    return ndimage.uniform_filter(
-        field, size=(side_y, side_x), mode="constant", cval=0.0
-    ) * float(side_y * side_x)
+    return box_sum_planes(field, half_y, half_x)
 
 
 def box_sum(field: np.ndarray, half_width: int) -> np.ndarray:
@@ -255,24 +246,30 @@ def box_sum(field: np.ndarray, half_width: int) -> np.ndarray:
     return box_sum_rect(field, half_width, half_width)
 
 
-def box_sum_planes(planes: np.ndarray, half_width: int) -> np.ndarray:
+def box_sum_planes(planes: np.ndarray, half_y: int, half_x: int | None = None) -> np.ndarray:
     """Box sum of every ``(H, W)`` plane of a ``(..., H, W)`` stack.
 
-    One separable uniform-filter sweep over the last two axes (a
-    cumulative sliding sum per axis in the scipy implementation, rows
-    then columns) shared by every hypothesis and every field; each
-    plane's arithmetic is that of :func:`box_sum` on it alone, whatever
-    else is stacked with it, so summing a stack is bit-identical to
-    summing its planes one at a time.
+    The window is ``(2half_y+1) x (2half_x+1)`` (square when ``half_x``
+    is None); negative half-widths are refused.  One separable
+    uniform-filter sweep over the last two axes (a cumulative sliding
+    sum per axis in the scipy implementation, rows then columns, an
+    axis with a one-pixel side skipped) shared by every hypothesis and
+    every field; each plane's arithmetic is that of :func:`box_sum_rect`
+    on it alone, whatever else is stacked with it, so summing a stack
+    is bit-identical to summing its planes one at a time.  This is THE
+    box sum of the codebase: every other one delegates here.
     """
+    half_x = half_y if half_x is None else half_x
+    if half_y < 0 or half_x < 0:
+        raise ValueError("half-widths must be >= 0")
     planes = np.asarray(planes, dtype=np.float64)
-    if half_width == 0:
+    if half_y == 0 and half_x == 0:
         return planes.copy()
-    side = 2 * half_width + 1
+    side_y, side_x = 2 * half_y + 1, 2 * half_x + 1
     summed = ndimage.uniform_filter(
-        planes, size=(1,) * (planes.ndim - 2) + (side, side), mode="constant", cval=0.0
+        planes, size=(1,) * (planes.ndim - 2) + (side_y, side_x), mode="constant", cval=0.0
     )
-    summed *= float(side * side)
+    summed *= float(side_y * side_x)
     return summed
 
 

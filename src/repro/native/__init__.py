@@ -8,31 +8,32 @@ SAME IEEE-754 arithmetic an order of magnitude faster.
 
 This package compiles :mod:`gauss.c` on demand with the system C compiler
 (no new dependencies, no NumPy headers -- the boundary is plain ``ctypes``)
-and exposes two one-shot entry points, each strictly bit-identical to the
-NumPy path it shadows:
+and exposes two entry points, each strictly bit-identical to the NumPy
+path it shadows:
 
-* :func:`native_gauss_eliminate` -- :func:`repro.core.linalg.gaussian_eliminate`;
-* :func:`native_solve_packed` -- :func:`repro.core.continuous.solve_accumulated`,
-  fused: it reads the 28 packed box sums in place through a per-field
-  table of (base, outer stride) -- one strided array, or a varying
-  stack plus invariant sums at outer stride 0 -- for every system or
-  the flat pixel indices it is given, builds each 6x6 system, solves it
-  and evaluates the minimized error in one pass, with none of the
-  reference's full-array temporaries.  On x86 CPUs with AVX2 or
-  AVX-512F it solves 4 or 8 systems in lockstep, one per vector lane;
-  :func:`native_solve_lanes` reports the width.
+* :func:`native_gauss_eliminate` -- one-shot,
+  :func:`repro.core.linalg.gaussian_eliminate`;
+* :class:`PairKernels` -- the hypothesis search's kernels, bound to one
+  frame pair.
 
-The hypothesis search reaches its kernels through one call path only:
+The hypothesis search reaches its kernels through that binding only:
 :class:`PairKernels` binds one frame pair's planes, output buffers and
 solve table (:class:`BoundSums`) once, and each hypothesis then passes
 only its offsets or semi-fluid deltas and its survivors.  Bound, the
 field build (:func:`repro.kernels.reference.varying_planes`) reads the
 pair's after planes in place -- at each hypothesis's toroidal offset,
 or at each pixel's own semi-fluid displacement -- the box sum replays
-SciPy's ``uniform_filter`` (:func:`repro.kernels.reference.box_sum_planes`),
-the solve is the two-base ``solve_packed`` above, and the search's
-(error, rank) merge, :func:`repro.kernels.reference.merge_best`, runs in
-C too.
+SciPy's ``uniform_filter`` (:func:`repro.kernels.reference.box_sum_planes`)
+over the template's rectangle, the template solve
+(:func:`repro.core.continuous.solve_accumulated` of a :class:`BoundSums`)
+reads the 18 varying box sums and the pair's 10 invariant ones in place
+through a per-field table of (plane base, outer stride) and, for every
+system or the flat survivor indices it is given, builds each 6x6
+system, solves it and evaluates the minimized error in one pass -- on
+x86 CPUs with AVX2 or AVX-512F 4 or 8 systems in lockstep, one per
+vector lane (:func:`native_solve_lanes` reports the width) -- and the
+search's (error, rank) merge, :func:`repro.kernels.reference.merge_best`,
+runs in C too.
 
 The contract holds because
 
@@ -43,14 +44,14 @@ The contract holds because
 * :func:`_self_check` verifies bitwise agreement on adversarial inputs
   (random, singular, NaN, infinity, signed zeros, denormals, windows
   longer than the image) before the library is ever trusted, through
-  the binding the search runs: the one-array template solve at every
-  lane width the CPU runs, and the bound two-base solve at each of them,
-  in full and through an index list; the field build's plane set
-  against :data:`repro.kernels.reference.VARYING_FIELDS`, the bound
-  field build at toroidal offsets and at per-pixel deltas; the bound
-  merge's ties, NaN errors, unsolved pixels and signed zeros; any
-  mismatch or build failure quietly disables it, and
-  :func:`native_status` names the entry.
+  the binding the search runs: the bound two-base template solve at
+  every lane width the CPU runs, in full and through an index list; the
+  field build's plane set against
+  :data:`repro.kernels.reference.VARYING_FIELDS`, the bound field build
+  at toroidal offsets and at per-pixel deltas; the bound merge's ties,
+  NaN errors, unsolved pixels and signed zeros; any mismatch or build
+  failure quietly disables it, and :func:`native_status` names the
+  entry.
 
 The box sum is the one exception to that all-or-nothing rule.  It
 answers to SciPy's *internal* running-sum arithmetic, which a SciPy
@@ -114,7 +115,6 @@ __all__ = [
     "native_box_sum_available",
     "native_gauss_eliminate",
     "native_solve_lanes",
-    "native_solve_packed",
     "native_status",
     "reset",
 ]
@@ -224,44 +224,31 @@ def _self_check(lib: ctypes.CDLL) -> None:
 
     from ..core.continuous import solve_accumulated
 
-    # Channels-last view of a channels-first buffer, read through its
-    # strides, and the hypothesis search's two-base split of the same
-    # rows, bound -- in full, and through an index list that puts every
-    # special row in every lane position.
-    packed = np.moveaxis(np.ascontiguousarray(adversarial_packed().T), 0, -1)
+    # The hypothesis search's two-base split of the adversarial rows,
+    # bound, at every lane width: in full, and through an index list
+    # that puts every special row in every lane position.
     split = adversarial_split()
     pixels = adversarial_pixels()
     capacity = -(-pixels.size // split.invariant.shape[-1])  # outputs for every index
     bound = BoundSums(
         np.empty((capacity,) + split.varying.shape[1:]), split.invariant, lib=lib
     ).assign(split.varying)
-    runs = [(packed, None, None)]  # the dispatched width first
-    for lanes in _lane_widths(lib):
-        runs += [(fields, lanes, at) for fields in (packed, bound) for at in (None, pixels)]
     for ridge in (1e-9, 0.0):
         with np.errstate(all="ignore"):
-            refs = {id(packed): solve_accumulated(packed, ridge=ridge, prefer_native=False),
-                    id(bound): solve_accumulated(split, ridge=ridge, prefer_native=False)}
-        for fields, lanes, at in runs:
-            ref = refs[id(fields)]
-            with np.errstate(all="ignore"):
-                if fields is bound:
+            ref = solve_accumulated(split, ridge=ridge)
+        for lanes in _lane_widths(lib):
+            for at in (None, pixels):
+                with np.errstate(all="ignore"):
                     nat = bound.solve(ridge, at, lanes)
-                elif lanes is None:
-                    nat = _call_solve_packed(lib, fields, ridge)
-                else:
-                    nat = _call_solve_packed(lib, fields, ridge, at, lanes)
-            at = slice(None) if at is None else at
-            if not (
-                same_bits(ref.params.reshape(-1, 6)[at], nat[0].reshape(-1, 6))
-                and same_bits(ref.error.reshape(-1)[at], nat[1].reshape(-1))
-                and np.array_equal(ref.singular.reshape(-1)[at], nat[2].reshape(-1))
-            ):
-                width = "" if lanes is None else f" at {lanes} lanes"
-                layout = "" if fields is packed else " on the two-base split"
-                raise AssertionError(
-                    f"native template solve disagrees with NumPy reference{layout}{width}"
-                )
+                rows = slice(None) if at is None else at
+                if not (
+                    same_bits(ref.params.reshape(-1, 6)[rows], nat[0].reshape(-1, 6))
+                    and same_bits(ref.error.reshape(-1)[rows], nat[1].reshape(-1))
+                    and np.array_equal(ref.singular.reshape(-1)[rows], nat[2].reshape(-1))
+                ):
+                    raise AssertionError(
+                        f"native template solve disagrees with NumPy reference at {lanes} lanes"
+                    )
 
     written = _FieldInts()
     count = lib.pointwise_varying_fields(written)
@@ -326,20 +313,24 @@ def merge_solved(
 
 
 def _box_sum_check(lib: ctypes.CDLL) -> str | None:
-    """Why the bound box sum disagrees with SciPy on adversarial planes, or None."""
+    """Why the bound box sum disagrees with SciPy on adversarial planes, or None.
+
+    Probes square templates and rectangular ones, a one-pixel side
+    included (that axis is not summed).
+    """
     stack = adversarial_box_stack()
-    for half in (1, 2, 4):
-        kernels = PairKernels(*np.zeros((6,) + stack.shape[2:]), half, lib=lib)
+    for half in ((1, 1), (2, 2), (4, 4), (1, 2), (4, 1), (0, 2), (2, 0)):
+        kernels = PairKernels(*np.zeros((6,) + stack.shape[2:]), *half, lib=lib)
         kernels._native_box_sum = True  # the C box sum, whatever the last load decided
         with np.errstate(all="ignore"):
-            ref = box_sum_planes(stack, half)
+            ref = box_sum_planes(stack, *half)
             nat = kernels.box_sums(stack)
         if not same_bits(ref, nat):
             import scipy
 
             return (
                 f"box_sum_planes disagrees with SciPy {scipy.__version__} "
-                f"uniform_filter at half-width {half}"
+                f"uniform_filter at half-widths {half}"
             )
     return None
 
@@ -553,123 +544,6 @@ def _call_kernel(
     )
 
 
-def _packed_bases(fields):
-    """The systems' shape and ``(array, field axis, packed indices)`` per base.
-
-    One base for a ``(..., 28)`` array; two for a
-    :class:`~repro.kernels.reference.SplitSums`, whose invariant base
-    lacks the varying stack's leading axes.
-    """
-    if isinstance(fields, SplitSums):
-        varying = np.asarray(fields.varying, dtype=np.float64)
-        invariant = np.asarray(fields.invariant, dtype=np.float64)
-        axis = varying.ndim - invariant.ndim
-        if not (
-            axis >= 0 and varying.shape[axis] == len(VARYING_FIELDS)
-            and invariant.shape[0] == len(INVARIANT_FIELDS)
-            and varying.shape[axis + 1 :] == invariant.shape[1:]
-        ):
-            raise ValueError(
-                f"expected (..., 18, *S) varying and (10, *S) invariant sums, got "
-                f"{varying.shape} and {invariant.shape}"
-            )
-        shape = varying.shape[:axis] + varying.shape[axis + 1 :]
-        return shape, [(varying, axis, VARYING_FIELDS), (invariant, 0, INVARIANT_FIELDS)]
-    fields = np.asarray(fields, dtype=np.float64)
-    if fields.ndim == 0 or fields.shape[-1] != _N_FIELDS:
-        raise ValueError(f"expected 28 packed fields, got shape {fields.shape}")
-    return fields.shape[:-1], [(fields, fields.ndim - 1, range(_N_FIELDS))]
-
-
-def _solve_table(shape: tuple[int, ...], bases):
-    """``solve_packed``'s ``(base, outer_stride, outer, inner, pixel_stride)``.
-
-    Axis 0 of the systems is the outer level, with each base's own
-    stride (0 where a base lacks it: the invariant sums under a
-    hypothesis stack); the axes after it must walk one strided run with
-    one pixel stride in every base -- true of any contiguous array, a
-    box sum's channels-last view, a gathered survivor subset and the
-    search's two bases.  Fewer than two system axes are one outer
-    level.  Strides are in doubles.  None means a copy is needed.
-    """
-    ndim = max(len(shape), 2)
-    shape = (1,) * (ndim - len(shape)) + tuple(shape)
-    addresses = [0] * _N_FIELDS
-    outer_strides = [0] * _N_FIELDS
-    pixel_stride = None
-    for array, axis, packed in bases:
-        strides = array.strides
-        if any(s % _STEP for s in strides):
-            return None
-        strides = (0,) * (ndim + 1 - len(strides)) + strides[:axis] + strides[axis + 1 :]
-        axes = [(n, s) for n, s in zip(shape[1:], strides[1:]) if n != 1]
-        if any(outer != n * inner for (_, outer), (n, inner) in zip(axes, axes[1:])):
-            return None
-        stride = axes[-1][1] // _STEP if axes else 0
-        if pixel_stride not in (None, stride):
-            return None
-        pixel_stride = stride
-        data, field_stride = array.ctypes.data, array.strides[axis]
-        for j, k in enumerate(packed):
-            addresses[k] = data + j * field_stride
-            outer_strides[k] = strides[0] // _STEP
-    return (
-        _FieldAddresses(*addresses), _FieldInts(*outer_strides),
-        shape[0], prod(shape[1:]), pixel_stride,
-    )
-
-
-def _call_solve_packed(
-    lib: ctypes.CDLL, fields, ridge: float, pixels=None, lanes: int = 0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``solve_packed`` on ``fields``, or at flat indices ``pixels`` over them.
-
-    ``fields`` is one ``(..., 28)`` array or a
-    :class:`~repro.kernels.reference.SplitSums`.  ``lanes`` picks the
-    kernel body: 0 the widest the CPU runs, else 1, 4 or 8 (the
-    self-check and the tests pin each width in turn).
-    """
-    shape, bases = _packed_bases(fields)
-    m = prod(shape)
-    index = None
-    if pixels is None:
-        batch_shape = shape
-    else:
-        index = np.asarray(pixels)
-        if index.dtype.kind not in "iu":
-            raise TypeError(f"pixels must be integer indices, got {index.dtype}")
-        if index.size and (index.min() < -m or index.max() >= m):
-            raise IndexError(f"pixel index out of range for {m} systems")
-        batch_shape = index.shape
-        index = np.ascontiguousarray(np.where(index < 0, index + m, index).ravel(), dtype=np.intp)
-    count = prod(batch_shape)
-    theta = np.empty((count, 6), dtype=np.float64)
-    error = np.empty(count, dtype=np.float64)
-    singular = np.empty(count, dtype=np.uint8)
-    if count:
-        table = _solve_table(shape, bases)
-        if table is None:
-            packed = fields.packed() if len(bases) > 1 else bases[0][0]
-            shape, bases = _packed_bases(np.ascontiguousarray(packed))
-            table = _solve_table(shape, bases)
-        status = lib.solve_packed(
-            *table,
-            None if index is None else index.ctypes.data,
-            ctypes.c_ssize_t(count),
-            ctypes.c_double(ridge),
-            _doubles(theta), _doubles(error),
-            singular.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
-            ctypes.c_int(lanes),
-        )
-        if status == -1:
-            raise ValueError(f"solve_packed cannot run {lanes} lanes on this CPU")
-    return (
-        theta.reshape(batch_shape + (6,)),
-        error.reshape(batch_shape)[()],
-        singular.view(np.bool_).reshape(batch_shape),
-    )
-
-
 def _lane_widths(lib: ctypes.CDLL) -> tuple[int, ...]:
     """The ``solve_packed`` widths this CPU runs, narrowest first."""
     mask = lib.solve_lane_widths()
@@ -690,9 +564,10 @@ class BoundSums:
     hypotheses hold the sums last written; ``invariant`` is the frame
     pair's ``(10, *S)`` sums, read at outer stride 0 (a contiguous
     float64 buffer is bound itself, so sums written into it later are
-    read too).  The field table -- its invariant half included -- and
-    the ``theta``/``error``/``singular`` outputs of ``capacity``
-    hypotheses are built here, once, so a solve
+    read too).  The field table -- one plane base and outer stride per
+    packed field, its invariant half included -- and the
+    ``theta``/``error``/``singular`` outputs of ``capacity`` hypotheses
+    are built here, once, so a solve
     (:func:`repro.core.continuous.solve_accumulated` of this object)
     passes only the hypothesis count and the survivor list.  ``lib`` is
     the loaded library (the load-time self-check passes the one it
@@ -706,13 +581,28 @@ class BoundSums:
             raise ValueError("the varying sums buffer must be contiguous float64")
         self.varying = varying
         self.invariant = np.ascontiguousarray(invariant, dtype=np.float64)
+        if not (
+            varying.ndim >= 2 and varying.shape[1] == len(VARYING_FIELDS)
+            and self.invariant.shape == (len(INVARIANT_FIELDS),) + varying.shape[2:]
+        ):
+            raise ValueError(
+                f"expected (n, 18, *S) varying and (10, *S) invariant sums, got "
+                f"{varying.shape} and {self.invariant.shape}"
+            )
         self.n = 0
-        shape = varying.shape[:1] + varying.shape[2:]
-        _, bases = _packed_bases(SplitSums(varying, self.invariant))
-        self._addresses, self._outer_strides, capacity, self.systems, self._pixel_stride = (
-            _solve_table(shape, bases)
-        )
-        count = capacity * self.systems
+        #: Systems per hypothesis, ``prod(S)``: the planes' length.
+        self.systems = prod(varying.shape[2:])
+        plane = self.systems * _STEP
+        addresses = [0] * _N_FIELDS
+        outer_strides = [0] * _N_FIELDS
+        for j, k in enumerate(VARYING_FIELDS):
+            addresses[k] = varying.ctypes.data + j * plane
+            outer_strides[k] = len(VARYING_FIELDS) * self.systems
+        for j, k in enumerate(INVARIANT_FIELDS):
+            addresses[k] = self.invariant.ctypes.data + j * plane
+        self._addresses = _FieldAddresses(*addresses)
+        self._outer_strides = _FieldInts(*outer_strides)
+        count = varying.shape[0] * self.systems
         self.theta = np.empty((count, 6), dtype=np.float64)
         self.error = np.empty(count, dtype=np.float64)
         self.singular = np.empty(count, dtype=np.uint8)
@@ -738,10 +628,10 @@ class BoundSums:
         indices over the ``n * prod(S)`` systems, as a contiguous
         ``np.intp`` array (what ``np.flatnonzero`` returns); the kernel
         refuses one out of range, and more indices than the bound
-        outputs hold are refused.  ``lanes`` picks the kernel body as in
-        :func:`_call_solve_packed` (the self-check pins each width).
-        The results are views of the bound outputs, overwritten by the
-        next solve.
+        outputs hold are refused.  ``lanes`` picks the kernel body: 0
+        the widest the CPU runs, else 1, 4 or 8 (the self-check and the
+        tests pin each width in turn).  The results are views of the
+        bound outputs, overwritten by the next solve.
         """
         if pixels is None:
             count, shape = self.n * self.systems, (self.n,) + self.varying.shape[2:]
@@ -751,11 +641,14 @@ class BoundSums:
             count, shape = pixels.size, pixels.shape
             if count > self.error.size:
                 raise ValueError(f"{count} pixels overflow the {self.error.size} bound outputs")
-        if count and self._solve_packed(
+        status = count and self._solve_packed(
             self._addresses, self._outer_strides, self.n, self.systems,
-            self._pixel_stride, None if pixels is None else pixels.ctypes.data, count,
-            ridge, *self._outputs, lanes,
-        ):
+            1,  # pixel stride: the bound planes are contiguous
+            None if pixels is None else pixels.ctypes.data, count, ridge, *self._outputs, lanes,
+        )
+        if status == -1:
+            raise ValueError(f"solve_packed cannot run {lanes} lanes on this CPU")
+        if status:
             raise IndexError(f"pixel index out of range for {self.n * self.systems} systems")
         return (
             self.theta[:count].reshape(shape + (6,)),
@@ -769,13 +662,14 @@ class PairKernels:
 
     Built by the hypothesis search per frame pair from the pair's
     ``(H, W)`` before planes ``p, q, e, g``, its after planes ``p_after,
-    q_after`` and the template half-width.  It keeps the contiguous
-    planes, the pair's invariant sums, output buffers for the largest
-    chunk seen so far (the 18-plane varying stack and, in :attr:`sums`,
-    its box sums and the solve's outputs) and every native argument
-    that does not change from one hypothesis to the next, so a
-    hypothesis's calls pass only its offsets or deltas and its survivor
-    list:
+    q_after`` and the template's half-widths ``half_y`` and ``half_x``
+    (square when ``half_x`` is None; negative ones are refused).  It
+    keeps the contiguous planes, the pair's invariant sums, output
+    buffers for the largest chunk seen so far (the 18-plane varying
+    stack and, in :attr:`sums`, its box sums and the solve's outputs)
+    and every native argument that does not change from one hypothesis
+    to the next, so a hypothesis's calls pass only its offsets or deltas
+    and its survivor list:
 
     * :meth:`fields` -- the varying stack of a chunk of ``(dy, dx)``
       hypotheses, read from the after planes in place (no shifted or
@@ -793,7 +687,12 @@ class PairKernels:
     :func:`native_available` first.
     """
 
-    def __init__(self, p, q, e, g, p_after, q_after, half_width: int, *, lib=None) -> None:
+    def __init__(
+        self, p, q, e, g, p_after, q_after, half_y: int, half_x: int | None = None, *, lib=None
+    ) -> None:
+        half_x = half_y if half_x is None else half_x
+        if half_y < 0 or half_x < 0:
+            raise ValueError(f"template half-widths must be >= 0, got ({half_y}, {half_x})")
         self._lib = _require() if lib is None else lib
         self._planes = [
             np.ascontiguousarray(a, dtype=np.float64) for a in (p, q, e, g, p_after, q_after)
@@ -803,8 +702,9 @@ class PairKernels:
             raise ValueError("expected equally shaped (H, W) before and after planes")
         self._pointwise_args = tuple(_doubles(a) for a in self._planes)
         self._invariant = np.zeros((len(INVARIANT_FIELDS),) + self.shape)
-        self._side = 2 * half_width + 1
-        self._native_box_sum = _box_sum_reason is None and half_width > 0
+        self.template = (half_y, half_x)
+        # A 1x1 template sums nothing: box_sum_planes copies it.
+        self._native_box_sum = _box_sum_reason is None and max(half_y, half_x) > 0
         self._best = None
         self.capacity = 0
         self._reserve(1)
@@ -876,14 +776,15 @@ class PairKernels:
             raise ValueError(f"expected a contiguous float64 {out.shape} stack")
         if self._native_box_sum:
             h, w = self.shape
+            half_y, half_x = self.template
             status = self._lib.box_sum_planes(
                 planes.ctypes.data, out.ctypes.data, planes.size // (h * w), h, w,
-                self._side, self._side,
+                2 * half_y + 1, 2 * half_x + 1,
             )
             if status:
                 raise MemoryError("box_sum_planes could not allocate its line buffers")
         else:
-            np.copyto(out, box_sum_planes(planes, self._side // 2))
+            np.copyto(out, box_sum_planes(planes, *self.template))
         if not invariant:
             self.sums.n = planes.shape[0]
         return out
@@ -1076,25 +977,6 @@ def native_gauss_eliminate(
     if lib is None:
         raise RuntimeError(f"native kernel unavailable: {reason}")
     return _call_kernel(lib, matrices, rhs)
-
-
-def native_solve_packed(
-    fields, ridge: float, pixels=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(params, error, singular)`` of packed template sums.
-
-    ``fields`` is one ``(..., 28)`` array or a
-    :class:`~repro.kernels.reference.SplitSums` (a varying and an
-    invariant base).  Bit-identical to ``solve_accumulated(fields,
-    ridge, prefer_native=False)``; with ``pixels`` (flat indices over
-    the systems) to solving those systems alone, without gathering
-    them.  Strided float64 bases that share one pixel walk are read in
-    place.  Caller must check availability first.
-    """
-    lib, reason = _load()
-    if lib is None:
-        raise RuntimeError(f"native kernel unavailable: {reason}")
-    return _call_solve_packed(lib, fields, ridge, pixels)
 
 
 def native_solve_lanes() -> int:

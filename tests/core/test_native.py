@@ -36,6 +36,7 @@ from repro.kernels.reference import (
     varying_planes,
 )
 from repro.native import (
+    BoundSums,
     PairKernels,
     adversarial_box_stack,
     adversarial_packed,
@@ -45,7 +46,6 @@ from repro.native import (
     native_available,
     native_box_sum_available,
     native_gauss_eliminate,
-    native_solve_packed,
     native_status,
     same_bits,
 )
@@ -112,14 +112,47 @@ class TestBitIdentity:
         assert via_dispatch[0].tobytes() == direct[0].tobytes()
 
 
+def _bind(fields, count: int = 0) -> BoundSums:
+    """Packed sums bound for the fused solve: an ``(..., 28)`` array as
+    a capacity-1 :class:`BoundSums` -- varying ``(1, 18, m)``, invariant
+    ``(10, m)`` -- and a :class:`SplitSums` as its own two bases; the
+    capacity grows to give ``count`` pixel indices their outputs."""
+    if not isinstance(fields, SplitSums):
+        rows = np.asarray(fields, dtype=np.float64).reshape(-1, N_FIELDS)
+        fields = SplitSums(rows[:, VARYING_FIELDS].T[None], rows[:, INVARIANT_FIELDS].T)
+    invariant = fields.invariant
+    varying = np.ascontiguousarray(fields.varying).reshape(
+        (-1, len(VARYING_FIELDS)) + invariant.shape[1:]
+    )
+    capacity = max(varying.shape[0], -(-count // max(invariant[0].size, 1)))
+    buffer = np.empty((capacity,) + varying.shape[1:])
+    return BoundSums(buffer, invariant).assign(varying)
+
+
+def _solve_at(fields, ridge, pixels=None, lanes=0):
+    """The bound solve of ``fields`` (:func:`_bind`) pinned to one kernel
+    width (0: the dispatched one), at flat ``pixels`` as NumPy indexes
+    them (negative ones count from the end)."""
+    if pixels is None:
+        return _bind(fields).solve(ridge, None, lanes)
+    bound = _bind(fields, pixels.size)
+    m = bound.n * bound.systems
+    pixels = np.ascontiguousarray(np.where(pixels < 0, pixels + m, pixels), dtype=np.intp)
+    return bound.solve(ridge, pixels, lanes)
+
+
+def _assert_solved_alike(ref, params, error, singular, what=""):
+    """The NumPy solve ``ref`` and the bound one, flat, bit for bit."""
+    assert same_bits(ref.params.reshape(-1, 6), params.reshape(-1, 6)), f"params{what}"
+    assert same_bits(ref.error.reshape(-1), error.reshape(-1)), f"error{what}"
+    assert ref.singular.dtype == singular.dtype == bool
+    np.testing.assert_array_equal(ref.singular.reshape(-1), singular.reshape(-1), err_msg=what)
+
+
 def _assert_fused_matches(fields, ridge):
     with np.errstate(all="ignore"):
-        ref = solve_accumulated(fields, ridge=ridge, prefer_native=False)
-        params, error, singular = native_solve_packed(fields, ridge)
-    assert same_bits(ref.params, params)
-    assert same_bits(ref.error, error)
-    assert ref.singular.dtype == singular.dtype == bool
-    np.testing.assert_array_equal(ref.singular, singular)
+        ref = solve_accumulated(fields, ridge=ridge)
+        _assert_solved_alike(ref, *_solve_at(fields, ridge))
     return ref
 
 
@@ -188,57 +221,57 @@ class TestFusedTemplateSolve:
         assert (ref.error == 0.0).all() and not np.signbit(ref.error).any()
 
     @pytest.mark.parametrize("ridge", [1e-9, 0.0])
-    def test_channels_last_view_of_channels_first(self, ridge):
-        rng = np.random.default_rng(8)
-        first = rng.normal(size=(3, N_FIELDS, 12, 10))
-        first[1, :, 4, 4] = 0.0
-        first[2, 7, 2, 3] = np.nan
-        view = np.moveaxis(first, 1, 3)
-        assert not view.flags.c_contiguous
-        _assert_fused_matches(view, ridge)
-        _assert_fused_matches(view[:1], ridge)
-
-    @pytest.mark.parametrize("ridge", [1e-9, 0.0])
     def test_survivor_subset(self, ridge):
         rng = np.random.default_rng(12)
-        view = np.moveaxis(rng.normal(size=(1, N_FIELDS, 16, 16)), 1, 3)
+        fields = rng.normal(size=(256, N_FIELDS))
         survivors = np.flatnonzero(rng.random(256) < 0.3)
-        _assert_fused_matches(view.reshape(-1, N_FIELDS)[survivors], ridge)
+        with np.errstate(all="ignore"):
+            ref = solve_accumulated(fields, ridge=ridge, pixels=survivors)
+            _assert_solved_alike(ref, *_solve_at(fields, ridge, survivors))
 
     def test_strided_and_single_systems(self):
+        """Every third row, the rows reversed (special rows last), and one
+        system alone: a binding of a single pixel."""
         fields = adversarial_packed(64, seed=2)
         _assert_fused_matches(fields[::3], 1e-9)
         _assert_fused_matches(fields[::-1], 1e-9)
         single = _assert_fused_matches(fields[20], 1e-9)
         assert np.ndim(single.error) == 0
+        assert _bind(fields[20]).systems == 1
 
     def test_empty_batch(self):
-        params, error, singular = native_solve_packed(np.zeros((0, 5, N_FIELDS)), 1e-9)
-        assert params.shape == (0, 5, 6) and error.shape == singular.shape == (0, 5)
+        bound = _bind(adversarial_packed(16))
+        params, error, singular = bound.solve(1e-9, np.array([], dtype=np.intp))
+        assert params.shape == (0, 6) and error.shape == singular.shape == (0,)
+        bound.n = 0  # no hypothesis written
+        params, error, singular = bound.solve(1e-9)
+        assert params.shape == (0, 16, 6) and error.shape == singular.shape == (0, 16)
 
     def test_dispatch_uses_fused_kernel_by_default(self, monkeypatch):
-        from repro import native
-
+        """``solve_accumulated`` hands a ``BoundSums`` to its fused solve,
+        survivors ungathered, and solves arrays and ``SplitSums`` on NumPy."""
         calls = []
+        real = BoundSums.solve
 
-        def spy(fields, ridge, pixels=None):
-            calls.append((fields.shape, None if pixels is None else list(pixels)))
-            return native_solve_packed(fields, ridge, pixels)
+        def spy(self, ridge, pixels=None, lanes=0):
+            calls.append(None if pixels is None else list(pixels))
+            return real(self, ridge, pixels, lanes)
 
-        monkeypatch.setattr(native, "native_solve_packed", spy)
+        monkeypatch.setattr(BoundSums, "solve", spy)
         fields = adversarial_packed(32, seed=6)
-        via_dispatch = solve_accumulated(fields)
-        assert calls == [(fields.shape, None)]
-        direct = native_solve_packed(fields, 1e-9)
-        assert via_dispatch.params.tobytes() == direct[0].tobytes()
-        assert via_dispatch.error.tobytes() == direct[1].tobytes()
-        at = solve_accumulated(fields, pixels=np.array([5, 1]))
-        assert calls[1] == (fields.shape, [5, 1]), "pixels must reach the kernel ungathered"
-        assert at.error.tobytes() == direct[1][[5, 1]].tobytes()
+        bound = _bind(fields)
         with np.errstate(all="ignore"):
-            solve_accumulated(fields, prefer_native=False)
-            solve_accumulated(fields, prefer_native=False, pixels=np.array([5, 1]))
-        assert len(calls) == 2, "prefer_native=False must stay on the NumPy path"
+            reference = solve_accumulated(fields)
+            solve_accumulated(fields, pixels=np.array([5, 1]))
+            solve_accumulated(adversarial_split())
+            assert calls == [], "arrays and SplitSums must stay on the NumPy path"
+            via_dispatch = solve_accumulated(bound)
+            assert calls == [None]
+            assert same_bits(via_dispatch.params[0], reference.params)
+            assert same_bits(via_dispatch.error[0], reference.error)
+            at = solve_accumulated(bound, pixels=np.array([5, 1], dtype=np.intp))
+        assert calls[1] == [5, 1], "pixels must reach the kernel ungathered"
+        assert same_bits(at.error, reference.error[[5, 1]])
 
     def test_wrong_field_count_rejected(self):
         with pytest.raises(ValueError, match="28 packed fields"):
@@ -251,24 +284,14 @@ def _lane_widths() -> tuple[int, ...]:
     return native._lane_widths(native._load()[0])
 
 
-def _solve_at(fields, ridge, pixels=None, lanes=0):
-    """The fused solve pinned to one kernel width (0: the dispatched one)."""
-    from repro import native
-
-    return native._call_solve_packed(native._load()[0], fields, ridge, pixels, lanes)
-
-
 def _assert_lanes_match(fields, ridge, pixels=None):
     """Every width the CPU runs, scalar and the dispatched one included,
     against the NumPy reference, bit for bit."""
     with np.errstate(all="ignore"):
-        ref = solve_accumulated(fields, ridge=ridge, prefer_native=False, pixels=pixels)
+        ref = solve_accumulated(fields, ridge=ridge, pixels=pixels)
         for lanes in (0,) + _lane_widths():
-            params, error, singular = _solve_at(fields, ridge, pixels, lanes)
-            assert same_bits(ref.params, params), f"params at {lanes} lanes"
-            assert same_bits(ref.error, error), f"error at {lanes} lanes"
-            assert singular.dtype == bool
-            np.testing.assert_array_equal(ref.singular, singular, err_msg=f"{lanes} lanes")
+            solved = _solve_at(fields, ridge, pixels, lanes)
+            _assert_solved_alike(ref, *solved, f" at {lanes} lanes")
     return ref
 
 
@@ -290,7 +313,7 @@ def _special_tiles(width: int = 8) -> np.ndarray:
 class TestLaneSolve:
     """The lane-parallel bodies against the NumPy reference at every width
     the CPU runs, plus forced scalar: tails, lane positions, index lists
-    and layouts."""
+    and multi-hypothesis chunks."""
 
     def test_widths(self):
         from repro import native
@@ -307,9 +330,7 @@ class TestLaneSolve:
         # Well-posed rows first, the special rows in the short last group.
         fields = np.roll(adversarial_packed(40, seed=m), m // 2, axis=0)[:m]
         _assert_lanes_match(fields, ridge)
-        _assert_lanes_match(fields[::-1], ridge)  # negative pixel stride
-        view = np.moveaxis(np.ascontiguousarray(fields.T), 0, -1)
-        _assert_lanes_match(view, ridge)
+        _assert_lanes_match(fields[::-1], ridge)  # special rows first
 
     @pytest.mark.parametrize("ridge", [1e-9, 0.0])
     def test_special_system_in_every_lane(self, ridge):
@@ -320,8 +341,6 @@ class TestLaneSolve:
         ref = _assert_lanes_match(tiles, ridge)
         assert np.isnan(ref.error).any() and not np.isnan(ref.error).all()
         assert ref.singular.any() == (ridge == 0.0)
-        view = np.moveaxis(np.ascontiguousarray(tiles.T), 0, -1)
-        _assert_lanes_match(view, ridge)
         _assert_lanes_match(tiles[1:], ridge)  # every tile straddles two groups
 
     @pytest.mark.parametrize("ridge", [1e-9, 0.0])
@@ -331,8 +350,8 @@ class TestLaneSolve:
         first[0, :, 2, 3] = 0.0
         first[0, 4, 5, 5] = np.nan
         first[0, 27, 8, 10] = -first[0, 27, 8, 10] - 1e6
-        view = np.moveaxis(first, 1, 3)
-        last = view[0].size // N_FIELDS - 1
+        fields = np.moveaxis(first, 1, 3).reshape(-1, N_FIELDS)
+        last = fields.shape[0] - 1
         for pixels in (
             np.array([], dtype=np.intp),
             np.array([last]),
@@ -342,41 +361,34 @@ class TestLaneSolve:
             np.arange(last + 1),
             np.array([-1, -last - 1]),
         ):
-            _assert_lanes_match(view, ridge, pixels)
-        params, error, singular = native_solve_packed(view, ridge, np.array([], dtype=np.intp))
+            _assert_lanes_match(fields, ridge, pixels)
+        bound = _bind(fields)
+        params, error, singular = bound.solve(ridge, np.array([], dtype=np.intp))
         assert params.shape == (0, 6) and error.shape == singular.shape == (0,)
         with pytest.raises(IndexError):
-            native_solve_packed(view, ridge, np.array([last + 1]))
+            bound.solve(ridge, np.array([last + 1], dtype=np.intp))
 
     def test_index_list_of_special_tiles(self):
         from repro.native import adversarial_pixels
 
         packed = adversarial_packed()
-        view = np.moveaxis(np.ascontiguousarray(packed.T), 0, -1)
         pixels = adversarial_pixels()
         for ridge in (1e-9, 0.0):
-            _assert_lanes_match(view, ridge, pixels)
+            _assert_lanes_match(packed, ridge, pixels)
             _assert_lanes_match(packed, ridge, pixels[::-1])
 
     @pytest.mark.parametrize("ridge", [1e-9, 0.0])
     def test_multi_hypothesis_chunk(self, ridge):
-        """``outer > 1``: a (n, H, W, 28) exhaustive chunk whose rows are
-        no multiple of any width, so lane groups span two hypotheses."""
+        """``outer > 1``: an exhaustive chunk of three hypotheses on 5x7
+        pixels, no multiple of any width, so lane groups span two
+        hypotheses."""
         rng = np.random.default_rng(32)
         first = rng.normal(size=(3, N_FIELDS, 5, 7)) * np.exp(rng.normal(size=(3, 1, 5, 7)))
-        first[1, :, 4, 6] = 0.0
-        first[2, 0, 0, 0] = np.inf
-        view = np.moveaxis(first, 1, 3)
-        _assert_lanes_match(view, ridge)
-        _assert_lanes_match(view, ridge, np.array([104, 0, 35, 34, 70, 69, 36, 104]))
-        _assert_lanes_match(np.ascontiguousarray(view), ridge)
-
-    def test_strided_inputs(self):
-        fields = _special_tiles(4)
-        for ridge in (1e-9, 0.0):
-            _assert_lanes_match(fields[::3], ridge)
-            _assert_lanes_match(fields[:, None, :][::2], ridge)
-            _assert_lanes_match(fields[::2], ridge, np.arange(0, 60, 7))
+        first[:, :, 4, 6] = 0.0  # one all-zero system per hypothesis
+        first[2, VARYING_FIELDS[0], 0, 0] = np.inf
+        split = SplitSums(first[:, VARYING_FIELDS], first[0, INVARIANT_FIELDS])
+        _assert_lanes_match(split, ridge)
+        _assert_lanes_match(split, ridge, np.array([104, 0, 35, 34, 70, 69, 36, 104]))
 
     def test_luis_box_sums(self, prepared_continuous):
         """Box sums of one real hypothesis, in full and at survivors: the
@@ -395,19 +407,16 @@ class TestLaneSolve:
 
 @needs_native
 class TestTwoBaseSolve:
-    """``solve_packed`` through its per-field table: a varying stack and
-    invariant sums at outer stride 0, against the NumPy reference on the
-    packed array they stand for, at every lane width."""
+    """``solve_packed`` through the bound per-field table: a varying
+    stack and invariant sums at outer stride 0, against the NumPy
+    reference on the packed array they stand for, at every lane width."""
 
     @pytest.mark.parametrize("ridge", [1e-9, 0.0])
     def test_adversarial_split(self, ridge):
-        from repro import native
-
         split = adversarial_split()
-        _, outer_strides, outer, inner, pixel_stride = native._solve_table(
-            *native._packed_bases(split)
-        )
-        assert (outer, inner, pixel_stride) == (2, 64, 1)
+        bound = _bind(split)
+        assert (bound.n, bound.systems) == (2, 64)
+        outer_strides = bound._outer_strides
         assert [outer_strides[k] for k in INVARIANT_FIELDS] == [0] * len(INVARIANT_FIELDS)
         assert {outer_strides[k] for k in VARYING_FIELDS} == {len(VARYING_FIELDS) * 64}
         ref = _assert_lanes_match(split, ridge)
@@ -433,29 +442,16 @@ class TestTwoBaseSolve:
             _assert_lanes_match(split, ridge)
             _assert_lanes_match(split, ridge, np.arange(outer * inner)[::-1])
 
-    def test_strided_varying_base(self):
-        """A varying base read through a pixel stride other than 1, and
-        planes that share no pixel walk (copied, same bits)."""
-        rng = np.random.default_rng(34)
-        varying = rng.normal(size=(2, len(VARYING_FIELDS), 6, 10))
-        invariant = rng.normal(size=(len(INVARIANT_FIELDS), 6, 10)) ** 2
-        for ridge in (1e-9, 0.0):
-            _assert_lanes_match(SplitSums(varying[..., ::2], invariant[..., ::2]), ridge)
-            _assert_lanes_match(SplitSums(varying[..., ::2], invariant[..., :5]), ridge)
-            _assert_lanes_match(
-                SplitSums(varying[..., 1:, :], invariant[:, 1:]), ridge, np.arange(0, 100, 3)
-            )
-
     def test_base_shapes_checked(self):
         varying, invariant = adversarial_split()
-        for bad in (
-            SplitSums(varying[:, 1:], invariant),
-            SplitSums(varying, invariant[1:]),
-            SplitSums(varying, invariant[:, 1:]),
-            SplitSums(varying[0, 0], invariant),
+        for bad_varying, bad_invariant in (
+            (varying[:, 1:], invariant),
+            (varying, invariant[1:]),
+            (varying, invariant[:, 1:]),
+            (varying[0, 0], invariant),
         ):
             with pytest.raises(ValueError, match="varying and"):
-                native_solve_packed(bad, 1e-9)
+                BoundSums(np.ascontiguousarray(bad_varying), bad_invariant)
 
 
 def _random_planes(h: int, w: int, seed: int):
@@ -570,24 +566,29 @@ class TestBoxSumPlanes:
 
     @pytest.mark.parametrize("side_y,side_x", [(1, 5), (7, 1), (3, 9), (1, 1)])
     def test_rectangular_and_unit_sides(self, side_y, side_x):
-        """The C entry itself takes any window: rectangular and unit
-        sides replay ``uniform_filter`` too (a bound pair passes square
-        sides only)."""
+        """A pair bound for a rectangular template sums over its
+        rectangle -- one-pixel sides and the 1x1 template included -- as
+        ``uniform_filter`` does."""
         from scipy import ndimage
 
-        from repro import native
-
+        half_y, half_x = side_y // 2, side_x // 2
         planes = adversarial_box_stack(1, 11, 13, seed=side_y * side_x)
-        got = np.empty_like(planes)
+        kernels = PairKernels(*np.zeros((6, 11, 13)), half_y, half_x)
+        assert kernels._native_box_sum == ((half_y, half_x) != (0, 0))
         with np.errstate(all="ignore"):
             ref = ndimage.uniform_filter(
                 planes, size=(1, 1, side_y, side_x), mode="constant", cval=0.0
             ) * float(side_y * side_x)
-            assert native._load()[0].box_sum_planes(
-                planes.ctypes.data, got.ctypes.data, planes.size // (11 * 13), 11, 13,
-                side_y, side_x,
-            ) == 0
+            got = kernels.box_sums(planes)
         assert same_bits(ref, got)
+        assert same_bits(box_sum_planes(planes, half_y, half_x), got)
+
+    def test_negative_half_widths_are_refused(self):
+        """The C box sum has no answer for a side below one."""
+        planes = np.zeros((6, 5, 7))
+        for half in ((-1, 2), (2, -1), (-1, None)):
+            with pytest.raises(ValueError, match="half-widths"):
+                PairKernels(*planes, *half)
 
     def test_dispatch_reads_channels_first_in_place(self):
         """``stack_box_sum(..., out=kernels)`` sums a varying stack into the
@@ -620,7 +621,7 @@ def test_numpy_backend_never_reaches_the_hypothesis_kernels(monkeypatch, prepare
     for owner, name in (
         (native.PairKernels, "__init__"), (native.PairKernels, "fields"),
         (native.PairKernels, "box_sums"), (native.PairKernels, "merge"),
-        (native.BoundSums, "solve"), (native, "native_solve_packed"),
+        (native.BoundSums, "solve"),
     ):
         real = getattr(owner, name)
 
@@ -633,7 +634,6 @@ def test_numpy_backend_never_reaches_the_hypothesis_kernels(monkeypatch, prepare
     assert calls == []
     auto = track_dense(prepared_semifluid, backend="auto")
     assert {"__init__", "fields", "box_sums", "merge", "solve"} <= set(calls)
-    assert "native_solve_packed" not in calls
     assert auto.error.tobytes() == reference.error.tobytes()
 
 
@@ -851,14 +851,14 @@ class TestLoadRetry:
         from repro import native
 
         calls = {"n": 0}
-        real = native._call_solve_packed
+        real = native.BoundSums.solve
 
-        def off_by_one_ulp(lib, fields, ridge):
+        def off_by_one_ulp(self, ridge, pixels=None, lanes=0):
             calls["n"] += 1
-            params, error, singular = real(lib, fields, ridge)
+            params, error, singular = real(self, ridge, pixels, lanes)
             return params, np.nextafter(error, np.inf), singular
 
-        monkeypatch.setattr(native, "_call_solve_packed", off_by_one_ulp)
+        monkeypatch.setattr(native.BoundSums, "solve", off_by_one_ulp)
         assert not native.native_available()
         assert "template solve" in native.native_status()
         assert not native.native_available()
@@ -870,16 +870,18 @@ class TestLoadRetry:
         from repro import native
 
         calls = {"n": 0}
-        real = native._call_solve_packed
+        widest = native.native_solve_lanes()  # one unpatched load, forgotten below
+        native.reset()
+        real = native.BoundSums.solve
 
-        def wrong_at_widest(lib, fields, ridge, pixels=None, lanes=0):
+        def wrong_at_widest(self, ridge, pixels=None, lanes=0):
             calls["n"] += 1
-            params, error, singular = real(lib, fields, ridge, pixels, lanes)
-            if pixels is not None and lanes == native._lane_widths(lib)[-1]:
+            params, error, singular = real(self, ridge, pixels, lanes)
+            if pixels is not None and lanes == widest:
                 error = np.nextafter(error, np.inf)
             return params, error, singular
 
-        monkeypatch.setattr(native, "_call_solve_packed", wrong_at_widest)
+        monkeypatch.setattr(native.BoundSums, "solve", wrong_at_widest)
         assert not native.native_available()
         status = native.native_status()
         assert "template solve" in status and "lanes" in status
@@ -1009,9 +1011,32 @@ class TestLoadRetry:
         assert same_bits(kernels.box_sums(invariant), box_sum_planes(invariant, 2))
         bound = solve_accumulated(kernels.sums)
         split = SplitSums(box_sum_planes(planes, 2), box_sum_planes(invariant, 2))
-        reference = solve_accumulated(split, prefer_native=False)
+        reference = solve_accumulated(split)
         assert same_bits(bound.error, reference.error)
         assert same_bits(bound.params, reference.params)
+
+    def test_rectangular_box_sum_self_check_failure_disables_only_the_box_sum(
+        self, monkeypatch
+    ):
+        """A box sum that is right on square windows but wrong on a
+        rectangular one disables the native box sum alone, and the status
+        names the window."""
+        from repro import native
+
+        real = native.PairKernels.box_sums
+
+        def off_on_rectangles(self, planes):
+            out = real(self, planes)
+            half_y, half_x = self.template
+            if self._native_box_sum and half_y != half_x:
+                out[...] = np.nextafter(out, np.inf)
+            return out
+
+        monkeypatch.setattr(native.PairKernels, "box_sums", off_on_rectangles)
+        assert native.native_available()
+        assert not native.native_box_sum_available()
+        status = native.native_status()
+        assert status.startswith("available; ") and "half-widths (1, 2)" in status
 
     def test_native_solve_with_scipy_box_sum_keeps_reference_bits(
         self, monkeypatch, prepared_continuous, prepared_semifluid

@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
-from repro.core.matching import track_dense
+from repro.core.continuous import N_FIELDS, pointwise_fields, solve_accumulated
+from repro.core.matching import hypothesis_order, prepare_frames, track_dense
+from repro.core.semifluid import shift2d
+from repro.data.noise import smooth_random_field
 from repro.extensions.adaptive import (
     box_sum_rect,
     select_window_sizes,
@@ -11,6 +15,47 @@ from repro.extensions.adaptive import (
     track_dense_adaptive,
     track_dense_rect,
 )
+from repro.params import NeighborhoodConfig
+
+
+def rect_oracle(prepared, half_y, half_x, ridge=1e-9):
+    """``(u, v, params, error)`` of the rectangular-template search, one
+    hypothesis and one packed field at a time on NumPy: ``shift2d``
+    copies, a SciPy box sum per field, the NumPy solve and a strict-less
+    merge in hypothesis order."""
+    geo_b, geo_a = prepared.geo_before, prepared.geo_after
+    shape = geo_b.shape
+    side_y, side_x = 2 * half_y + 1, 2 * half_x + 1
+    best_error = np.full(shape, np.inf)
+    best_u = np.zeros(shape)
+    best_v = np.zeros(shape)
+    best_params = np.zeros(shape + (6,))
+    for hyp_dy, hyp_dx in hypothesis_order(prepared.config.n_zs):
+        fields = pointwise_fields(
+            geo_b.p, geo_b.q, shift2d(geo_a.p, hyp_dy, hyp_dx), shift2d(geo_a.q, hyp_dy, hyp_dx),
+            geo_b.e, geo_b.g,
+        )
+        acc = np.empty_like(fields)
+        for k in range(N_FIELDS):
+            acc[..., k] = ndimage.uniform_filter(
+                fields[..., k], size=(side_y, side_x), mode="constant", cval=0.0
+            ) * float(side_y * side_x)
+        sol = solve_accumulated(acc, ridge=ridge)
+        better = sol.error < best_error
+        best_error = np.where(better, sol.error, best_error)
+        best_u = np.where(better, float(hyp_dx), best_u)
+        best_v = np.where(better, float(hyp_dy), best_v)
+        best_params = np.where(better[..., None], sol.params, best_params)
+    return best_u, best_v, best_params, best_error
+
+
+@pytest.fixture(scope="module")
+def prepared_bands():
+    """Horizontal bands moving 1 and 2 px in x (72 px)."""
+    f0 = smooth_random_field(72, seed=9, smoothing=1.2)
+    block = (np.arange(72)[:, None] // 10) % 2 + np.zeros((1, 72), dtype=int)
+    f1 = np.where(block == 0, np.roll(f0, 1, 1), np.roll(f0, 2, 1))
+    return prepare_frames(f0, f1, NeighborhoodConfig(n_w=2, n_zs=2, n_zt=4, n_ss=0))
 
 
 class TestBoxSumRect:
@@ -36,9 +81,21 @@ class TestTrackDenseRect:
         std = track_dense(prepared_continuous)
         cfg = prepared_continuous.config
         rect = track_dense_rect(prepared_continuous, cfg.n_zt, cfg.n_zt)
-        inner = std.valid & rect.valid
-        np.testing.assert_array_equal(std.u[inner], rect.u[inner])
-        np.testing.assert_array_equal(std.v[inner], rect.v[inner])
+        for name in ("u", "v", "params", "error", "valid"):
+            assert getattr(rect, name).tobytes() == getattr(std, name).tobytes(), name
+        assert rect.ge_solves == std.ge_solves
+
+    @pytest.mark.parametrize("half_y,half_x", [(4, 4), (1, 8), (8, 1), (0, 3), (2, 0)])
+    def test_bit_identical_to_the_numpy_oracle(self, prepared_bands, half_y, half_x):
+        rect = track_dense_rect(prepared_bands, half_y, half_x)
+        expected = rect_oracle(prepared_bands, half_y, half_x)
+        for name, want in zip(("u", "v", "params", "error"), expected):
+            assert getattr(rect, name).tobytes() == want.tobytes(), name
+
+    def test_reports_its_solves(self, prepared_bands):
+        rect = track_dense_rect(prepared_bands, 1, 8)
+        assert rect.hypotheses_evaluated == 25
+        assert rect.ge_solves == 72 * 72 * 25
 
     def test_anisotropic_window_tracks_translation(self, prepared_continuous):
         rect = track_dense_rect(prepared_continuous, 2, 5)
@@ -48,6 +105,11 @@ class TestTrackDenseRect:
     def test_rejects_semifluid(self, prepared_semifluid):
         with pytest.raises(ValueError):
             track_dense_rect(prepared_semifluid, 2, 2)
+
+    @pytest.mark.parametrize("half_y,half_x", [(-1, 2), (2, -1)])
+    def test_rejects_negative_half_widths(self, prepared_continuous, half_y, half_x):
+        with pytest.raises(ValueError, match="half-widths"):
+            track_dense_rect(prepared_continuous, half_y, half_x)
 
 
 class TestTextureEnergy:
@@ -97,3 +159,7 @@ class TestTrackDenseAdaptive:
     def test_hypothesis_count_scales(self, prepared_continuous):
         result, _ = track_dense_adaptive(prepared_continuous, (2, 3), 0.01)
         assert result.hypotheses_evaluated == 2 * 25
+
+    def test_reports_the_solves_of_every_candidate(self, prepared_continuous):
+        result, sizes = track_dense_adaptive(prepared_continuous, (2, 3), 0.01)
+        assert result.ge_solves == 2 * sizes.size * 25

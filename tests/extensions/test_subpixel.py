@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
-from repro.core.matching import prepare_frames, track_dense
+from repro.core.matching import _HostEvaluator, hypothesis_order, prepare_frames, track_dense
 from repro.data.noise import smooth_random_field
 from repro.extensions.subpixel import (
     parabolic_offset,
@@ -81,6 +81,20 @@ class TestTrackDenseWithVolume:
         for name in ("u", "v", "params", "error"):
             assert getattr(with_vol, name).tobytes() == getattr(plain, name).tobytes(), name
         assert with_vol.ge_solves == plain.ge_solves == plain.error.size * 25
+
+    @pytest.mark.parametrize("model", ["continuous", "semifluid"])
+    def test_volume_planes_are_the_numpy_solves(
+        self, model, prepared_continuous, prepared_semifluid
+    ):
+        """Each plane holds its hypothesis's template errors, bit for bit
+        as the NumPy evaluator solves that hypothesis alone."""
+        prepared = prepared_continuous if model == "continuous" else prepared_semifluid
+        _, volume = track_dense_with_volume(prepared)
+        reference = _HostEvaluator(prepared, 1e-9, prefer_native=False)
+        n = prepared.config.n_zs
+        for dy, dx in hypothesis_order(n):
+            error, _ = reference.solve(reference.stage([(dy, dx)])[0])
+            assert volume[dy + n, dx + n].tobytes() == error[0].tobytes(), (dy, dx)
 
 
 class TestRefineKeepsAccounting:

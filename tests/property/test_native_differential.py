@@ -10,13 +10,13 @@ the one call path the hypothesis search takes: the 18-plane field build
 reading the after planes at toroidal offsets (against ``varying_planes``
 over ``shift2d`` copies) and at per-pixel semi-fluid deltas (against
 ``varying_planes`` over NumPy-gathered planes), the box sum of the
-varying stack, the two-base solve and the (error, rank) merge (against
-:func:`repro.kernels.reference.merge_best`) -- plus the one-shot solves
-other callers use: ``solve_packed`` on plain arrays and the batched
-elimination behind :func:`repro.core.linalg.gaussian_eliminate` at every
-order up to 8.  The box sum is fuzzed at square sides only: no caller
-hands the native box sum a rectangular window.  Derandomized with a
-bounded example count, so the suite is repeatable.
+varying stack over square and rectangular templates, the two-base
+solve (bound as the search binds it, and the same sums packed into
+one array bound as one hypothesis) and the (error, rank) merge (against
+:func:`repro.kernels.reference.merge_best`) -- plus the one-shot
+batched elimination behind :func:`repro.core.linalg.gaussian_eliminate`
+at every order up to 8.  Derandomized with a bounded example count, so
+the suite is repeatable.
 """
 
 from __future__ import annotations
@@ -27,7 +27,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import native
-from repro.core.continuous import solve_accumulated, stack_box_sum, stack_varying_fields
+from repro.core.continuous import (
+    N_FIELDS,
+    solve_accumulated,
+    stack_box_sum,
+    stack_varying_fields,
+)
 from repro.core.linalg import gaussian_eliminate
 from repro.core.semifluid import shift2d
 from repro.kernels.reference import (
@@ -232,14 +237,14 @@ class TestMerge:
 class TestVaryingBoxSum:
     @FUZZ
     @given(
-        st.integers(1, 2), heights, widths, st.integers(1, 6), st.data(),
+        st.integers(1, 2), heights, widths, st.integers(0, 6), st.integers(0, 6), st.data(),
     )
-    def test_box_sum_planes(self, n, h, w, half_width, data):
+    def test_box_sum_planes(self, n, h, w, half_y, half_x, data):
         planes = data.draw(planted((n, len(VARYING_FIELDS), h, w), scale=8.0))
-        kernels = native.PairKernels(*np.zeros((6, h, w)), half_width)
+        kernels = native.PairKernels(*np.zeros((6, h, w)), half_y, half_x)
         with np.errstate(all="ignore"):
-            ref = box_sum_planes(planes, half_width)
-            bound = stack_box_sum(np.ascontiguousarray(planes), half_width, out=kernels)
+            ref = box_sum_planes(planes, half_y, half_x)
+            bound = stack_box_sum(np.ascontiguousarray(planes), half_y, half_x, out=kernels)
         assert same_bits(ref, bound)
 
 
@@ -284,25 +289,28 @@ class TestTwoBaseSolve:
         lib = native._load()[0]
         if lanes and lanes not in native._lane_widths(lib):
             pytest.skip(f"this CPU does not run {lanes} lanes")
-        packed = split.packed()
-        m = packed[..., 0].size
+        rows = split.packed().reshape(-1, N_FIELDS)
+        m = rows.shape[0]
         pixels = data.draw(index_lists(m))
         # The bound solve takes non-negative indices, as many as its outputs hold.
         flat = None if pixels is None else np.where(pixels < 0, pixels + m, pixels)
-        inner = m // split.varying.shape[0]
-        capacity = max(split.varying.shape[0], -(-(0 if flat is None else flat.size) // inner))
-        varying = np.empty((capacity,) + split.varying.shape[1:])
-        bound = native.BoundSums(varying, split.invariant).assign(split.varying)
+        count = 0 if flat is None else flat.size
+
+        def bind(varying, invariant):
+            capacity = max(varying.shape[0], -(-count // invariant[0].size))
+            buffer = np.empty((capacity,) + varying.shape[1:])
+            return native.BoundSums(buffer, invariant).assign(varying)
+
+        # The search's two bases, and the packed rows as one hypothesis.
+        bound = bind(split.varying, split.invariant)
+        one_base = bind(rows[:, VARYING_FIELDS].T[None], rows[:, INVARIANT_FIELDS].T)
         with np.errstate(all="ignore"):
-            ref = solve_accumulated(split, ridge=ridge, prefer_native=False, pixels=pixels)
-            params, error, singular = native._call_solve_packed(lib, split, ridge, pixels, lanes)
-            one_base = native._call_solve_packed(lib, packed, ridge, pixels, lanes)
-            bound_params, bound_error, bound_singular = bound.solve(ridge, flat, lanes)
-        assert same_bits(ref.params, params) and same_bits(ref.error, error)
-        assert np.array_equal(ref.singular, singular)
-        assert same_bits(one_base[0], params) and same_bits(one_base[1], error)
-        assert same_bits(ref.params, bound_params) and same_bits(ref.error, bound_error)
-        assert np.array_equal(ref.singular, bound_singular)
+            ref = solve_accumulated(split, ridge=ridge, pixels=pixels)
+            for solved in (bound.solve(ridge, flat, lanes), one_base.solve(ridge, flat, lanes)):
+                params, error, singular = solved
+                assert same_bits(ref.params.reshape(-1, 6), params.reshape(-1, 6))
+                assert same_bits(ref.error.reshape(-1), error.reshape(-1))
+                assert np.array_equal(ref.singular.reshape(-1), singular.reshape(-1))
 
 
 @st.composite
