@@ -19,7 +19,7 @@ from .continuous import (
     solve_accumulated,
 )
 from .field import MotionField
-from .linalg import gaussian_eliminate, solve_normal_equations
+from .linalg import gaussian_eliminate
 from .matching import (
     DenseMatchResult,
     PreparedFrames,
@@ -65,7 +65,6 @@ __all__ = [
     "solve_accumulated",
     "MotionField",
     "gaussian_eliminate",
-    "solve_normal_equations",
     "DenseMatchResult",
     "PreparedFrames",
     "hypothesis_order",

@@ -155,7 +155,7 @@ def solve_accumulated(fields: np.ndarray, ridge: float = 1e-9, pixels=None) -> M
     h, grad, c = unpack_fields(fields)
     if ridge:
         h = h + ridge * np.eye(N_PARAMS)
-    theta, singular = gaussian_eliminate(h, -grad, prefer_native=False)
+    theta, singular = gaussian_eliminate(h, -grad)
     theta = np.where(singular[..., None], 0.0, theta)
     # E* = c + theta . grad at the optimum (and = c exactly when theta = 0).
     error = c + np.einsum("...k,...k->...", theta, grad)

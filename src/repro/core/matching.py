@@ -179,7 +179,12 @@ def hypothesis_order(n_zs: int) -> list[tuple[int, int]]:
 
 def valid_mask(shape: tuple[int, int], config: NeighborhoodConfig) -> np.ndarray:
     """Interior mask: True where every window stays inside the image."""
-    margin = config.margin()
+    return interior_mask(shape, config.margin())
+
+
+def interior_mask(shape: tuple[int, int], margin: int) -> np.ndarray:
+    """True at least ``margin`` pixels from every border (nowhere when a
+    side is not longer than ``2 margin``)."""
     mask = np.zeros(shape, dtype=bool)
     if shape[0] > 2 * margin and shape[1] > 2 * margin:
         mask[margin : shape[0] - margin, margin : shape[1] - margin] = True

@@ -34,7 +34,7 @@ from ..core.matching import (
     _exhaustive,
     _HostEvaluator,
     _search,
-    valid_mask,
+    interior_mask,
 )
 from ..kernels.reference import box_sum_rect
 
@@ -56,8 +56,13 @@ def track_dense_rect(
         raise ValueError("rectangular templates are implemented for the continuous model")
     evaluator = _HostEvaluator(prepared, ridge, template=(half_y, half_x))
     result = _search(evaluator, _exhaustive(prepared, DEFAULT_BATCH_BYTES))
-    margin_cfg = config.replace(n_zt=max(half_y, half_x))
-    return replace(result, valid=valid_mask(result.shape, margin_cfg))
+    return replace(result, valid=_template_mask(result.shape, config, max(half_y, half_x)))
+
+
+def _template_mask(shape, config, half: int) -> np.ndarray:
+    """``valid_mask`` with the template half-width ``half`` in place of
+    ``n_zt`` -- which may be below ``n_st``, so no config is built."""
+    return interior_mask(shape, config.margin() - config.n_zt + half)
 
 
 def texture_energy(image: np.ndarray, half_width: int) -> np.ndarray:
@@ -129,13 +134,12 @@ def track_dense_adaptive(
         error[take] = sub.error[take]
         evaluated += sub.hypotheses_evaluated
         solves += sub.ge_solves
-    margin_cfg = config.replace(n_zt=max(candidate_half_widths))
     result = DenseMatchResult(
         u=u,
         v=v,
         params=params,
         error=error,
-        valid=valid_mask(shape, margin_cfg),
+        valid=_template_mask(shape, config, max(candidate_half_widths)),
         hypotheses_evaluated=evaluated,
         ge_solves=solves,
     )

@@ -9,8 +9,9 @@ executions plug into the same chain:
 * :mod:`repro.kernels.reference` -- the serial NumPy path; THE
   bit-identity reference every other backend answers to.
 * :mod:`repro.native` -- C kernels for the pointwise field build, the
-  box sum, the fused template solve and the batched eliminate,
-  bitwise-equal by construction and cross-checked on load.
+  box sum, the fused template solve and the merge, bitwise-equal by
+  construction and cross-checked on load.  The batched eliminate has
+  no native twin outside the fused template solve.
 
 :func:`resolve_backend` is the single selection point.  Backend names:
 

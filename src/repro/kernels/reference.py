@@ -350,14 +350,18 @@ def merge_best(error, params, rank: int, hypotheses, best, pixels=None, delta_y=
 def eliminate(matrices: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched partial-pivot Gaussian elimination, NumPy reference path.
 
-    Solves ``A x = b`` for a batch of dense systems; the SIMD-lockstep
-    rendering of the paper's per-PE 6x6 elimination.  Inputs are copied
-    and validated here, so the function stands alone;
-    :func:`repro.core.linalg.gaussian_eliminate` wraps it with native
-    dispatch.
+    Solves ``A x = b`` for ``(..., n, n)`` matrices and ``(..., n)``
+    right-hand sides; the SIMD-lockstep rendering of the paper's per-PE
+    6x6 elimination.  At step ``k`` every system selects its own pivot
+    row, as a per-PE elimination does on a SIMD array (the *schedule* is
+    shared, the *data* is not).  Inputs are copied and validated here.
+    Every batched solve outside the hypothesis search runs this function,
+    as :func:`repro.core.linalg.gaussian_eliminate`; the native template
+    solve (:class:`repro.native.BoundSums`) replays its arithmetic.
 
-    Returns ``(solutions, singular)``: rows flagged singular (a pivot
-    below :data:`SINGULAR_TOLERANCE`) contain zeros.
+    Returns ``(solutions, singular)``: ``(..., n)`` solutions, zero in
+    rows flagged singular (a pivot below :data:`SINGULAR_TOLERANCE`),
+    and the ``(...,)`` flags.
     """
     a = np.array(matrices, dtype=np.float64, copy=True)
     b = np.array(rhs, dtype=np.float64, copy=True)

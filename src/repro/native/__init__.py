@@ -8,15 +8,12 @@ SAME IEEE-754 arithmetic an order of magnitude faster.
 
 This package compiles :mod:`gauss.c` on demand with the system C compiler
 (no new dependencies, no NumPy headers -- the boundary is plain ``ctypes``)
-and exposes two entry points, each strictly bit-identical to the NumPy
-path it shadows:
+and exposes one entry point, :class:`PairKernels`: the hypothesis
+search's kernels, bound to one frame pair, each strictly bit-identical
+to the NumPy path it shadows.  Its solve table, :class:`BoundSums`, is
+the library's only Gaussian elimination; every other batched solve
+(:func:`repro.core.linalg.gaussian_eliminate`) runs on NumPy.
 
-* :func:`native_gauss_eliminate` -- one-shot,
-  :func:`repro.core.linalg.gaussian_eliminate`;
-* :class:`PairKernels` -- the hypothesis search's kernels, bound to one
-  frame pair.
-
-The hypothesis search reaches its kernels through that binding only:
 :class:`PairKernels` binds one frame pair's planes, output buffers and
 solve table (:class:`BoundSums`) once, and each hypothesis then passes
 only its offsets or semi-fluid deltas and its survivors.  Bound, the
@@ -113,7 +110,6 @@ __all__ = [
     "PairKernels",
     "native_available",
     "native_box_sum_available",
-    "native_gauss_eliminate",
     "native_solve_lanes",
     "native_status",
     "reset",
@@ -196,32 +192,8 @@ def _compile() -> Path:
     return target
 
 
-def _reference_eliminate(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The NumPy reference, inlined to avoid a circular import with linalg."""
-    from ..core.linalg import gaussian_eliminate
-
-    return gaussian_eliminate(np.asarray(a), np.asarray(b), prefer_native=False)
-
-
 def _self_check(lib: ctypes.CDLL) -> None:
-    """Demand bitwise agreement with the NumPy path on adversarial systems."""
-    rng = np.random.default_rng(20260806)
-    a = rng.normal(size=(64, 6, 6)) * np.exp(rng.normal(scale=4.0, size=(64, 1, 1)))
-    b = rng.normal(size=(64, 6))
-    a[0] = 0.0  # fully singular
-    a[1, 3] = a[1, 4]  # rank deficient
-    a[2, 2, 2] = np.nan  # NaN pivot path
-    a[3, 1, 1] = np.inf  # infinity propagation
-    a[4, :, 0] = 0.0  # forces pivot failure at k=0
-    a[5, 5, :] = 1e-300  # denormal-adjacent pivots
-    with np.errstate(all="ignore"):  # NaN/inf probes are intentional
-        x_ref, s_ref = _reference_eliminate(a, b)
-        x_nat, s_nat = _call_kernel(lib, a, b)
-    if not (
-        np.array_equal(x_ref, x_nat, equal_nan=True) and np.array_equal(s_ref, s_nat)
-    ):
-        raise AssertionError("native gauss kernel disagrees with NumPy reference")
-
+    """Demand bitwise agreement with the NumPy path on adversarial inputs."""
     from ..core.continuous import solve_accumulated
 
     # The hypothesis search's two-base split of the adversarial rows,
@@ -351,7 +323,7 @@ def adversarial_packed(m: int = 128, seed: int = 20261017) -> np.ndarray:
 
     Well-posed systems summed from random residual samples, then
     all-zero, rank-deficient, NaN, +-inf, signed-zero, negative and
-    denormal ``c`` rows.
+    denormal ``c`` rows, and one whose first pivot alone fails (unridged).
     """
     rng = np.random.default_rng(seed)
     samples = rng.normal(size=(4, m, 9)) * np.exp(rng.normal(scale=2.0, size=(4, m, 1)))
@@ -374,6 +346,7 @@ def adversarial_packed(m: int = 128, seed: int = 20261017) -> np.ndarray:
     fields[9] *= 1e-300
     fields[10] *= 1e300
     fields[11, 27] = np.nan
+    fields[12, :6] = 0.0  # H's row and column 0: the pivot fails at k = 0 only
     return fields
 
 
@@ -384,12 +357,12 @@ def adversarial_split(m: int = 128, outer: int = 2, seed: int = 20261017):
     outer)`` systems: a contiguous varying stack ``(outer, 18, m //
     outer)`` holding every row's varying fields, and invariant sums
     ``(10, m // outer)`` -- read at outer stride 0 -- holding those of
-    the first ``m // outer`` rows (of at least 12 generated, so the
+    the first ``m // outer`` rows (of at least 13 generated, so the
     special rows exist).  So the first outer level reproduces those
     rows exactly, specials included, and the others pair their varying
     fields with another row's invariant ones.
     """
-    rows = adversarial_packed(max(m, 12), seed)[:m]
+    rows = adversarial_packed(max(m, 13), seed)[:m]
     inner = m // outer
     varying = rows[:, VARYING_FIELDS].reshape(outer, inner, len(VARYING_FIELDS))
     invariant = rows[:inner, INVARIANT_FIELDS].T
@@ -398,7 +371,7 @@ def adversarial_split(m: int = 128, outer: int = 2, seed: int = 20261017):
     )
 
 
-def adversarial_pixels(specials: int = 12, m: int = 128, width: int = 8) -> np.ndarray:
+def adversarial_pixels(specials: int = 13, m: int = 128, width: int = 8) -> np.ndarray:
     """Flat indices into :func:`adversarial_packed` rows for the lane kernels.
 
     One tile of ``width`` well-posed rows per (special row, lane
@@ -517,31 +490,6 @@ def adversarial_box_stack(n: int = 2, h: int = 5, w: int = 7, seed: int = 202610
 
 def _doubles(a: np.ndarray):
     return a.ctypes.data_as(ctypes.POINTER(ctypes.c_double))
-
-
-def _call_kernel(
-    lib: ctypes.CDLL, matrices: np.ndarray, rhs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    a = np.array(matrices, dtype=np.float64, copy=True, order="C")
-    b = np.array(rhs, dtype=np.float64, copy=True, order="C")
-    n = a.shape[-1]
-    batch_shape = a.shape[:-2]
-    a = a.reshape((-1, n, n))
-    b = b.reshape((-1, n))
-    m = a.shape[0]
-    x = np.zeros((m, n), dtype=np.float64)
-    singular = np.zeros(m, dtype=np.uint8)
-    if m:
-        lib.gauss_eliminate(
-            _doubles(a), _doubles(b), _doubles(x),
-            singular.ctypes.data_as(ctypes.POINTER(ctypes.c_ubyte)),
-            ctypes.c_ssize_t(m),
-            ctypes.c_ssize_t(n),
-        )
-    return (
-        x.reshape(batch_shape + (n,)),
-        singular.astype(bool).reshape(batch_shape),
-    )
 
 
 def _lane_widths(lib: ctypes.CDLL) -> tuple[int, ...]:
@@ -844,15 +792,6 @@ def _load() -> tuple[ctypes.CDLL | None, str | None]:
     try:
         with TRACER.span("native.build"):
             lib = ctypes.CDLL(str(_compile()))
-        lib.gauss_eliminate.restype = ctypes.c_int
-        lib.gauss_eliminate.argtypes = [
-            ctypes.POINTER(ctypes.c_double),
-            ctypes.POINTER(ctypes.c_double),
-            ctypes.POINTER(ctypes.c_double),
-            ctypes.POINTER(ctypes.c_ubyte),
-            ctypes.c_ssize_t,
-            ctypes.c_ssize_t,
-        ]
         lib.solve_packed.restype = ctypes.c_int
         lib.solve_packed.argtypes = [
             _FieldAddresses,
@@ -967,16 +906,6 @@ def native_status() -> str:
     if lib is None:
         return reason or "unavailable"
     return "available" if _box_sum_reason is None else f"available; {_box_sum_reason}"
-
-
-def native_gauss_eliminate(
-    matrices: np.ndarray, rhs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve with the native kernel.  Caller must check availability first."""
-    lib, reason = _load()
-    if lib is None:
-        raise RuntimeError(f"native kernel unavailable: {reason}")
-    return _call_kernel(lib, matrices, rhs)
 
 
 def native_solve_lanes() -> int:

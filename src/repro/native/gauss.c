@@ -1,6 +1,7 @@
-/* Batched partial-pivot Gaussian elimination -- native twin of
- * repro.core.linalg.gaussian_eliminate -- and the fused template solve
- * built on it, the native twin of repro.core.continuous.solve_accumulated.
+/* Partial-pivot Gaussian elimination of one system -- the native twin of
+ * one system of repro.core.linalg.gaussian_eliminate -- and the fused
+ * template solve built on it, the native twin of
+ * repro.core.continuous.solve_accumulated and the library's only solve.
  * The two steps that feed that solve per hypothesis, the pointwise field
  * build and the template box sum, and the merge of its results follow
  * at the end of the file.
@@ -136,17 +137,6 @@ static inline unsigned char solve_system(double *as, double *bs, double *xs, ptr
         for (ptrdiff_t j = 0; j < n; j++)
             xs[j] = 0.0;
     return sing;
-}
-
-/* Solve m independent n-by-n systems.  a (m*n*n) and b (m*n) are scratch
- * copies and are destroyed; x (m*n) receives solutions (zeros for
- * singular systems); singular (m) receives 0/1 flags.  Returns 0. */
-int gauss_eliminate(double *a, double *b, double *x, unsigned char *singular,
-                    ptrdiff_t m, ptrdiff_t n)
-{
-    for (ptrdiff_t s = 0; s < m; s++)
-        singular[s] = solve_system(a + s * n * n, b + s * n, x + s * n, n);
-    return 0;
 }
 
 /* The template solve of repro.core.continuous.solve_accumulated, fused.

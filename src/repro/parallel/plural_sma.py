@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.continuous import N_FIELDS, pointwise_fields, unpack_fields
-from ..core.linalg import gaussian_eliminate
+from ..core.continuous import N_FIELDS, pointwise_fields, solve_accumulated
 from ..core.matching import hypothesis_order, valid_mask
 from ..core.surface import savgol_kernels
 from ..maspar.cost import CostLedger
@@ -135,14 +134,8 @@ def plural_track_continuous(
                     acc[..., k] = windows.sum(axis=(0, 1))
                 ledger.charge_flops(acc.size * (2 * config.n_zt + 1) ** 2)
                 # per-PE 6x6 Gaussian elimination, in lockstep
-                h_mat, grad, c = unpack_fields(acc)
-                h_mat = h_mat + ridge * np.eye(6)
-                theta, singular = gaussian_eliminate(h_mat, -grad)
-                theta = np.where(singular[..., None], 0.0, theta)
+                error = solve_accumulated(acc, ridge=ridge).error
                 ledger.charge_gaussian_elimination(shape[0] * shape[1], order=6)
-                error = np.maximum(
-                    c + np.einsum("...k,...k->...", theta, grad), 0.0
-                )
                 err_plural = pe.from_array(error, name="hypothesis error")
                 # masked winner update -- MPL `if (err < best)` semantics
                 with pe.where(err_plural.data < best_error.data):

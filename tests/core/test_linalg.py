@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.linalg import gaussian_eliminate, solve_normal_equations
+from repro.core.linalg import gaussian_eliminate
 
 
 class TestGaussianEliminate:
@@ -91,39 +91,3 @@ class TestGaussianEliminate:
         x, singular = gaussian_eliminate(np.array([[[2.0]], [[0.0]]]), np.array([[4.0], [1.0]]))
         assert list(singular) == [False, True]
         assert x[0, 0] == pytest.approx(2.0)
-
-
-class TestSolveNormalEquations:
-    def test_exact_fit_recovery(self):
-        """When residual = -A theta*, the solver recovers theta*."""
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(50, 6))
-        theta_true = rng.normal(size=6)
-        r = -(a @ theta_true)
-        theta, singular = solve_normal_equations(a, r)
-        assert not singular
-        np.testing.assert_allclose(theta, theta_true, atol=1e-8)
-
-    def test_weighted_solution_prefers_heavy_rows(self):
-        a = np.array([[1.0], [1.0]])
-        r = np.array([-1.0, -3.0])  # row targets: 1 and 3
-        w = np.array([1e6, 1.0])
-        theta, singular = solve_normal_equations(a, r, w)
-        assert not singular
-        assert theta[0] == pytest.approx(1.0, abs=1e-4)
-
-    def test_batched(self):
-        rng = np.random.default_rng(4)
-        a = rng.normal(size=(7, 30, 6))
-        theta_true = rng.normal(size=(7, 6))
-        r = -np.einsum("bti,bi->bt", a, theta_true)
-        theta, singular = solve_normal_equations(a, r)
-        assert not singular.any()
-        np.testing.assert_allclose(theta, theta_true, atol=1e-7)
-
-    def test_underdetermined_flagged(self):
-        a = np.zeros((10, 6))
-        a[:, 0] = 1.0  # only the first parameter observable
-        r = np.ones(10)
-        theta, singular = solve_normal_equations(a, r)
-        assert singular

@@ -16,6 +16,7 @@ from repro.extensions.adaptive import (
     track_dense_rect,
 )
 from repro.params import NeighborhoodConfig
+from tests.conftest import translated_pair
 
 
 def rect_oracle(prepared, half_y, half_x, ridge=1e-9):
@@ -58,6 +59,21 @@ def prepared_bands():
     return prepare_frames(f0, f1, NeighborhoodConfig(n_w=2, n_zs=2, n_zt=4, n_ss=0))
 
 
+@pytest.fixture(scope="module")
+def prepared_32():
+    """A 32 px continuous pair whose config keeps the default n_st = 2."""
+    return prepare_frames(*translated_pair(size=32, dx=1, dy=-1, seed=91),
+                          NeighborhoodConfig(n_w=2, n_zs=1, n_zt=2, n_ss=0))
+
+
+def template_mask(result, config, half):
+    """The square search's valid mask with ``n_zt = half``, built by hand."""
+    margin = half + config.n_zs + max(config.n_w, config.n_st)
+    mask = np.zeros(result.shape, dtype=bool)
+    mask[margin:-margin, margin:-margin] = True
+    return mask
+
+
 class TestBoxSumRect:
     def test_matches_manual(self):
         rng = np.random.default_rng(0)
@@ -91,6 +107,13 @@ class TestTrackDenseRect:
         expected = rect_oracle(prepared_bands, half_y, half_x)
         for name, want in zip(("u", "v", "params", "error"), expected):
             assert getattr(rect, name).tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("half_y,half_x", [(0, 0), (1, 1), (0, 3), (2, 1)])
+    def test_valid_mask_keeps_the_longer_side_margin(self, prepared_32, half_y, half_x):
+        """Templates narrower than the semi-fluid one (n_st = 2) as well."""
+        rect = track_dense_rect(prepared_32, half_y, half_x)
+        expected = template_mask(rect, prepared_32.config, max(half_y, half_x))
+        assert rect.valid.tobytes() == expected.tobytes()
 
     def test_reports_its_solves(self, prepared_bands):
         rect = track_dense_rect(prepared_bands, 1, 8)
@@ -155,6 +178,10 @@ class TestTrackDenseAdaptive:
     def test_rejects_semifluid(self, prepared_semifluid):
         with pytest.raises(ValueError):
             track_dense_adaptive(prepared_semifluid)
+
+    def test_candidates_narrower_than_n_st(self, prepared_32):
+        result, _ = track_dense_adaptive(prepared_32, (1, 2), 0.01)
+        assert result.valid.tobytes() == template_mask(result, prepared_32.config, 2).tobytes()
 
     def test_hypothesis_count_scales(self, prepared_continuous):
         result, _ = track_dense_adaptive(prepared_continuous, (2, 3), 0.01)

@@ -13,10 +13,9 @@ over ``shift2d`` copies) and at per-pixel semi-fluid deltas (against
 varying stack over square and rectangular templates, the two-base
 solve (bound as the search binds it, and the same sums packed into
 one array bound as one hypothesis) and the (error, rank) merge (against
-:func:`repro.kernels.reference.merge_best`) -- plus the one-shot
-batched elimination behind :func:`repro.core.linalg.gaussian_eliminate`
-at every order up to 8.  Derandomized with a bounded example count, so
-the suite is repeatable.
+:func:`repro.kernels.reference.merge_best`).  The two-base solve is the
+library's only Gaussian elimination.  Derandomized with a bounded
+example count, so the suite is repeatable.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.core.continuous import (
     stack_box_sum,
     stack_varying_fields,
 )
-from repro.core.linalg import gaussian_eliminate
 from repro.core.semifluid import shift2d
 from repro.kernels.reference import (
     INVARIANT_FIELDS,
@@ -311,32 +309,3 @@ class TestTwoBaseSolve:
                 assert same_bits(ref.params.reshape(-1, 6), params.reshape(-1, 6))
                 assert same_bits(ref.error.reshape(-1), error.reshape(-1))
                 assert np.array_equal(ref.singular.reshape(-1), singular.reshape(-1))
-
-
-@st.composite
-def linear_systems(draw):
-    """``(..., n, n)`` matrices and ``(..., n)`` right-hand sides of order
-    ``n`` in 1..8 over leading batch axes that may hold no system at all;
-    half the draws shift the diagonal by 4, so fewer systems are singular."""
-    n = draw(st.sampled_from(range(1, 9)))
-    batch = tuple(draw(st.lists(st.sampled_from([0, 1, 2, 3, 5]), max_size=2)))
-    matrices = draw(planted(batch + (n, n)))
-    if draw(st.booleans()):
-        diagonal = np.arange(n)
-        matrices[..., diagonal, diagonal] += 4.0  # in place: a view stays a view
-    return matrices, draw(planted(batch + (n,)))
-
-
-class TestGaussEliminate:
-    @settings(FUZZ, max_examples=150)
-    @given(linear_systems())
-    def test_gauss_eliminate(self, system):
-        matrices, rhs = system
-        with np.errstate(all="ignore"):
-            ref_x, ref_singular = gaussian_eliminate(matrices, rhs, prefer_native=False)
-            got_x, got_singular = native.native_gauss_eliminate(matrices, rhs)
-            dispatched_x, dispatched_singular = gaussian_eliminate(matrices, rhs)
-        assert ref_x.shape == rhs.shape and ref_singular.shape == rhs.shape[:-1]
-        assert same_bits(ref_x, got_x) and same_bits(ref_x, dispatched_x)
-        assert np.array_equal(ref_singular, got_singular)
-        assert np.array_equal(ref_singular, dispatched_singular)
